@@ -44,7 +44,7 @@ from .errors import (
     NotSimplyConnected,
     UnboundedDegree,
 )
-from .exactlin import backend_name, homology_window
+from .exactlin import homology_window
 from .loopgroup import h0_compare, kan_loop_group, pi1_presentation
 from .monoids import (
     Exhausted,
@@ -556,7 +556,6 @@ def run(argv):
         "tool": {
             "name": "barloop",
             "version": __version__,
-            "backend": backend_name(),
         },
         "command": args.command,
         "params": {

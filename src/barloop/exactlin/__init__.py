@@ -8,7 +8,6 @@ from .core import (
     SnfResult,
     backend_name,
     homology_window,
-    kernel_basis,
     mapping_cone,
     smith_normal_form,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "SnfResult",
     "backend_name",
     "homology_window",
-    "kernel_basis",
     "mapping_cone",
     "smith_normal_form",
 ]

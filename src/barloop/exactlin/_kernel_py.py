@@ -1,14 +1,8 @@
-"""Pure-Python elimination kernel for Smith normal form over the integers.
+"""Elimination kernel for Smith normal form over the integers.
 
-All coefficients are Python ints, so nothing can overflow.  The compiled
-twin in ``_snfcore.pyx`` implements the identical routine with C loop
-indices; the two backends are cross-checked in the test suite and must
-produce byte-identical output.
-
-The kernel returns the diagonal together with the unimodular transforms
-``u`` (rows) and ``v`` (columns) satisfying ``u * m * v == diag`` and the
-inverse ``vinv`` of ``v``, which homology computations need to express
-vectors in the kernel basis.
+All coefficients are Python ints, so nothing can overflow.  The kernel
+returns the invariant factors only: homology needs ranks and invariant
+factors, never the unimodular transforms, so none are accumulated.
 """
 
 __all__ = ["smith_kernel", "xgcd"]
@@ -29,32 +23,18 @@ def xgcd(a, b):
     return g, x, y
 
 
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def smith_kernel(mat, rows, cols):
     """Diagonalize an integer matrix by unimodular row/column operations.
 
-    ``mat`` is a list of row lists; it is not modified.  Returns
-    ``(diag, u, v, vinv)`` where ``diag`` is a list of ``min(rows, cols)``
-    nonnegative integers with each entry dividing the next.
+    ``mat`` is a list of row lists; it is not modified.  Returns the
+    diagonal: a list of ``min(rows, cols)`` nonnegative integers with
+    each entry dividing the next.
     """
     d = [list(row) for row in mat]
-    u = _identity(rows)
-    v = _identity(cols)
-    vinv = _identity(cols)
-
-    def row_swap(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
 
     def col_swap(i, j):
         for r in d:
             r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def row_combine(i, j, k):
         # Unimodular op on rows i, j canceling d[j][k] against pivot d[i][k].
@@ -64,16 +44,12 @@ def smith_kernel(mat, rows, cols):
         if a != 0 and b % a == 0:
             q = b // a
             d[j] = [x - q * y for x, y in zip(d[j], d[i])]
-            u[j] = [x - q * y for x, y in zip(u[j], u[i])]
             return
         g, x, y = xgcd(a, b)
         ag, bg = a // g, b // g
         ri, rj = d[i], d[j]
         d[i] = [x * p + y * q for p, q in zip(ri, rj)]
         d[j] = [-bg * p + ag * q for p, q in zip(ri, rj)]
-        ri, rj = u[i], u[j]
-        u[i] = [x * p + y * q for p, q in zip(ri, rj)]
-        u[j] = [-bg * p + ag * q for p, q in zip(ri, rj)]
 
     def col_combine(j, l, k):
         # Unimodular op on columns j, l canceling d[k][l] against d[k][j].
@@ -84,10 +60,6 @@ def smith_kernel(mat, rows, cols):
             q = b // a
             for r in d:
                 r[l] -= q * r[j]
-            for r in v:
-                r[l] -= q * r[j]
-            # inverse op on vinv rows: row_j += q * row_l
-            vinv[j] = [p + q * s for p, s in zip(vinv[j], vinv[l])]
             return
         g, x, y = xgcd(a, b)
         ag, bg = a // g, b // g
@@ -95,13 +67,6 @@ def smith_kernel(mat, rows, cols):
             p, q = r[j], r[l]
             r[j] = x * p + y * q
             r[l] = -bg * p + ag * q
-        for r in v:
-            p, q = r[j], r[l]
-            r[j] = x * p + y * q
-            r[l] = -bg * p + ag * q
-        rj, rl = vinv[j], vinv[l]
-        vinv[j] = [ag * p + bg * q for p, q in zip(rj, rl)]
-        vinv[l] = [-y * p + x * q for p, q in zip(rj, rl)]
 
     def select_pivot(k):
         # Minimal |entry| nonzero pivot in the trailing submatrix.
@@ -117,7 +82,7 @@ def smith_kernel(mat, rows, cols):
         if bi < 0:
             return False
         if bi != k:
-            row_swap(k, bi)
+            d[k], d[bi] = d[bi], d[k]
         if bj != k:
             col_swap(k, bj)
         return True
@@ -161,19 +126,8 @@ def smith_kernel(mat, rows, cols):
         if bad < 0:
             break
         # Pull column bad+1 into column bad, then re-eliminate the tail.
-        j, l = bad + 1, bad
         for r in d:
-            r[l] += r[j]
-        for r in v:
-            r[l] += r[j]
-        vinv[j] = [p - q for p, q in zip(vinv[j], vinv[l])]
+            r[bad] += r[bad + 1]
         eliminate_from(bad)
 
-    # Normalize signs on the diagonal.
-    for i in range(rank):
-        if d[i][i] < 0:
-            d[i] = [-x for x in d[i]]
-            u[i] = [-x for x in u[i]]
-
-    diag = [d[i][i] for i in range(min(rows, cols))]
-    return diag, u, v, vinv
+    return [abs(d[i][i]) for i in range(min(rows, cols))]

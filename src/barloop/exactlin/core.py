@@ -8,13 +8,12 @@ simplicial set are: nothing lives in negative degrees).
 """
 
 from ..errors import MismatchAt, WindowTooSmall
-from ._backend import BACKEND, smith_kernel
+from ._kernel_py import smith_kernel
 
 __all__ = [
     "IntMatrix",
     "SnfResult",
     "smith_normal_form",
-    "kernel_basis",
     "ChainComplexWindow",
     "HomologyEntry",
     "HomologyTable",
@@ -25,9 +24,8 @@ __all__ = [
 
 
 def backend_name():
-    """Name of the elimination kernel selected at import ("cython" or
-    "python")."""
-    return BACKEND
+    """Name of the elimination kernel (there is one, in pure Python)."""
+    return "python"
 
 
 class IntMatrix:
@@ -89,15 +87,6 @@ class IntMatrix:
     def is_zero(self):
         return all(x == 0 for x in self._e)
 
-    def is_identity(self):
-        if self.rows != self.cols:
-            return False
-        return all(
-            self.entry(i, j) == (1 if i == j else 0)
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, IntMatrix)
@@ -141,15 +130,6 @@ class IntMatrix:
     def __neg__(self):
         return self * -1
 
-    def apply(self, vec):
-        """Matrix times column vector (sequence of ints)."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(
-            sum(self.entry(i, j) * vec[j] for j in range(self.cols))
-            for i in range(self.rows)
-        )
-
     def det(self):
         """Exact determinant via fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
@@ -176,16 +156,8 @@ class IntMatrix:
             prev = m[k][k]
         return sign * m[n - 1][n - 1]
 
-    def is_unimodular(self):
-        return self.rows == self.cols and self.det() in (1, -1)
-
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"
-
-    def pretty(self):
-        return "\n".join(
-            " ".join(str(x) for x in self.row(i)) for i in range(self.rows)
-        )
 
     def to_json_dict(self):
         # Integers are serialized as decimal strings: JSON numbers are
@@ -202,63 +174,38 @@ class IntMatrix:
 
 
 class SnfResult:
-    """Smith normal form u * m * v == diag(d), with u, v unimodular and
-    the diagonal nonnegative with each entry dividing the next."""
+    """Smith normal form of ``matrix``: the diagonal ``d`` of length
+    min(rows, cols), nonnegative, with each entry dividing the next."""
 
-    __slots__ = ("matrix", "d", "u", "v", "v_inv")
+    __slots__ = ("matrix", "d")
 
-    def __init__(self, matrix, d, u, v, v_inv):
+    def __init__(self, matrix, d):
         self.matrix = matrix
         self.d = tuple(d)
-        self.u = u
-        self.v = v
-        self.v_inv = v_inv
 
     @property
     def rank(self):
         return sum(1 for x in self.d if x)
 
     def verify(self):
-        """Recheck the defining identities by direct multiplication."""
+        """Recheck that the diagonal is in normal form."""
         m = self.matrix
-        prod = self.u * m * self.v
-        for i in range(m.rows):
-            for j in range(m.cols):
-                want = self.d[i] if i == j and i < len(self.d) else 0
-                if prod.entry(i, j) != want:
-                    raise MismatchAt(
-                        f"u*m*v not diagonal at ({i},{j})", element=(i, j)
-                    )
-        if not (self.v * self.v_inv).is_identity():
-            raise MismatchAt("v_inv is not the inverse of v")
+        if len(self.d) != min(m.rows, m.cols):
+            raise MismatchAt("diagonal length is not min(rows, cols)")
+        for i, x in enumerate(self.d):
+            if x < 0:
+                raise MismatchAt(f"negative entry at position {i}", element=i)
         for i in range(len(self.d) - 1):
             if self.d[i + 1] and self.d[i] == 0:
                 raise MismatchAt("zero before nonzero on the diagonal")
             if self.d[i] and self.d[i + 1] % self.d[i]:
                 raise MismatchAt(f"divisibility fails at position {i}")
-        if not self.u.is_unimodular() or not self.v.is_unimodular():
-            raise MismatchAt("transform is not unimodular")
         return True
 
 
 def smith_normal_form(m):
     """Compute the Smith normal form of an IntMatrix."""
-    diag, u, v, vinv = smith_kernel(m.to_rows(), m.rows, m.cols)
-    return SnfResult(
-        m,
-        diag,
-        IntMatrix.from_rows(u) if m.rows else IntMatrix(0, 0, []),
-        IntMatrix.from_rows(v) if m.cols else IntMatrix(0, 0, []),
-        IntMatrix.from_rows(vinv) if m.cols else IntMatrix(0, 0, []),
-    )
-
-
-def kernel_basis(m):
-    """Columns spanning ker(m) over the integers (a full-rank basis)."""
-    s = smith_normal_form(m)
-    r = s.rank
-    cols = [s.v.column(j) for j in range(r, m.cols)]
-    return cols
+    return SnfResult(m, smith_kernel(m.to_rows(), m.rows, m.cols))
 
 
 class ChainComplexWindow:
@@ -441,42 +388,24 @@ class HomologyTable:
 def homology_window(c):
     """Homology of a ChainComplexWindow in every window degree.
 
-    Interior degrees (and degree lo when the complex is closed below) are
-    exact; the remaining boundary degrees treat the out-of-window
-    differentials as zero and are flagged partial.
+    Only ranks and invariant factors are needed:
+    free_n = rank C_n - rk d_n - rk d_{n+1}, and the torsion of H_n is
+    the invariant factors >= 2 of d_{n+1}.  Raises MismatchAt when some
+    d∘d != 0.  Interior degrees (and degree lo when the complex is closed
+    below) are exact; the remaining boundary degrees treat the
+    out-of-window differentials as zero and are flagged partial.
     """
+    c.validate()
+    factors = {}
+    for n in range(c.lo + 1, c.hi + 1):
+        factors[n] = [x for x in smith_normal_form(c.boundary(n)).d if x]
     entries = {}
     for n in range(c.lo, c.hi + 1):
-        rank_n = c.rank(n)
-        d_n = c.boundary(n) if n > c.lo else IntMatrix.zeros(0, rank_n)
-        d_next = c.boundary(n + 1) if n < c.hi else IntMatrix.zeros(rank_n, 0)
-        s = smith_normal_form(d_n)
-        r = s.rank
-        cycle_rank = rank_n - r
-        if d_next.cols and rank_n:
-            w = s.v_inv * d_next
-            for i in range(r):
-                for j in range(w.cols):
-                    if w.entry(i, j):
-                        raise MismatchAt(
-                            f"image of d_{n + 1} not contained in cycles "
-                            f"of degree {n}",
-                            degree=n,
-                        )
-            lower = IntMatrix(
-                cycle_rank,
-                w.cols,
-                [w.entry(i, j) for i in range(r, rank_n) for j in range(w.cols)],
-            )
-            t = smith_normal_form(lower)
-            divisors = [x for x in t.d if x]
-        else:
-            divisors = []
-        exact = (c.lo < n < c.hi) or (n == c.lo and c.closed_below and n < c.hi)
-        if n == c.hi and n == c.lo:
-            exact = False
+        below = factors.get(n, [])
+        above = factors.get(n + 1, [])
+        exact = c.lo < n < c.hi or (n == c.lo and c.closed_below)
         entries[n] = HomologyEntry(
-            cycle_rank - len(divisors), sorted(x for x in divisors if x >= 2), exact
+            c.rank(n) - len(below) - len(above), above, exact
         )
     return HomologyTable(entries)
 

@@ -116,12 +116,6 @@ class FiniteMonoid:
     def mult(self, i, j):
         return self.table[i][j]
 
-    def mult_word(self, word):
-        acc = self.identity
-        for i in word:
-            acc = self.table[acc][i]
-        return acc
-
     def power(self, i, k):
         acc = self.identity
         for _ in range(k):
@@ -324,17 +318,6 @@ class MonoidPresentation:
     @classmethod
     def free(cls, labels):
         return cls(labels, [])
-
-    def to_algebra(self):
-        """Degree-0 presented algebra over the integers."""
-        alg = PresentedDgAlgebra(
-            [(g, 0) for g in self.generators],
-            augmentation={i: 1 for i in range(len(self.generators))},
-        )
-        alg.relations = [
-            ({alg.word(*u): 1}, {alg.word(*v): 1}) for u, v in self.relations
-        ]
-        return alg
 
     # words serialize as plain strings when every generator is one character
     def _single_char(self):

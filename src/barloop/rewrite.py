@@ -23,7 +23,7 @@ from .errors import (
     Unorientable,
 )
 from .exactlin import ChainComplexWindow, IntMatrix
-from .exactlin._backend import xgcd
+from .exactlin._kernel_py import xgcd
 
 __all__ = [
     "PresentedDgAlgebra",
@@ -349,13 +349,6 @@ class RewriteSystem:
         False is only conclusive when the system is complete with unit
         leading coefficients."""
         return not self.normal_form(poly_sub(p, q, self.algebra.modulus))
-
-    def rules_as_relations(self):
-        out = []
-        for r in self.rules:
-            lhs = {r.lhs: r.coeff}
-            out.append((lhs, dict(r.rhs)))
-        return out
 
     def describe(self):
         alg = self.algebra

@@ -147,10 +147,6 @@ class SimplicialSet:
         except UnboundedDegree:
             return False
 
-    def degenerate_point(self, n):
-        """The n-fold degenerate basepoint (dimension n)."""
-        return FormalSimplex(self.basepoint(), tuple(range(n - 1, -1, -1)))
-
     # -- validation -----------------------------------------------------------
 
     def validate(self, up_to):
@@ -321,9 +317,6 @@ class NerveSimplicialSet(SimplicialSet):
             return FormalSimplex(sid[:-1], ())
         p = self.monoid.table[sid[i - 1]][sid[i]]
         return self.normalize_tuple(sid[: i - 1] + (p,) + sid[i + 1 :])
-
-    def element_label(self, idx):
-        return self.monoid.elements[idx]
 
 
 def nerve(m):

@@ -76,14 +76,27 @@ def test_nerve_z2_homology_periodic():
 
 
 def test_nerve_z3_homology():
-    c = chains(nerve(FiniteMonoid.cyclic(3)), 4)
-    assert [c.rank(n) for n in range(5)] == [1, 2, 4, 8, 16]
-    assert c.validate().ok
-    table = homology_window(c.complex)
-    assert table[0].group() == (1, ())
-    assert table[1].group() == (0, (3,))
-    assert table[2].group() == (0, ())
-    assert table[3].group() == (0, (3,))
+    # Closed form H_*(BZ/m) = Z, Z/m, 0, Z/m, ... for m = 2..5 at the
+    # windows production uses.  The top degree is partial: it is the
+    # kernel of d_hi, whose rank follows from rationally acyclic chains,
+    # rk d_{n+1} = rank C_n - rk d_n for n >= 1.
+    for m, hi in [(2, 6), (3, 4), (4, 4), (5, 4)]:
+        c = chains(nerve(FiniteMonoid.cyclic(m)), hi)
+        assert [c.rank(n) for n in range(hi + 1)] == [
+            (m - 1) ** n for n in range(hi + 1)
+        ]
+        assert c.validate().ok
+        table = homology_window(c.complex)
+        assert table[0].group() == (1, ())
+        for n in range(1, hi):
+            want = (0, (m,)) if n % 2 else (0, ())
+            assert table[n].group() == want, f"Z/{m} degree {n}"
+            assert table[n].exact
+        rk_d = 0
+        for n in range(1, hi):
+            rk_d = (m - 1) ** n - rk_d
+        assert table[hi].group() == ((m - 1) ** hi - rk_d, ())
+        assert table[hi].describe().endswith("(partial)")
 
 
 def test_every_constructed_window_validates():

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from test_properties import determinantal_diagonal
 
 from barloop.errors import MismatchAt, WindowTooSmall
 from barloop.exactlin import (
@@ -11,7 +12,6 @@ from barloop.exactlin import (
     HomologyTable,
     IntMatrix,
     homology_window,
-    kernel_basis,
     mapping_cone,
     smith_normal_form,
 )
@@ -78,19 +78,10 @@ def test_snf_random_properties_seeded():
         )
         s = smith_normal_form(m)
         s.verify()
-        assert s.u.is_unimodular()
-        assert s.v.is_unimodular()
+        assert s.d == determinantal_diagonal(m)
         for i in range(len(s.d) - 1):
             if s.d[i]:
                 assert s.d[i + 1] % s.d[i] == 0
-
-
-def test_kernel_basis_spans_kernel():
-    m = IntMatrix.from_rows([[1, 2, 3], [2, 4, 6]])
-    basis = kernel_basis(m)
-    assert len(basis) == 2
-    for vec in basis:
-        assert all(x == 0 for x in m.apply(vec))
 
 
 def test_matrix_json_roundtrip_decimal_strings():
@@ -157,6 +148,20 @@ def test_homology_detects_broken_composition():
         c.validate()
     with pytest.raises(MismatchAt):
         homology_window(c)
+    # Only the top pair d_2∘d_3 breaks; d_1∘d_2 == 0.
+    c = ChainComplexWindow(
+        0,
+        3,
+        {0: 1, 1: 1, 2: 1, 3: 1},
+        {
+            1: IntMatrix.from_rows([[0]]),
+            2: IntMatrix.from_rows([[1]]),
+            3: IntMatrix.from_rows([[1]]),
+        },
+    )
+    with pytest.raises(MismatchAt, match="d∘d != 0 from degree 3") as e:
+        homology_window(c)
+    assert e.value.degree == 3
 
 
 def test_window_too_small_rejected():
