@@ -196,7 +196,7 @@ def _cobar_outputs(om, hi, budget, cap):
         outputs["homology"] = {
             str(n): table[n].describe() for n in sorted(table.entries)
         }
-    except (CapExceeded, InfiniteRank, BarloopError) as e:
+    except BarloopError as e:
         outputs["homology"] = None
         outputs["note"] = f"homology window skipped: {e}"
     return outputs
@@ -228,7 +228,7 @@ def cmd_extended_cobar(args, lo, hi):
         outputs["h0_basis"] = [
             "*".join(h0.gen_label(g) for g in w) if w else "1" for w in words
         ]
-    except (CapExceeded, BarloopError) as e:
+    except BarloopError as e:
         outputs["h0_basis"] = None
         outputs["note"] = f"degree-0 basis not enumerable: {e}"
     return 0, outputs, [], {args.input: desc}

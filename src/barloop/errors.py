@@ -64,7 +64,8 @@ class FiltrationNotRespected(BarloopError):
 
 
 class InfiniteRank(BarloopError):
-    """A degreewise basis enumeration exceeded its cap."""
+    """A degree of a bar window has more basis elements than the cap
+    allows, possibly infinitely many, so the window cannot be built."""
 
 
 class NotConnected(BarloopError):
@@ -84,7 +85,9 @@ class Unorientable(BarloopError):
 
 
 class CapExceeded(BarloopError):
-    """A monomial enumeration hit its cap before completing."""
+    """More words than the cap allows, possibly infinitely many.  For
+    irreducible monomials this is decided by counting, before any word
+    is listed."""
 
 
 class MismatchAt(BarloopError):

@@ -475,10 +475,54 @@ def complete(algebra, budget=100_000):
     return RewriteSystem(alg, rules, finished, steps)
 
 
+def _live_transitions(lhss, ngens):
+    """Aho-Corasick automaton over the nonempty left-hand sides.
+
+    State 0 is the empty word; a state is dead once the word read so far
+    contains some left-hand side.  Returns, per state, the transitions
+    (letter, next state) into live states; dead states are never entered,
+    so their rows are never read."""
+    children = [{}]
+    dead = [False]
+    for lhs in lhss:
+        s = 0
+        for g in lhs:
+            if g not in children[s]:
+                children[s][g] = len(children)
+                children.append({})
+                dead.append(False)
+            s = children[s][g]
+        dead[s] = True
+    goto = [None] * len(children)
+    goto[0] = [children[0].get(g, 0) for g in range(ngens)]
+    fail = [0] * len(children)
+    queue = list(children[0].values())
+    for s in queue:  # breadth first, so fail[s] is done before s
+        # a word ending in a left-hand side shows it as a suffix, and the
+        # failure link is the longest proper suffix in the trie
+        dead[s] = dead[s] or dead[fail[s]]
+        row = goto[fail[s]]
+        goto[s] = [children[s].get(g, row[g]) for g in range(ngens)]
+        for g, c in children[s].items():
+            fail[c] = row[g]
+            queue.append(c)
+    return [
+        [(g, t) for g, t in enumerate(row) if not dead[t]] for row in goto
+    ]
+
+
 def basis_in_degree(rsys, degree, cap=10_000):
     """All irreducible monomials of the given degree, sorted by the
     monomial order.  Requires a complete system with unit leading
-    coefficients (otherwise the irreducible monomials are not a basis)."""
+    coefficients (otherwise the irreducible monomials are not a basis).
+
+    Raises CapExceeded when there are more than ``cap`` such words,
+    including infinitely many, decided without enumerating: the words
+    are the paths of an automaton over the rule left-hand sides, crossed
+    with the degree so far, and a degree has infinitely many words
+    exactly when the paths ending in it run through a cycle (of
+    degree-0 letters; Ufnarovskij's criterion).  Otherwise the paths are
+    counted first and listed only when the count is within the cap."""
     if not rsys.complete:
         raise BarloopError("rewrite system is not complete; no canonical basis")
     if rsys.has_nonunit_leads:
@@ -488,46 +532,81 @@ def basis_in_degree(rsys, degree, cap=10_000):
         )
     alg = rsys.algebra
     lhss = [r.lhs for r in rsys.rules]
+    if not all(lhss):
+        return []
+    gdeg = [d for _, d in alg.generators]
+    live = _live_transitions(lhss, len(gdeg))
 
-    def reducible(word):
-        for l in lhss:
-            if not l or RewriteSystem._find_sub(word, l) >= 0:
-                return True
-        return False
+    # product graph of (live state, degree so far), degrees <= degree
+    start = (0, 0)
+    succ = {}
+    stack = [start] if degree >= 0 else []
+    while stack:
+        node = stack.pop()
+        if node in succ:
+            continue
+        s, e = node
+        succ[node] = out = [
+            (g, (t, e + gdeg[g])) for g, t in live[s] if e + gdeg[g] <= degree
+        ]
+        stack.extend(v for _, v in out)
+
+    # trim to the nodes that can still end at exactly this degree
+    pred = {}
+    for u, out in succ.items():
+        for _, v in out:
+            pred.setdefault(v, []).append(u)
+    keep = {u for u in succ if u[1] == degree}
+    stack = list(keep)
+    while stack:
+        for u in pred.get(stack.pop(), ()):
+            if u not in keep:
+                keep.add(u)
+                stack.append(u)
+    succ = {u: [(g, v) for g, v in succ[u] if v in keep] for u in keep}
+
+    # topological order (Kahn); a node left over lies on a cycle
+    indeg = dict.fromkeys(succ, 0)
+    for out in succ.values():
+        for _, v in out:
+            indeg[v] += 1
+    order = [u for u, n in indeg.items() if n == 0]
+    for u in order:
+        for _, v in succ[u]:
+            indeg[v] -= 1
+            if not indeg[v]:
+                order.append(v)
+    count = None
+    if len(order) == len(succ):
+        paths = dict.fromkeys(succ, 0)
+        if start in paths:
+            paths[start] = 1
+        for u in order:
+            for _, v in succ[u]:
+                paths[v] += paths[u]
+        count = sum(n for u, n in paths.items() if u[1] == degree)
+    if count is None or count > cap:
+        raise CapExceeded(
+            f"more than {cap} irreducible monomials in degree {degree}"
+        )
 
     found = []
-    frontier = [()]
-    explored = 0
-    explored_cap = max(100 * cap, 100_000)
-    if degree == 0 and not reducible(()):
-        found.append(())
-    while frontier:
-        nxt = []
-        for word in frontier:
-            wdeg = alg.word_degree(word)
-            for g in range(len(alg.generators)):
-                d2 = wdeg + alg.gen_degree(g)
-                if d2 > degree:
-                    continue
-                w2 = word + (g,)
-                # irreducibility is subword-closed: only the new tail
-                # needs checking, but a full check is cheap and safe
-                if reducible(w2):
-                    continue
-                explored += 1
-                if explored > explored_cap:
-                    raise CapExceeded(
-                        f"basis enumeration explored more than {explored_cap} words"
-                    )
-                if d2 == degree:
-                    found.append(w2)
-                    if len(found) > cap:
-                        raise CapExceeded(
-                            f"more than {cap} irreducible monomials in degree "
-                            f"{degree}"
-                        )
-                nxt.append(w2)
-        frontier = nxt
+    if start in succ:
+        if degree == 0:
+            found.append(())
+        word = []
+        branches = [iter(succ[start])]
+        while branches:
+            for g, v in branches[-1]:
+                word.append(g)
+                if v[1] == degree:
+                    found.append(tuple(word))
+                branches.append(iter(succ[v]))
+                break
+            else:
+                branches.pop()
+                if word:
+                    word.pop()
     return sorted(found, key=alg.order_key)
 
 

@@ -1,13 +1,24 @@
 """Rewriting engine: completion, normal forms, localization, certification."""
 
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from barloop.errors import CapExceeded, Unorientable
+from barloop.barcobar import extended_cobar
+from barloop.errors import BarloopError, CapExceeded, Unorientable
 from barloop.exactlin import homology_window
+from barloop.monoids import (
+    MonoidPresentation,
+    group_completion,
+    monoid_algebra,
+    random_monoid,
+)
 from barloop.rewrite import (
     PresentedDgAlgebra,
+    RewriteSystem,
     adjoin_inverses,
     basis_in_degree,
     complete,
@@ -17,6 +28,7 @@ from barloop.rewrite import (
     poly_sub,
     ring_iso_certify,
 )
+from barloop.simplicial import minimal_sphere
 
 
 def laurent_by_inversion():
@@ -295,3 +307,165 @@ def test_h0_ring_strips_positive_degrees():
     rsys = complete(h0)
     assert rsys.equal({(0,): 1}, {(): 1})
     assert basis_in_degree(rsys, 0) == [()]
+
+
+# ---------------------------------------------------------------------------
+# basis enumeration against the breadth-first search it replaced
+
+
+def bfs_basis_in_degree(rsys, degree, cap=10_000):
+    """All irreducible monomials of the given degree, sorted by the
+    monomial order.  Requires a complete system with unit leading
+    coefficients (otherwise the irreducible monomials are not a basis)."""
+    if not rsys.complete:
+        raise BarloopError("rewrite system is not complete; no canonical basis")
+    if rsys.has_nonunit_leads:
+        raise BarloopError(
+            "non-unit leading coefficients: irreducible monomials are not "
+            "a canonical basis"
+        )
+    alg = rsys.algebra
+    lhss = [r.lhs for r in rsys.rules]
+
+    def reducible(word):
+        for l in lhss:
+            if not l or RewriteSystem._find_sub(word, l) >= 0:
+                return True
+        return False
+
+    found = []
+    frontier = [()]
+    explored = 0
+    explored_cap = max(100 * cap, 100_000)
+    if degree == 0 and not reducible(()):
+        found.append(())
+    while frontier:
+        nxt = []
+        for word in frontier:
+            wdeg = alg.word_degree(word)
+            for g in range(len(alg.generators)):
+                d2 = wdeg + alg.gen_degree(g)
+                if d2 > degree:
+                    continue
+                w2 = word + (g,)
+                # irreducibility is subword-closed: only the new tail
+                # needs checking, but a full check is cheap and safe
+                if reducible(w2):
+                    continue
+                explored += 1
+                if explored > explored_cap:
+                    raise CapExceeded(
+                        f"basis enumeration explored more than {explored_cap} words"
+                    )
+                if d2 == degree:
+                    found.append(w2)
+                    if len(found) > cap:
+                        raise CapExceeded(
+                            f"more than {cap} irreducible monomials in degree "
+                            f"{degree}"
+                        )
+                nxt.append(w2)
+        frontier = nxt
+    return sorted(found, key=alg.order_key)
+
+
+def basis_outcome(fn, rsys, degree, cap):
+    try:
+        return fn(rsys, degree, cap)
+    except BarloopError as e:
+        return type(e).__name__, str(e)
+
+
+@st.composite
+def monoid_algebra_systems(draw):
+    m = random_monoid(draw(st.integers(0, 199)))
+    modulus = draw(st.sampled_from([None, 2, 3]))
+    return complete(monoid_algebra(m, modulus=modulus), budget=50_000)
+
+
+@st.composite
+def monomial_systems(draw):
+    """Free algebras on degree-0 and positive-degree letters modulo
+    random monomials.  Every degree-0 word of length k is among the
+    monomials, so there are finitely many irreducible words of degree at
+    most 4, all of which the breadth-first search visits; with
+    infinitely many degree-0 words it would stop only at its exploration
+    cap (see test_finite_degree_above_an_infinite_one)."""
+    n0 = draw(st.integers(1, 2))
+    positive = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+    gens = [(f"t{i}", 0) for i in range(n0)]
+    gens += [(f"x{i}", d) for i, d in enumerate(positive)]
+    k = draw(st.integers(1, 3 if n0 == 1 else 2))
+    zero = list(product(range(n0), repeat=k))
+    letters = st.integers(0, len(gens) - 1)
+    zero += draw(st.lists(
+        st.lists(letters, min_size=1, max_size=3).map(tuple), max_size=3
+    ))
+    alg = PresentedDgAlgebra(gens, relations=[({w: 1}, {}) for w in zero])
+    return complete(alg)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.one_of(monoid_algebra_systems(), monomial_systems()))
+def test_basis_matches_breadth_first_search(rsys):
+    """Lists and messages agree at the exact count and one below it."""
+    for degree in range(5):
+        want = basis_outcome(bfs_basis_in_degree, rsys, degree, 10**6)
+        if not isinstance(want, list):
+            assert basis_outcome(basis_in_degree, rsys, degree, 10**6) == want
+            continue
+        count = len(want)
+        for cap in (count - 1, count):
+            expected = basis_outcome(bfs_basis_in_degree, rsys, degree, cap)
+            if cap < count <= 1:
+                # the search checks the cap only when it lists a nonempty
+                # word, so it returned [()] or [] here
+                expected = (
+                    "CapExceeded",
+                    f"more than {cap} irreducible monomials in degree {degree}",
+                )
+            assert basis_outcome(basis_in_degree, rsys, degree, cap) == expected
+
+
+def test_cap_counts_the_empty_word():
+    rsys = complete(PresentedDgAlgebra([("x", 1)]))
+    with pytest.raises(CapExceeded, match="more than 0 irreducible"):
+        basis_in_degree(rsys, 0, cap=0)
+    assert basis_in_degree(rsys, 0, cap=1) == [()]
+
+
+def test_finite_degree_above_an_infinite_one():
+    """t^n is irreducible for every n, but t x = x t = 0 leaves x alone
+    in degree 1; the search used to crawl through t^n until it gave up."""
+    alg = PresentedDgAlgebra(
+        [("t", 0), ("x", 1)], relations=[({(0, 1): 1}, {}), ({(1, 0): 1}, {})]
+    )
+    rsys = complete(alg)
+    assert basis_in_degree(rsys, 1) == [alg.word("x")]
+    with pytest.raises(
+        CapExceeded, match="^more than 10000 irreducible monomials in degree 0$"
+    ):
+        basis_in_degree(rsys, 0)
+
+
+def test_infinite_bases_are_decided_without_enumerating():
+    """A cap of 10**12 is never reached by listing words, so a prompt
+    CapExceeded shows that the verdict came from the automaton."""
+    cap = 10**12
+    message = f"^more than {cap} irreducible monomials in degree 0$"
+    free = complete(PresentedDgAlgebra([("t", 0)]))
+    with pytest.raises(CapExceeded, match=message):
+        basis_in_degree(free, 0, cap=cap)
+
+    z = group_completion(MonoidPresentation.free(["t"]), cap=cap)
+    assert z.order is None
+
+    laurent = complete(h0_ring(extended_cobar(minimal_sphere(1), 2)))
+    assert laurent.complete
+    with pytest.raises(CapExceeded, match=message):
+        basis_in_degree(laurent, 0, cap=cap)
+
+
+def test_deep_words_are_listed_without_recursion():
+    rsys = complete(PresentedDgAlgebra([("x", 1)]))
+    assert basis_in_degree(rsys, 2000) == [(0,) * 2000]
