@@ -42,6 +42,7 @@ from .rewrite import (
     IsoCertificate,
     PresentedDgAlgebra,
     adjoin_inverses,
+    algebra_window,
     basis_in_degree,
     complete,
     poly_iadd_term,
@@ -156,9 +157,7 @@ def _bar_data(algebra, rsys, hi, cap):
     ranks = {n: len(bar_basis[n]) for n in range(hi + 1)}
     labels = {
         n: [
-            "[" + "|".join(
-                "*".join(alg.gen_label(g) for g in w) for w in t
-            ) + "]"
+            "[" + "|".join(alg.word_str(w) for w in t) + "]"
             for t in bar_basis[n]
         ]
         for n in range(hi + 1)
@@ -272,7 +271,7 @@ def cobar(c):
     return alg
 
 
-def extended_cobar(k, hi, inverse_labels=None):
+def extended_cobar(k, hi):
     """Cobar of the chains of a reduced simplicial set, with the group-like
     cycles 1 + s^{-1}x inverted for every nondegenerate 1-simplex x."""
     c = chains(k, hi)
@@ -280,17 +279,12 @@ def extended_cobar(k, hi, inverse_labels=None):
     ones = k.n_simplices(1)
     if not ones:
         return alg
-    elements = []
-    labels = []
-    for i, _ in enumerate(ones):
-        g = gen_of[(1, i)]
-        elements.append({(): 1, (g,): 1})
-        labels.append(f"{alg.gen_label(g)}_inv")
-    if inverse_labels is not None:
-        if len(inverse_labels) != len(elements):
-            raise ValueError("one inverse label per 1-simplex required")
-        labels = list(inverse_labels)
-    return adjoin_inverses(alg, elements, labels)
+    gens = [gen_of[(1, i)] for i in range(len(ones))]
+    return adjoin_inverses(
+        alg,
+        [{(): 1, (g,): 1} for g in gens],
+        [f"{alg.gen_label(g)}_inv" for g in gens],
+    )
 
 
 def nerve_bar_iso_check(m, hi, budget=100_000, cap=10_000):
@@ -364,33 +358,6 @@ def nerve_bar_iso_check(m, hi, budget=100_000, cap=10_000):
     )
 
 
-def _algebra_window(alg, rsys, hi, cap):
-    """Chain complex window of an algebra plus its per-degree word bases."""
-    bases = {n: basis_in_degree(rsys, n, cap) for n in range(hi + 1)}
-    index = {n: {w: i for i, w in enumerate(bases[n])} for n in bases}
-    ranks = {n: len(bases[n]) for n in bases}
-    bounds = {}
-    for n in range(1, hi + 1):
-        rows, cols = ranks[n - 1], ranks[n]
-        entries = [0] * (rows * cols)
-        for j, w in enumerate(bases[n]):
-            dp = rsys.normal_form(alg.differentiate({w: 1}))
-            for w2, coeff in dp.items():
-                entries[index[n - 1][w2] * cols + j] = coeff
-        bounds[n] = IntMatrix(rows, cols, entries)
-    labels = {
-        n: [
-            "*".join(alg.gen_label(g) for g in w) if w else "1"
-            for w in bases[n]
-        ]
-        for n in bases
-    }
-    window = ChainComplexWindow(
-        0, hi, ranks, bounds, labels=labels, closed_below=True
-    )
-    return window, bases, index
-
-
 def counit_check(algebra, hi, budget=100_000, cap=10_000):
     """Certify the counit cobar(bar(A)) -> A on degrees 0..hi by cone
     acyclicity: bar words of length one map to the elements they suspend,
@@ -410,8 +377,8 @@ def counit_check(algebra, hi, budget=100_000, cap=10_000):
         tup = bar_basis[n][i]
         images[g] = {tup[0]: 1} if len(tup) == 1 else {}
 
-    aw, abases, aindex = _algebra_window(algebra, rsys_a, hi, cap)
-    ow, obases, _ = _algebra_window(om, rsys_om, hi, cap)
+    aw, _, aindex = algebra_window(rsys_a, hi, cap)
+    ow, obases, _ = algebra_window(rsys_om, hi, cap)
     blocks = {}
     for n in range(hi + 1):
         rows, cols = aw.rank(n), ow.rank(n)

@@ -30,19 +30,16 @@ from .barcobar import (
 from .dgcoalg import chains
 from .errors import (
     BarloopError,
-    CapExceeded,
-    InfiniteRank,
     MalformedTable,
-    MismatchAt,
     NotACycle,
     NotAHomomorphism,
     NotASubcomplex,
     NotCoaugmented,
     NotConnected,
-    NotInverse,
     NotReduced,
     NotSimplyConnected,
     UnboundedDegree,
+    WindowTooSmall,
 )
 from .exactlin import homology_window
 from .loopgroup import h0_compare, kan_loop_group, pi1_presentation
@@ -77,6 +74,7 @@ _INVALID_INPUT = (
     NotReduced,
     NotSimplyConnected,
     UnboundedDegree,
+    WindowTooSmall,
     ValueError,
     KeyError,
 )
@@ -149,35 +147,31 @@ def _resolve(kind, name, hi):
 # -- subcommands --------------------------------------------------------------
 
 
+def _homology_outputs(window, hi):
+    """Ranks and homology of a coalgebra window on degrees 0..hi."""
+    table = homology_window(window.complex)
+    return {
+        "ranks": {str(n): window.rank(n) for n in range(hi + 1)},
+        "homology": {
+            str(n): table[n].describe() for n in sorted(table.entries)
+        },
+        "table": table.to_json_dict(),
+    }
+
+
 def cmd_homology(args, lo, hi):
     k, desc = _resolve("complex", args.input, hi)
     cw = chains(k, hi)
     report = cw.validate()
     if not report.ok:
         raise MalformedTable("; ".join(report.violations))
-    table = homology_window(cw.complex)
-    outputs = {
-        "ranks": {str(n): cw.rank(n) for n in range(hi + 1)},
-        "homology": {
-            str(n): table[n].describe() for n in sorted(table.entries)
-        },
-        "table": table.to_json_dict(),
-    }
-    return 0, outputs, [], {args.input: desc}
+    return 0, _homology_outputs(cw, hi), [], {args.input: desc}
 
 
 def cmd_bar(args, lo, hi):
     alg, desc = _resolve("algebra", args.input, hi)
     bw = bar(alg, hi, budget=args.budget, cap=args.cap)
-    table = homology_window(bw.complex)
-    outputs = {
-        "ranks": {str(n): bw.rank(n) for n in range(hi + 1)},
-        "homology": {
-            str(n): table[n].describe() for n in sorted(table.entries)
-        },
-        "table": table.to_json_dict(),
-    }
-    return 0, outputs, [], {args.input: desc}
+    return 0, _homology_outputs(bw, hi), [], {args.input: desc}
 
 
 def _cobar_outputs(om, hi, budget, cap):
@@ -225,9 +219,7 @@ def cmd_extended_cobar(args, lo, hi):
     outputs["h0_rules"] = rsys.describe()
     try:
         words = basis_in_degree(rsys, 0, cap=args.cap)
-        outputs["h0_basis"] = [
-            "*".join(h0.gen_label(g) for g in w) if w else "1" for w in words
-        ]
+        outputs["h0_basis"] = [h0.word_str(w) for w in words]
     except BarloopError as e:
         outputs["h0_basis"] = None
         outputs["note"] = f"degree-0 basis not enumerable: {e}"
@@ -548,7 +540,7 @@ def run(argv):
     except _INVALID_INPUT as e:
         code, outputs, certificates, inputs = 2, {}, [], {}
         error = {"kind": "invalid-input", "message": str(e)}
-    except (MismatchAt, NotInverse, CapExceeded, InfiniteRank) as e:
+    except BarloopError as e:
         code, outputs, certificates, inputs = 1, {}, [], {}
         error = {"kind": "check-failed", "message": str(e)}
     elapsed_ms = (time.perf_counter() - t0) * 1000.0

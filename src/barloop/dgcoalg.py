@@ -559,7 +559,7 @@ def cone_quasi_iso_window(blocks, src, dst):
     return True, None
 
 
-def filtered_quasi_iso_window(f, fc, fd, hi=None, require_valid=True):
+def filtered_quasi_iso_window(f, fc, fd):
     """Associated-graded quasi-isomorphism check for a filtered map.
 
     f: CoalgebraMap; fc, fd: AdmissibleFiltrations of f.src and f.dst.
@@ -567,11 +567,10 @@ def filtered_quasi_iso_window(f, fc, fd, hi=None, require_valid=True):
     certifies the graded map by cone acyclicity in interior degrees.
     """
     src, dst = f.src, f.dst
-    if require_valid:
-        for filt, c in ((fc, src), (fd, dst)):
-            report = filt.validate(c)
-            if not report.ok:
-                raise FiltrationNotRespected(report.violations[0])
+    for filt, c in ((fc, src), (fd, dst)):
+        report = filt.validate(c)
+        if not report.ok:
+            raise FiltrationNotRespected(report.violations[0])
     # the map must not raise filtration levels
     for n in range(src.hi + 1):
         b = f.block(n)
@@ -584,7 +583,7 @@ def filtered_quasi_iso_window(f, fc, fd, hi=None, require_valid=True):
                         f"{src.label(n, j)}"
                     )
 
-    hi = min(src.hi, dst.hi) if hi is None else min(src.hi, dst.hi, hi)
+    hi = min(src.hi, dst.hi)
     top = max(fc.max_level(), fd.max_level())
     for level in range(top + 1):
         src_idx = {

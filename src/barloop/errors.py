@@ -22,7 +22,6 @@ __all__ = [
     "CapExceeded",
     "MismatchAt",
     "NotAHomomorphism",
-    "NotInverse",
 ]
 
 
@@ -101,7 +100,3 @@ class MismatchAt(BarloopError):
 
 class NotAHomomorphism(BarloopError):
     """A claimed ring map does not kill the source relations."""
-
-
-class NotInverse(BarloopError):
-    """Two ring maps are not mutually inverse on generators."""

@@ -26,8 +26,8 @@ import itertools
 from .barcobar import extended_cobar
 from .errors import BarloopError, MismatchAt, NotReduced
 from .exactlin import HomologyEntry, IntMatrix, smith_normal_form
-from .monoids import MonoidPresentation
-from .rewrite import IsoCertificate, PresentedDgAlgebra, h0_ring, ring_iso_certify
+from .monoids import MonoidPresentation, group_ring, inverse_label
+from .rewrite import IsoCertificate, h0_ring, ring_iso_certify
 from .simplicial import FormalSimplex, LocalizedSimplicialSet
 
 __all__ = [
@@ -289,10 +289,7 @@ def pi1_presentation(k):
         rels = list(base.relations)
         taken = set(gens)
         for e in k.edges:
-            lbl = f"{e}_inv"
-            while lbl in taken:
-                lbl += "'"
-            taken.add(lbl)
+            lbl = inverse_label(str(e), taken, "_inv")
             gens.append(lbl)
             rels.append(((str(e), lbl), ()))
             rels.append(((lbl, str(e)), ()))
@@ -334,36 +331,7 @@ def abelianization(pres):
 
 
 # -- degree-zero ring comparison ----------------------------------------------
-
-
-def group_ring(pres):
-    """Integer group ring of a presented group, as a degree-0 algebra.
-
-    Adjoins one formal inverse per generator.  Returns (algebra, inv)
-    where inv maps each generator label to its inverse's label.
-    """
-    taken = set(pres.generators)
-    gens = list(pres.generators)
-    inv = {}
-    for g in pres.generators:
-        lbl = f"{g}_inv"
-        while lbl in taken:
-            lbl += "'"
-        inv[g] = lbl
-        taken.add(lbl)
-        gens.append(lbl)
-    alg = PresentedDgAlgebra(
-        [(g, 0) for g in gens],
-        augmentation={i: 1 for i in range(len(gens))},
-    )
-    rels = [
-        ({alg.word(*u): 1}, {alg.word(*v): 1}) for u, v in pres.relations
-    ]
-    for g in pres.generators:
-        rels.append(({alg.word(g, inv[g]): 1}, {(): 1}))
-        rels.append(({alg.word(inv[g], g): 1}, {(): 1}))
-    alg.relations = rels
-    return alg, inv
+# group_ring, re-exported from monoids, labels the inverse of g as g_inv.
 
 
 def h0_compare(k, budget=100_000, cap=10_000):
@@ -396,7 +364,7 @@ def h0_compare(k, budget=100_000, cap=10_000):
         f_images[inv[x]] = {h0.word(f"{cx}_inv"): 1}
         g_images[cx] = {ga.word(x): 1, (): -1}
         g_images[f"{cx}_inv"] = {ga.word(inv[x]): 1}
-    cert = ring_iso_certify(ga, h0, f_images, g_images, budget, strict=False)
+    cert = ring_iso_certify(ga, h0, f_images, g_images, budget)
     if cert.ok:
         return cert
     if not (

@@ -9,9 +9,8 @@ budgeted and report honestly when the budget runs out.
 
 import random
 
-from .errors import MalformedTable, NotAHomomorphism
+from .errors import CapExceeded, MalformedTable, NotAHomomorphism
 from .rewrite import PresentedDgAlgebra, basis_in_degree, complete
-from .errors import CapExceeded
 
 __all__ = [
     "ValidationReport",
@@ -21,6 +20,8 @@ __all__ = [
     "GroupCompletion",
     "Exhausted",
     "monoid_algebra",
+    "inverse_label",
+    "group_ring",
     "group_completion",
     "random_monoid",
 ]
@@ -140,23 +141,47 @@ class FiniteMonoid:
         return f"FiniteMonoid({self.elements!r})"
 
     def isomorphic_as_tables(self, other):
-        """Brute-force table isomorphism (orders <= 8 or so)."""
-        import itertools
-
-        if self.order() != other.order():
-            return False
+        """Whether some bijection of elements carries this table onto the
+        other's: a backtracking search that extends a partial map one
+        element at a time and drops it once a known product disagrees."""
         n = self.order()
-        rest = [i for i in range(n) if i != self.identity]
-        others = [i for i in range(n) if i != other.identity]
-        for perm in itertools.permutations(others):
-            f = {self.identity: other.identity}
-            f.update(dict(zip(rest, perm)))
-            if all(
-                f[self.table[i][j]] == other.table[f[i]][f[j]]
-                for i in range(n) for j in range(n)
-            ):
+        if n != other.order():
+            return False
+        images = [None] * n
+        images[self.identity] = other.identity
+        used = {other.identity}
+        todo = [i for i in range(n) if i != self.identity]
+
+        def consistent():
+            for p in range(n):
+                fp = images[p]
+                if fp is None:
+                    continue
+                for q in range(n):
+                    fq = images[q]
+                    if fq is None:
+                        continue
+                    fr = images[self.table[p][q]]
+                    if fr is not None and other.table[fp][fq] != fr:
+                        return False
+            return True
+
+        def extend(k):
+            if k == len(todo):
                 return True
-        return False
+            x = todo[k]
+            for y in range(n):
+                if y in used:
+                    continue
+                images[x] = y
+                used.add(y)
+                if consistent() and extend(k + 1):
+                    return True
+                images[x] = None
+                used.discard(y)
+            return False
+
+        return extend(0)
 
     # -- constructors -------------------------------------------------------------
 
@@ -165,11 +190,9 @@ class FiniteMonoid:
         return cls(["1"], 0, [[0]])
 
     @classmethod
-    def cyclic(cls, n, generator="g"):
+    def cyclic(cls, n):
         """Cyclic group of order n: labels 1, g, g2, ..."""
-        labels = ["1"] + [
-            generator if k == 1 else f"{generator}{k}" for k in range(1, n)
-        ]
+        labels = ["1"] + ["g" if k == 1 else f"g{k}" for k in range(1, n)]
         table = [[(i + j) % n for j in range(n)] for i in range(n)]
         return cls(labels, 0, table)
 
@@ -229,6 +252,12 @@ class MonoidMap:
         self.images = list(map(int, images))
         if len(self.images) != src.order():
             raise NotAHomomorphism("image list has wrong length")
+        for v in self.images:
+            if not 0 <= v < dst.order():
+                raise NotAHomomorphism(
+                    f"image index {v} is not an element of the target "
+                    f"(0..{dst.order() - 1})"
+                )
 
     def validate(self):
         f = self.images
@@ -258,27 +287,28 @@ class MonoidMap:
         return cls(src, dst, [0] * src.order()).validate()
 
 
+def _degree_zero_algebra(gens, relations, **kwargs):
+    """Degree-0 algebra on the given labels with augmentation 1 on every
+    generator; relations are pairs of label words."""
+    alg = PresentedDgAlgebra(
+        [(g, 0) for g in gens],
+        augmentation={i: 1 for i in range(len(gens))},
+        **kwargs,
+    )
+    alg.relations = [
+        ({alg.word(*u): 1}, {alg.word(*v): 1}) for u, v in relations
+    ]
+    return alg
+
+
 def monoid_algebra(m, modulus=None):
     """Integer monoid algebra as a degree-0 presentation: one generator
     per non-identity element, multiplication table as relations, the
     identity element as the empty word.  Augmentation sends every
     generator to 1."""
-    report = m.validate()
-    if not report.ok:
-        raise MalformedTable("; ".join(report.violations))
-    nontriv = [i for i in range(m.order()) if i != m.identity]
-    remap = {mi: gi for gi, mi in enumerate(nontriv)}
-    gens = [(m.elements[mi], 0) for mi in nontriv]
-    rels = []
-    for a in nontriv:
-        for b in nontriv:
-            c = m.table[a][b]
-            lhs = {(remap[a], remap[b]): 1}
-            rhs = {(() if c == m.identity else (remap[c],)): 1}
-            rels.append((lhs, rhs))
-    aug = {remap[a]: 1 for a in nontriv}
-    return PresentedDgAlgebra(
-        gens, rels, {}, aug, modulus=modulus,
+    pres = MonoidPresentation.from_monoid(m)
+    return _degree_zero_algebra(
+        pres.generators, pres.relations, modulus=modulus,
         provenance={"monoid": m.to_json_dict()},
     )
 
@@ -332,12 +362,8 @@ class MonoidPresentation:
 
     @classmethod
     def from_json_dict(cls, d):
-        def parse(w):
-            if isinstance(w, str):
-                return tuple(w)
-            return tuple(w)
-
-        return cls(d["gens"], [(parse(u), parse(v)) for u, v in d["rels"]])
+        # a string word splits into its characters, a list into its items
+        return cls(d["gens"], [(tuple(u), tuple(v)) for u, v in d["rels"]])
 
     def __repr__(self):
         rels = ", ".join(
@@ -349,11 +375,14 @@ class MonoidPresentation:
 
 class GroupCompletion(MonoidPresentation):
     """Group presentation produced by completion, with optional finite
-    materialization when coset or basis enumeration closed."""
+    materialization when coset or basis enumeration closed.  inverses
+    maps each generator of the completed monoid to the label of its
+    formal inverse."""
 
-    def __init__(self, generators, relations, order=None, monoid=None,
-                 rules=None, steps_used=0):
+    def __init__(self, generators, relations, inverses, order=None,
+                 monoid=None, rules=None, steps_used=0):
         super().__init__(generators, relations)
+        self.inverses = inverses
         self.order = order
         self.monoid = monoid
         self.rules = rules
@@ -371,38 +400,48 @@ class Exhausted:
         return f"Exhausted({self.reason!r})"
 
 
-def _inverse_label(g, taken):
-    cand = g + "'"
-    while cand in taken:
-        cand += "'"
-    return cand
+def inverse_label(g, taken, suffix):
+    """Label for the formal inverse of generator g: g + suffix, primed
+    until it is not in taken, then added to taken."""
+    lbl = g + suffix
+    while lbl in taken:
+        lbl += "'"
+    taken.add(lbl)
+    return lbl
+
+
+def group_ring(pres, suffix="_inv"):
+    """Integer group ring of a presented group, as a degree-0 algebra.
+
+    Adjoins one formal inverse per generator, labelled by inverse_label
+    with the given suffix.  Returns (algebra, inv) where inv maps each
+    generator label to its inverse's label.
+    """
+    taken = set(pres.generators)
+    inv = {g: inverse_label(g, taken, suffix) for g in pres.generators}
+    rels = list(pres.relations)
+    for g in pres.generators:
+        rels.append(((g, inv[g]), ()))
+        rels.append(((inv[g], g), ()))
+    alg = _degree_zero_algebra(pres.generators + list(inv.values()), rels)
+    return alg, inv
 
 
 def group_completion(p, budget=100_000, cap=10_000):
     """Universal group of a presented monoid.
 
-    Adjoins a formal inverse per generator, completes the resulting
-    string rewriting system, Tietze-eliminates generators that rewrite to
-    words, and tries to reconstruct a finite multiplication table (via
-    irreducible-word enumeration, falling back to coset enumeration).
-    Returns a GroupCompletion, or Exhausted when the budget ran out
-    before completion and before coset enumeration closed.
+    Adjoins a formal inverse per generator (group_ring, labels primed),
+    completes the resulting string rewriting system, Tietze-eliminates
+    generators that rewrite to words, and tries to reconstruct a finite
+    multiplication table (via irreducible-word enumeration, falling back
+    to coset enumeration).  Returns a GroupCompletion, or Exhausted when
+    the budget ran out before completion and before coset enumeration
+    closed.
     """
     if isinstance(p, FiniteMonoid):
         p = MonoidPresentation.from_monoid(p)
-    taken = set(p.generators)
-    inv = {}
-    for g in p.generators:
-        lbl = _inverse_label(g, taken)
-        inv[g] = lbl
-        taken.add(lbl)
-    gens = list(p.generators) + [inv[g] for g in p.generators]
-    alg = PresentedDgAlgebra([(g, 0) for g in gens])
-    rels = [({alg.word(*u): 1}, {alg.word(*v): 1}) for u, v in p.relations]
-    for g in p.generators:
-        rels.append(({alg.word(g, inv[g]): 1}, {(): 1}))
-        rels.append(({alg.word(inv[g], g): 1}, {(): 1}))
-    alg.relations = rels
+    alg, inv = group_ring(p, "'")
+    gens = [lbl for lbl, _ in alg.generators]
     rsys = complete(alg, budget)
 
     monoid = None
@@ -413,8 +452,7 @@ def group_completion(p, budget=100_000, cap=10_000):
         except CapExceeded:
             words = None
         if words is not None:
-            labels = ["*".join(alg.gen_label(g) for g in w) if w else "1"
-                      for w in words]
+            labels = [alg.word_str(w) for w in words]
             idx = {w: i for i, w in enumerate(words)}
             table = []
             for u in words:
@@ -442,7 +480,7 @@ def group_completion(p, budget=100_000, cap=10_000):
             relations.append((lhs_word, rhs_word))
         gens2, relations = _tietze_simplify(gens, relations)
         return GroupCompletion(
-            gens2, relations, order=order, monoid=monoid, rules=rsys,
+            gens2, relations, inv, order=order, monoid=monoid, rules=rsys,
             steps_used=rsys.steps_used,
         )
 
@@ -453,7 +491,7 @@ def group_completion(p, budget=100_000, cap=10_000):
         monoid = FiniteMonoid(labels, identity, table)
         pres = MonoidPresentation.from_monoid(monoid)
         return GroupCompletion(
-            pres.generators, pres.relations, order=monoid.order(),
+            pres.generators, pres.relations, inv, order=monoid.order(),
             monoid=monoid, rules=None, steps_used=budget,
         )
     return Exhausted("completion and coset enumeration budgets exhausted",
@@ -490,7 +528,6 @@ def _tietze_simplify(gens, relations):
         seen = set()
         out = []
         for r in relations:
-            key = frozenset((r[0], r[1])) if r[0] != r[1] else r[0]
             if (r[0], r[1]) not in seen and (r[1], r[0]) not in seen:
                 seen.add((r[0], r[1]))
                 out.append(r)
@@ -645,19 +682,16 @@ def _coset_enumeration(p, inv, budget):
     return labels, comp[find(0)], table2
 
 
-def random_monoid(seed, max_order=4):
-    """Deterministic small valid monoid for property tests."""
+def random_monoid(seed):
+    """Deterministic small valid monoid (order at most 4) for property
+    tests."""
     rng = random.Random(seed)
     builders = [
         FiniteMonoid.trivial,
-        lambda: FiniteMonoid.cyclic(rng.randint(2, max_order)),
+        lambda: FiniteMonoid.cyclic(rng.randint(2, 4)),
         lambda: FiniteMonoid.idempotent_pair(),
-        lambda: FiniteMonoid.chain_of_idempotents(
-            rng.randint(2, max_order)
-        ),
-        lambda: FiniteMonoid.left_zero_with_unit(
-            rng.randint(2, max_order - 1)
-        ),
+        lambda: FiniteMonoid.chain_of_idempotents(rng.randint(2, 4)),
+        lambda: FiniteMonoid.left_zero_with_unit(rng.randint(2, 3)),
     ]
     m = rng.choice(builders)()
     report = m.validate()

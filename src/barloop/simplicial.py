@@ -327,11 +327,11 @@ def point():
     return ExplicitSimplicialSet([("*", 0)], {})
 
 
-def minimal_sphere(n, top_label=None):
+def minimal_sphere(n):
     """One vertex, one nondegenerate n-simplex, all faces degenerate."""
     if n < 1:
         raise ValueError("sphere dimension must be >= 1")
-    top = top_label if top_label is not None else ("t" if n == 1 else "e")
+    top = "t" if n == 1 else "e"
     faces = {}
     for i in range(n + 1):
         faces[(top, i)] = FormalSimplex("*", tuple(range(n - 2, -1, -1)))
@@ -374,7 +374,7 @@ def boundary_delta3():
 class QuotientSimplicialSet(SimplicialSet):
     """Collapse a face-closed set of simplices to a single basepoint."""
 
-    def __init__(self, base, sub, basepoint="*"):
+    def __init__(self, base, sub):
         self.base_set = base
         self.sub = frozenset(sub)
         if not self.sub:
@@ -394,7 +394,7 @@ class QuotientSimplicialSet(SimplicialSet):
                     raise NotASubcomplex(
                         f"face {i} of {sid!r} leaves the subcomplex"
                     )
-        self.star = basepoint
+        self.star = "*"
         while any(
             self.star in base.n_simplices(n)
             for n in range(getattr(base, "max_dim", 0) + 1)

@@ -24,12 +24,7 @@ without being one.
 from .dgcoalg import chains, cone_quasi_iso_window, nerve_chains_map
 from .errors import MismatchAt
 from .exactlin import homology_window
-from .monoids import (
-    Exhausted,
-    FiniteMonoid,
-    MonoidPresentation,
-    group_completion,
-)
+from .monoids import Exhausted, FiniteMonoid, group_completion
 from .simplicial import (
     collapsed_boundary_delta3,
     minimal_sphere,
@@ -117,48 +112,6 @@ class WeqVerdict:
         return f"WeqVerdict({self.kind!r}, hi={self.hi})"
 
 
-def _tables_isomorphic(a, b):
-    """Backtracking isomorphism search between two finite monoids."""
-    n = a.order()
-    if n != b.order():
-        return False
-    images = [None] * n
-    images[a.identity] = b.identity
-    used = {b.identity}
-    todo = [i for i in range(n) if i != a.identity]
-
-    def consistent():
-        for p in range(n):
-            fp = images[p]
-            if fp is None:
-                continue
-            for q in range(n):
-                fq = images[q]
-                if fq is None:
-                    continue
-                fr = images[a.table[p][q]]
-                if fr is not None and b.table[fp][fq] != fr:
-                    return False
-        return True
-
-    def extend(k):
-        if k == len(todo):
-            return True
-        x = todo[k]
-        for y in range(n):
-            if y in used:
-                continue
-            images[x] = y
-            used.add(y)
-            if consistent() and extend(k + 1):
-                return True
-            images[x] = None
-            used.discard(y)
-        return False
-
-    return extend(0)
-
-
 def _group_inverse(m, x):
     for y in range(m.order()):
         if m.table[x][y] == m.identity and m.table[y][x] == m.identity:
@@ -166,20 +119,13 @@ def _group_inverse(m, x):
     raise MismatchAt(f"{m.elements[x]} has no inverse in a completion table")
 
 
-def _completion_letters(m):
-    """Letter decoding for a completion built from this monoid: maps a
-    generator or formal-inverse label back to (element index, exponent).
-    Mirrors the label scheme of group_completion."""
-    pres = MonoidPresentation.from_monoid(m)
-    taken = set(pres.generators)
+def _completion_letters(c, m):
+    """Letter decoding for the completion c of the monoid m: maps a
+    generator or formal-inverse label back to (element index, exponent)."""
     letters = {}
-    for g in pres.generators:
+    for g, lbl in c.inverses.items():
         idx = m.index(g)
         letters[g] = (idx, 1)
-        lbl = g + "'"
-        while lbl in taken:
-            lbl += "'"
-        taken.add(lbl)
         letters[lbl] = (idx, -1)
     return letters
 
@@ -193,8 +139,7 @@ def _canonical_completion_image(c, m, elem):
     if list(nf.values()) != [1]:
         return None
     (word,) = nf.keys()
-    lbl = "*".join(alg.gen_label(g) for g in word) if word else "1"
-    return c.monoid.elements.index(lbl)
+    return c.monoid.elements.index(alg.word_str(word))
 
 
 def _induced_completion_bijective(f, cs, cd):
@@ -205,7 +150,7 @@ def _induced_completion_bijective(f, cs, cd):
     """
     if cs.rules is None or cd.rules is None:
         return None
-    src_letters = _completion_letters(f.src)
+    src_letters = _completion_letters(cs, f.src)
     dst_m = cd.monoid
     seen = set()
     for lbl in cs.monoid.elements:
@@ -249,7 +194,7 @@ def weq_verdict(f, hi=6, budget=100_000, cap=10_000):
         and cs.monoid is not None
         and cd.monoid is not None
     )
-    if completions_known and not _tables_isomorphic(cs.monoid, cd.monoid):
+    if completions_known and not cs.monoid.isomorphic_as_tables(cd.monoid):
         return WeqVerdict.distinguished(hi, {
             "invariant": "group_completion",
             "source_order": cs.order,

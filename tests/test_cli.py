@@ -1,6 +1,7 @@
 """Command line behaviour: outputs, exit codes, determinism, formats."""
 
 import json
+import os
 
 import pytest
 
@@ -137,6 +138,27 @@ def test_bad_window_exits_2(capsys):
     assert r["error"]["kind"] == "invalid-input"
 
 
+@pytest.mark.parametrize(
+    "argv, code, kind",
+    [
+        (["homology", "z4", "--window", "0"], 2, "invalid-input"),
+        (["homology", "z4", "--window", "0..0"], 2, "invalid-input"),
+        (["weq", "z4", "z2", "--images", "0,9,0,1"], 2, "invalid-input"),
+        (["bar", "z3", "--window", "0..3", "--budget", "1"], 1,
+         "check-failed"),
+        (["paper-suite", "--budget", "1"], 1, "check-failed"),
+    ],
+    ids=["window-0", "window-0..0", "image-out-of-range", "bar-budget",
+         "paper-suite-budget"],
+)
+def test_failures_end_in_a_report(capsys, argv, code, kind):
+    got, r = run_json(capsys, argv)
+    assert got == code
+    assert r["exit_code"] == code
+    assert r["error"]["kind"] == kind
+    assert r["error"]["message"]
+
+
 def test_paper_suite_all_cases_pass(capsys):
     code, r = run_json(capsys, ["paper-suite"])
     assert code == 0
@@ -200,3 +222,37 @@ def test_json_out_file_parses(tmp_path):
     r = json.loads(target.read_text())
     assert r["outputs"]["presentation"]["gens"] == ["t"]
     assert r["outputs"]["completion"]["status"] == "completed"
+
+
+# The CLI cases behind the benchmark's golden reports: perfbench/golden
+# holds each report with timings dropped and the paper-suite seed nulled.
+GOLDEN_DIR = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench",
+    "golden",
+)
+GOLDEN_CASES = {
+    "homology-z4": ["homology", "z4", "--window", "0..5"],
+    "extended-cobar-sphere1": ["extended-cobar", "sphere1", "--window", "0..3"],
+    "cobar-rp2": ["cobar", "rp2", "--window", "0..4"],
+    "pi1-rp2": ["pi1", "rp2"],
+    "extended-cobar-delta3": ["extended-cobar", "boundary-delta3-collapsed"],
+    "paper-suite": ["paper-suite", "--seed", "1"],
+}
+
+
+def test_golden_cases_cover_every_golden_report():
+    names = {f[: -len(".json")] for f in os.listdir(GOLDEN_DIR)
+             if f.endswith(".json")}
+    assert names == set(GOLDEN_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_report_matches_golden(capsys, name):
+    code, r = run_json(capsys, GOLDEN_CASES[name])
+    with open(os.path.join(GOLDEN_DIR, f"{name}.json")) as fh:
+        golden = json.load(fh)
+    r.pop("timings")
+    if name == "paper-suite":
+        r["params"]["seed"] = None
+    assert code == golden["exit_code"]
+    assert r == golden

@@ -1,6 +1,11 @@
 """Finite monoids, their algebras, and group completion."""
 
+import itertools
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barloop.errors import MalformedTable, NotAHomomorphism
 from barloop.monoids import (
@@ -11,6 +16,7 @@ from barloop.monoids import (
     MonoidPresentation,
     _coset_enumeration,
     group_completion,
+    group_ring,
     monoid_algebra,
     random_monoid,
 )
@@ -191,6 +197,28 @@ def test_monoid_map_validation():
     MonoidMap(z2, z2, [0, 1]).validate()
     idem = FiniteMonoid.idempotent_pair()
     MonoidMap.collapse(idem)
+    z4 = FiniteMonoid.cyclic(4)
+    for images in ([0, 9, 0, 1], [0, 1, 0, -1], [0, 2, 0, 1]):
+        with pytest.raises(NotAHomomorphism, match="not an element"):
+            MonoidMap(z4, z2, images)
+
+
+def test_group_completion_primes_inverse_labels_past_taken_ones():
+    out = group_completion(MonoidPresentation.free(["a", "a'"]))
+    assert isinstance(out, GroupCompletion)
+    assert out.inverses == {"a": "a''", "a'": "a'''"}
+    assert out.generators == ["a", "a'", "a''", "a'''"]
+    lhss = {r.lhs for r in out.rules.rules}
+    assert out.rules.algebra.word("a", "a''") in lhss
+    assert out.rules.algebra.word("a'", "a'''") in lhss
+
+
+def test_group_ring_primes_the_inverse_suffix_past_taken_labels():
+    alg, inv = group_ring(MonoidPresentation.free(["t", "t_inv"]))
+    assert inv == {"t": "t_inv'", "t_inv": "t_inv_inv"}
+    assert [lbl for lbl, _ in alg.generators] == [
+        "t", "t_inv", "t_inv'", "t_inv_inv",
+    ]
 
 
 def test_random_monoids_valid_and_completable():
@@ -205,3 +233,70 @@ def test_random_monoids_valid_and_completable():
             assert out.monoid is not None
             assert out.monoid.isomorphic_as_tables(m)
     assert len(seen_orders) >= 3
+
+
+def brute_force_isomorphic_as_tables(self, other):
+    """Brute-force table isomorphism (orders <= 8 or so)."""
+    import itertools
+
+    if self.order() != other.order():
+        return False
+    n = self.order()
+    rest = [i for i in range(n) if i != self.identity]
+    others = [i for i in range(n) if i != other.identity]
+    for perm in itertools.permutations(others):
+        f = {self.identity: other.identity}
+        f.update(dict(zip(rest, perm)))
+        if all(
+            f[self.table[i][j]] == other.table[f[i]][f[j]]
+            for i in range(n) for j in range(n)
+        ):
+            return True
+    return False
+
+
+def relabelled(m, seed):
+    """A copy of m with its elements moved to seeded random positions."""
+    n = m.order()
+    pos = list(range(n))
+    random.Random(seed).shuffle(pos)
+    labels = [None] * n
+    table = [[None] * n for _ in range(n)]
+    for i in range(n):
+        labels[pos[i]] = f"x{i}"
+        for j in range(n):
+            table[pos[i]][pos[j]] = pos[m.table[i][j]]
+    return FiniteMonoid(labels, pos[m.identity], table)
+
+
+# random_monoid seeds 0..59, plus orders 5 and 6, where the searches have
+# more candidate maps to reject
+POOL = [random_monoid(seed) for seed in range(60)] + [
+    FiniteMonoid.cyclic(5),
+    FiniteMonoid.chain_of_idempotents(5),
+    FiniteMonoid.left_zero_with_unit(4),
+    FiniteMonoid.cyclic(6),
+    FiniteMonoid.chain_of_idempotents(6),
+    FiniteMonoid.left_zero_with_unit(5),
+]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    st.integers(0, len(POOL) - 1),
+    st.integers(0, len(POOL) - 1),
+    st.integers(0, 10**6),
+)
+def test_table_isomorphism_matches_brute_force(i, j, seed):
+    a, b = POOL[i], relabelled(POOL[j], seed)
+    assert a.isomorphic_as_tables(b) == brute_force_isomorphic_as_tables(a, b)
+    c = relabelled(a, seed + 1)
+    assert a.isomorphic_as_tables(c)
+    assert brute_force_isomorphic_as_tables(a, c)
+
+
+def test_table_isomorphism_matches_brute_force_on_random_monoid_pairs():
+    for a, b in itertools.product(POOL[:60], repeat=2):
+        assert a.isomorphic_as_tables(b) == brute_force_isomorphic_as_tables(
+            a, b
+        )

@@ -87,6 +87,33 @@ def test_laurent_certified_against_two_generator_presentation():
     )
 
 
+def test_wrong_inverse_map_is_reported_not_raised():
+    alg = laurent_by_inversion()
+    target = PresentedDgAlgebra(
+        [("x", 0), ("y", 0)],
+        relations=[
+            ({(0, 1): 1}, {(): 1}),
+            ({(1, 0): 1}, {(): 1}),
+        ],
+    )
+    # g swaps the roles of x and y: still a ring map, but not inverse to f
+    cert = ring_iso_certify(
+        alg,
+        target,
+        f_images={"t": {(0,): 1, (): -1}, "v": {(1,): 1}},
+        g_images={"x": {(1,): 1}, "y": {(): 1, (0,): 1}},
+    )
+    assert cert.ok is False
+    assert cert.status == "failed"
+    failing = [
+        chk["kind"] for chk in cert.details["checks"]
+        if chk["normal_form"] != "0"
+    ]
+    assert "g(f(t)) = t" in failing
+    assert not [k for k in failing if k.endswith("relation of source) = 0")]
+    assert not [k for k in failing if k.endswith("relation of target) = 0")]
+
+
 def idempotent_algebra(modulus=None):
     return PresentedDgAlgebra(
         [("b", 0)],

@@ -74,6 +74,24 @@ def test_inclusion_of_trivial_into_cyclic_is_distinguished():
     assert v.witness["invariant"] == "nerve_homology"
 
 
+def test_automorphism_of_relabelled_z4_is_certified():
+    # Z/4 with its identity in the middle and labels whose primed
+    # inverses collide with other elements: v' is an element, so the
+    # formal inverse of v is v''
+    labels = ["v", "v'", "e", "w"]  # v = g, v' = g2, w = g3
+    power = {2: 0, 0: 1, 1: 2, 3: 3}
+    at = {k: i for i, k in power.items()}
+    table = [[at[(power[i] + power[j]) % 4] for j in range(4)]
+             for i in range(4)]
+    z4 = FiniteMonoid(labels, 2, table)
+    images = [at[3 * power[i] % 4] for i in range(4)]
+    f = MonoidMap(z4, z4, images).validate()
+    v = weq_verdict(f, hi=4)
+    assert v.kind == "certified-equivalent"
+    assert v.certificate["completion_order"] == 4
+    assert invariants(z4, hi=2).completion.inverses["v"] == "v''"
+
+
 def test_verdicts_are_monotone_in_the_window():
     certified = MonoidMap.collapse(FiniteMonoid.idempotent_pair())
     refuted = MonoidMap.collapse(FiniteMonoid.cyclic(2))
