@@ -37,7 +37,7 @@ from .errors import (
     NotConnected,
     NotSimplyConnected,
 )
-from .exactlin import ChainComplexWindow, IntMatrix
+from .exactlin import IntMatrix, basis_window
 from .rewrite import (
     IsoCertificate,
     PresentedDgAlgebra,
@@ -138,7 +138,7 @@ def _bar_data(algebra, rsys, hi, cap):
         for w in words:
             sdeg[w] = n + 1
 
-    bar_basis = {0: [()]}
+    bar_basis = [[()]]
     for n in range(1, hi + 1):
         out = []
         for sd in range(1, n + 1):
@@ -149,47 +149,28 @@ def _bar_data(algebra, rsys, hi, cap):
                         raise InfiniteRank(
                             f"more than {cap} bar words in degree {n}"
                         )
-        bar_basis[n] = out
-    bar_index = {
-        n: {t: i for i, t in enumerate(ts)} for n, ts in bar_basis.items()
-    }
+        bar_basis.append(out)
 
-    ranks = {n: len(bar_basis[n]) for n in range(hi + 1)}
-    labels = {
-        n: [
-            "[" + "|".join(alg.word_str(w) for w in t) + "]"
-            for t in bar_basis[n]
-        ]
-        for n in range(hi + 1)
-    }
+    def boundary(n, tup):
+        col = {}
+        prefix = 0
+        for i, w in enumerate(tup):
+            sign_before = -1 if prefix % 2 else 1
+            for w2, c in ib.diff(w).items():
+                t2 = tup[:i] + (w2,) + tup[i + 1 :]
+                poly_iadd_term(col, t2, -sign_before * c, alg.modulus)
+            prefix += sdeg[w]
+            sign_through = -1 if prefix % 2 else 1
+            if i + 1 < len(tup):
+                for w2, c in ib.mult(w, tup[i + 1]).items():
+                    t2 = tup[:i] + (w2,) + tup[i + 2 :]
+                    poly_iadd_term(col, t2, sign_through * c, alg.modulus)
+        return col.items()
 
-    bounds = {}
-    for n in range(1, hi + 1):
-        rows, cols = ranks[n - 1], ranks[n]
-        entries = [0] * (rows * cols)
-        for j, tup in enumerate(bar_basis[n]):
-            sdegs = [sdeg[w] for w in tup]
-            col = {}
-            prefix = 0
-            for i, w in enumerate(tup):
-                sign_before = -1 if prefix % 2 else 1
-                for w2, c in ib.diff(w).items():
-                    t2 = tup[:i] + (w2,) + tup[i + 1 :]
-                    poly_iadd_term(col, t2, -sign_before * c, alg.modulus)
-                prefix += sdegs[i]
-                sign_through = -1 if prefix % 2 else 1
-                if i + 1 < len(tup):
-                    for w2, c in ib.mult(w, tup[i + 1]).items():
-                        t2 = tup[:i] + (w2,) + tup[i + 2 :]
-                        poly_iadd_term(
-                            col, t2, sign_through * c, alg.modulus
-                        )
-            for t2, c in col.items():
-                entries[bar_index[n - 1][t2] * cols + j] = c
-        bounds[n] = IntMatrix(rows, cols, entries)
-
-    comp = ChainComplexWindow(
-        0, hi, ranks, bounds, labels=labels, closed_below=True
+    comp, bar_index = basis_window(
+        bar_basis,
+        boundary,
+        lambda t: "[" + "|".join(alg.word_str(w) for w in t) + "]",
     )
     coproduct = {}
     for n in range(hi + 1):
@@ -239,7 +220,7 @@ def _cobar_with_gens(c):
     differential = {}
     for (n, i), g in gen_of.items():
         d = {}
-        for j, coeff in c._d_of(n, i).items():
+        for j, coeff in c._d_of(n, i):
             if n == 1:
                 raise BarloopError(
                     "differential of a degree-1 element must vanish in a "
@@ -324,14 +305,15 @@ def nerve_bar_iso_check(m, hi, budget=100_000, cap=10_000):
 
     for n in range(1, hi + 1):
         dn, db = cn.complex.boundary(n), bw.complex.boundary(n)
+        to_nerve = {b: a for a, b in enumerate(perm[n - 1])}
         for j in range(dn.cols):
-            for i in range(dn.rows):
-                if dn.entry(i, j) != db.entry(perm[n - 1][i], perm[n][j]):
-                    raise MismatchAt(
-                        "differentials disagree",
-                        degree=n,
-                        element=cn.label(n, j),
-                    )
+            mapped = sorted((to_nerve[i], c) for i, c in db.column(perm[n][j]))
+            if dn.column(j) != mapped:
+                raise MismatchAt(
+                    "differentials disagree",
+                    degree=n,
+                    element=cn.label(n, j),
+                )
     for n in range(hi + 1):
         for j in range(cn.rank(n)):
             lhs = {}
@@ -379,19 +361,21 @@ def counit_check(algebra, hi, budget=100_000, cap=10_000):
 
     aw, _, aindex = algebra_window(rsys_a, hi, cap)
     ow, obases, _ = algebra_window(rsys_om, hi, cap)
-    blocks = {}
-    for n in range(hi + 1):
-        rows, cols = aw.rank(n), ow.rank(n)
-        entries = [0] * (rows * cols)
-        for j, word in enumerate(obases[n]):
-            acc = {(): 1}
-            for g in word:
-                acc = poly_mul(acc, images[g], algebra.modulus)
-                if not acc:
-                    break
-            for w2, coeff in rsys_a.normal_form(acc).items():
-                entries[aindex[n][w2] * cols + j] = coeff
-        blocks[n] = IntMatrix(rows, cols, entries)
+
+    def column(n, word):
+        acc = {(): 1}
+        for g in word:
+            acc = poly_mul(acc, images[g], algebra.modulus)
+            if not acc:
+                break
+        return [(aindex[n][w], c) for w, c in rsys_a.normal_form(acc).items()]
+
+    blocks = {
+        n: IntMatrix.from_columns(
+            aw.rank(n), (column(n, word) for word in obases[n])
+        )
+        for n in range(hi + 1)
+    }
 
     ok, degree = cone_quasi_iso_window(blocks, ow, aw)
     if ok:
@@ -415,8 +399,7 @@ def unit_check(c, budget=100_000, cap=10_000):
 
     blocks = {0: IntMatrix.from_rows([[1]])}
     for n in range(1, c.hi + 1):
-        rows, cols = bw.rank(n), c.rank(n)
-        entries = [0] * (rows * cols)
+        columns = []
         for i in range(c.rank(n)):
             # all iterated-coproduct terms enter with coefficient +1: the
             # cup sign of the cobar differential and the merge sign of the
@@ -434,10 +417,8 @@ def unit_check(c, budget=100_000, cap=10_000):
                         key = parts[:-1] + ((p, i1), (dlast - p, i2))
                         nxt[key] = nxt.get(key, 0) + coeff * cc
                 terms = {t: v for t, v in nxt.items() if v}
-            for bt, coeff in img.items():
-                if coeff:
-                    entries[bar_index[n][bt] * cols + i] = coeff
-        blocks[n] = IntMatrix(rows, cols, entries)
+            columns.append([(bar_index[n][bt], v) for bt, v in img.items()])
+        blocks[n] = IntMatrix.from_columns(bw.rank(n), columns)
 
     f = CoalgebraMap(c, bw, blocks)
     report = f.validate()

@@ -42,7 +42,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .exactlin import homology_window
-from .loopgroup import h0_compare, kan_loop_group, pi1_presentation
+from .loopgroup import kan_loop_group, pi1_presentation
 from .monoids import (
     Exhausted,
     FiniteMonoid,

@@ -15,11 +15,16 @@ with degenerate faces dropped, coproduct the front-face/back-face
 
 from .errors import (
     FiltrationNotRespected,
-    MismatchAt,
     NotCoaugmented,
     NotConilpotent,
 )
-from .exactlin import ChainComplexWindow, IntMatrix, homology_window, mapping_cone
+from .exactlin import (
+    ChainComplexWindow,
+    IntMatrix,
+    basis_window,
+    homology_window,
+    mapping_cone,
+)
 from .monoids import ValidationReport
 
 __all__ = [
@@ -89,16 +94,11 @@ class DgCoalgebraWindow:
     # -- validation -------------------------------------------------------------
 
     def _d_of(self, n, j):
-        """Differential of a basis element as {index: coeff} in deg n-1."""
+        """Differential of a basis element as (index, coeff) pairs in
+        degree n-1."""
         if n == 0 or n > self.hi:
-            return {}
-        col = {}
-        m = self.complex.boundary(n)
-        for i in range(m.rows):
-            c = m.entry(i, j)
-            if c:
-                col[i] = c
-        return col
+            return []
+        return self.complex.boundary(n).column(j)
 
     def validate(self):
         bad = []
@@ -162,17 +162,17 @@ class DgCoalgebraWindow:
         for n in range(1, self.hi + 1):
             for j in range(self.rank(n)):
                 lhs = {}
-                for i, c in self._d_of(n, j).items():
+                for i, c in self._d_of(n, j):
                     for p, i1, i2, c2 in self.delta(n - 1, i):
                         key = (p, i1, i2)
                         lhs[key] = lhs.get(key, 0) + c * c2
                 rhs = {}
                 for p, i1, i2, c in self.delta(n, j):
-                    for i, c2 in self._d_of(p, i1).items():
+                    for i, c2 in self._d_of(p, i1):
                         key = (p - 1, i, i2)
                         rhs[key] = rhs.get(key, 0) + c * c2
                     sign = -1 if p % 2 else 1
-                    for i, c2 in self._d_of(n - p, i2).items():
+                    for i, c2 in self._d_of(n - p, i2):
                         key = (p, i1, i)
                         rhs[key] = rhs.get(key, 0) + sign * c * c2
                 lhs = {k: v for k, v in lhs.items() if v}
@@ -219,12 +219,6 @@ class DgCoalgebraWindow:
         if terms != {(0, i0, i0): 1}:
             bad.append("coaugmentation is not group-like")
         return bad
-
-    def require_valid(self):
-        report = self.validate()
-        if not report.ok:
-            raise MismatchAt("; ".join(report.violations[:3]))
-        return self
 
     def require_conilpotent(self):
         bad = self._check_conilpotence()
@@ -273,30 +267,15 @@ class DgCoalgebraWindow:
 
 def chains(k, hi):
     """Normalized chain coalgebra of a simplicial set on degrees 0..hi."""
-    bases = {}
-    index = {}
-    for n in range(hi + 1):
-        sids = k.n_simplices(n)
-        bases[n] = sids
-        index[n] = {sid: i for i, sid in enumerate(sids)}
-    ranks = {n: len(bases[n]) for n in bases}
-    labels = {n: [str(s) for s in bases[n]] for n in bases}
+    bases = [k.n_simplices(n) for n in range(hi + 1)]
 
-    boundaries = {}
-    for n in range(1, hi + 1):
-        rows, cols = ranks[n - 1], ranks[n]
-        entries = [0] * (rows * cols)
-        for j, sid in enumerate(bases[n]):
-            for i in range(n + 1):
-                f = k.face(sid, i)
-                if f.word:
-                    continue
-                sign = -1 if i % 2 else 1
-                entries[index[n - 1][f.base] * cols + j] += sign
-        boundaries[n] = IntMatrix(rows, cols, entries)
-    comp = ChainComplexWindow(
-        0, hi, ranks, boundaries, labels=labels, closed_below=True
-    )
+    def boundary(n, sid):
+        for i in range(n + 1):
+            f = k.face(sid, i)
+            if not f.word:
+                yield f.base, (-1 if i % 2 else 1)
+
+    comp, index = basis_window(bases, boundary, str)
 
     from .simplicial import FormalSimplex
 
@@ -320,9 +299,9 @@ def chains(k, hi):
             per_degree.append(terms)
         coproduct[n] = per_degree
 
-    counit = [1] * ranks[0]
+    counit = [1] * comp.rank(0)
     coaug = None
-    if ranks[0] == 1:
+    if comp.rank(0) == 1:
         coaug = 0
     return DgCoalgebraWindow(comp, coproduct, counit, coaug)
 
@@ -344,19 +323,18 @@ def nerve_chains_map(mmap, hi):
         n: {sid: i for i, sid in enumerate(dst_nerve.n_simplices(n))}
         for n in range(hi + 1)
     }
-    blocks = {}
-    for n in range(hi + 1):
-        src_basis = src_nerve.n_simplices(n)
-        rows, cols = dst_c.rank(n), len(src_basis)
-        entries = [0] * (rows * cols)
-        for j, tup in enumerate(src_basis):
-            img = dst_nerve.normalize_tuple(
-                tuple(mmap.images[e] for e in tup)
-            )
-            if img.word:
-                continue
-            entries[dst_index[n][img.base] * cols + j] = 1
-        blocks[n] = IntMatrix(rows, cols, entries)
+
+    def column(n, tup):
+        img = dst_nerve.normalize_tuple(tuple(mmap.images[e] for e in tup))
+        return [] if img.word else [(dst_index[n][img.base], 1)]
+
+    blocks = {
+        n: IntMatrix.from_columns(
+            dst_c.rank(n),
+            (column(n, tup) for tup in src_nerve.n_simplices(n)),
+        )
+        for n in range(hi + 1)
+    }
     return CoalgebraMap(src_c, dst_c, blocks)
 
 
@@ -399,7 +377,7 @@ class AdmissibleFiltration:
         for n in range(1, c.hi + 1):
             for j in range(c.rank(n)):
                 l = self.level(n, j)
-                for i, coef in c._d_of(n, j).items():
+                for i, coef in c._d_of(n, j):
                     if self.level(n - 1, i) > l:
                         bad.append(
                             f"differential raises the level on degree {n} "
@@ -456,9 +434,9 @@ class CoalgebraMap:
             if lhs != rhs:
                 bad.append(f"not a chain map in degree {n}")
         for j in range(self.src.rank(0)):
-            total = 0
-            for i in range(self.dst.rank(0)):
-                total += self.dst.counit[i] * self.block(0).entry(i, j)
+            total = sum(
+                self.dst.counit[i] * c for i, c in self.block(0).column(j)
+            )
             if total != self.src.counit[j]:
                 bad.append("counit is not preserved")
                 break
@@ -466,22 +444,13 @@ class CoalgebraMap:
             for j in range(self.src.rank(n)):
                 lhs = {}
                 for p, i1, i2, c in self.src.delta(n, j):
-                    bp, bq = self.block(p), self.block(n - p)
-                    for a in range(bp.rows):
-                        ca = bp.entry(a, i1)
-                        if not ca:
-                            continue
-                        for b in range(bq.rows):
-                            cb = bq.entry(b, i2)
-                            if cb:
-                                key = (p, a, b)
-                                lhs[key] = lhs.get(key, 0) + c * ca * cb
+                    right = self.block(n - p).column(i2)
+                    for a, ca in self.block(p).column(i1):
+                        for b, cb in right:
+                            key = (p, a, b)
+                            lhs[key] = lhs.get(key, 0) + c * ca * cb
                 rhs = {}
-                bn = self.block(n)
-                for i in range(bn.rows):
-                    c = bn.entry(i, j)
-                    if not c:
-                        continue
+                for i, c in self.block(n).column(j):
                     for p, i1, i2, c2 in self.dst.delta(n, i):
                         key = (p, i1, i2)
                         rhs[key] = rhs.get(key, 0) + c * c2
@@ -496,12 +465,8 @@ class CoalgebraMap:
             if self.dst.coaugmentation is None:
                 bad.append("target has no coaugmentation")
             else:
-                col = {
-                    i: self.block(0).entry(i, self.src.coaugmentation)
-                    for i in range(self.dst.rank(0))
-                }
-                col = {k: v for k, v in col.items() if v}
-                if col != {self.dst.coaugmentation: 1}:
+                col = self.block(0).column(self.src.coaugmentation)
+                if col != [(self.dst.coaugmentation, 1)]:
                     bad.append("coaugmentation is not preserved")
         return ValidationReport(bad)
 
@@ -576,8 +541,8 @@ def filtered_quasi_iso_window(f, fc, fd):
         b = f.block(n)
         for j in range(src.rank(n)):
             lj = fc.level(n, j)
-            for i in range(dst.rank(n)):
-                if b.entry(i, j) and fd.level(n, i) > lj:
+            for i, _ in b.column(j):
+                if fd.level(n, i) > lj:
                     raise FiltrationNotRespected(
                         f"map raises filtration level on degree {n} element "
                         f"{src.label(n, j)}"
@@ -597,28 +562,20 @@ def filtered_quasi_iso_window(f, fc, fd):
 
         def graded_complex(c, idx):
             ranks = {n: len(idx[n]) for n in range(hi + 1)}
-            bounds = {}
-            for n in range(1, hi + 1):
-                m = c.boundary(n)
-                entries = [
-                    m.entry(i, j) for i in idx[n - 1] for j in idx[n]
-                ]
-                bounds[n] = IntMatrix(ranks[n - 1], ranks[n], entries)
+            bounds = {
+                n: c.boundary(n).submatrix(idx[n - 1], idx[n])
+                for n in range(1, hi + 1)
+            }
             return ChainComplexWindow(
                 0, hi, ranks, bounds, closed_below=True
             )
 
         gs = graded_complex(src, src_idx)
         gd = graded_complex(dst, dst_idx)
-        gblocks = {}
-        for n in range(hi + 1):
-            b = f.block(n)
-            entries = [
-                b.entry(i, j) for i in dst_idx[n] for j in src_idx[n]
-            ]
-            gblocks[n] = IntMatrix(
-                len(dst_idx[n]), len(src_idx[n]), entries
-            )
+        gblocks = {
+            n: f.block(n).submatrix(dst_idx[n], src_idx[n])
+            for n in range(hi + 1)
+        }
         ok, degree = cone_quasi_iso_window(gblocks, gs, gd)
         if not ok:
             return Verdict.fails(level, degree)

@@ -7,6 +7,7 @@ from .core import (
     IntMatrix,
     SnfResult,
     backend_name,
+    basis_window,
     homology_window,
     mapping_cone,
     smith_normal_form,
@@ -19,6 +20,7 @@ __all__ = [
     "IntMatrix",
     "SnfResult",
     "backend_name",
+    "basis_window",
     "homology_window",
     "mapping_cone",
     "smith_normal_form",

@@ -7,6 +7,8 @@ partial unless the complex is declared closed below (chains of a
 simplicial set are: nothing lives in negative degrees).
 """
 
+from itertools import chain, compress
+
 from ..errors import MismatchAt, WindowTooSmall
 from ._kernel_py import smith_kernel
 
@@ -19,6 +21,7 @@ __all__ = [
     "HomologyTable",
     "homology_window",
     "mapping_cone",
+    "basis_window",
     "backend_name",
 ]
 
@@ -29,7 +32,12 @@ def backend_name():
 
 
 class IntMatrix:
-    """Immutable dense integer matrix (row-major tuple of Python ints)."""
+    """Immutable integer matrix of Python ints.
+
+    Callers build one from rows or from sparse columns and read it back by
+    rows or by the nonzero entries of a column; the dense row-major
+    storage is private to this module.
+    """
 
     __slots__ = ("rows", "cols", "_e")
 
@@ -57,6 +65,26 @@ class IntMatrix:
         return cls(rows, cols, flat)
 
     @classmethod
+    def from_columns(cls, rows, columns):
+        """Matrix with ``rows`` rows whose column j holds the (row, coeff)
+        pairs of the j-th item of ``columns``; coefficients of a repeated
+        row add up.  Each column is consumed once and not kept."""
+        by_column = []
+        cols = 0
+        for col in columns:
+            vec = [0] * rows
+            for i, c in col:
+                if i < 0:
+                    raise IndexError(f"row {i} out of range")
+                vec[i] += c
+            by_column.extend(vec)
+            cols += 1
+        return cls(
+            rows, cols,
+            chain.from_iterable(by_column[i::rows] for i in range(rows)),
+        )
+
+    @classmethod
     def identity(cls, n):
         return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
@@ -64,25 +92,28 @@ class IntMatrix:
     def zeros(cls, rows, cols):
         return cls(rows, cols, [0] * (rows * cols))
 
-    def entry(self, i, j):
-        return self._e[i * self.cols + j]
-
-    def row(self, i):
-        return self._e[i * self.cols : (i + 1) * self.cols]
-
     def column(self, j):
-        return tuple(self._e[i * self.cols + j] for i in range(self.rows))
+        """The nonzero (row, coeff) pairs of column j, in row order."""
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} out of range")
+        values = self._e[j :: self.cols]
+        return list(compress(enumerate(values), values))
+
+    def submatrix(self, rows, cols):
+        """The entries at the given row and column indices, in that order;
+        an index may repeat."""
+        rows, cols = list(rows), list(cols)
+        for idx, bound in ((rows, self.rows), (cols, self.cols)):
+            if any(not 0 <= k < bound for k in idx):
+                raise IndexError("submatrix index out of range")
+        c, e = self.cols, self._e
+        return IntMatrix(
+            len(rows), len(cols), [e[i * c + j] for i in rows for j in cols]
+        )
 
     def to_rows(self):
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self):
-        e = self._e
         c = self.cols
-        return IntMatrix(
-            c, self.rows,
-            [e[i * c + j] for j in range(c) for i in range(self.rows)],
-        )
+        return [list(self._e[i * c : (i + 1) * c]) for i in range(self.rows)]
 
     def is_zero(self):
         return all(x == 0 for x in self._e)
@@ -99,8 +130,6 @@ class IntMatrix:
         return hash((self.rows, self.cols, self._e))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return IntMatrix(self.rows, self.cols, [x * other for x in self._e])
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
         n, m, k = self.rows, other.cols, self.cols
@@ -116,19 +145,6 @@ class IntMatrix:
                     for j in range(m):
                         out[base + j] += av * brow[j]
         return IntMatrix(n, m, out)
-
-    def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch in matrix sum")
-        return IntMatrix(
-            self.rows, self.cols, [x + y for x, y in zip(self._e, other._e)]
-        )
-
-    def __sub__(self, other):
-        return self + (other * -1)
-
-    def __neg__(self):
-        return self * -1
 
     def det(self):
         """Exact determinant via fraction-free (Bareiss) elimination."""
@@ -420,36 +436,32 @@ def mapping_cone(maps, src, dst):
     if src.lo != dst.lo or src.hi != dst.hi:
         raise ValueError("cone needs matching windows")
     lo, hi = src.lo, src.hi
-    ranks = {}
+
+    def src_rank(n):
+        return src.rank(n) if n >= lo else 0
+
+    ranks = {n: src_rank(n - 1) + dst.rank(n) for n in range(lo, hi + 1)}
     bounds = {}
-    for n in range(lo, hi + 1):
-        ranks[n] = (src.rank(n - 1) if n - 1 >= lo else 0) + dst.rank(n)
     for n in range(lo + 1, hi + 1):
-        sc = src.rank(n - 1) if n - 1 >= lo else 0
-        sc_prev = src.rank(n - 2) if n - 2 >= lo else 0
-        dc = dst.rank(n)
-        dc_prev = dst.rank(n - 1)
-        rows = sc_prev + dc_prev
-        cols = sc + dc
-        entries = [0] * (rows * cols)
-        if sc and sc_prev and n - 1 > lo:
-            dsrc = src.boundary(n - 1)
-            for i in range(sc_prev):
-                for j in range(sc):
-                    entries[i * cols + j] = -dsrc.entry(i, j)
-        if sc and dc_prev:
+        sc, shift = src_rank(n - 1), src_rank(n - 2)
+        dsrc = src.boundary(n - 1) if n - 1 > lo else IntMatrix.zeros(0, sc)
+        f = None
+        if sc and dst.rank(n - 1):
             f = maps.get(n - 1)
             if f is None:
                 raise ValueError(f"missing map matrix in degree {n - 1}")
-            for i in range(dc_prev):
-                for j in range(sc):
-                    entries[(sc_prev + i) * cols + j] = f.entry(i, j)
-        if dc and dc_prev:
-            ddst = dst.boundary(n)
-            for i in range(dc_prev):
-                for j in range(dc):
-                    entries[(sc_prev + i) * cols + sc + j] = ddst.entry(i, j)
-        bounds[n] = IntMatrix(rows, cols, entries)
+        ddst = dst.boundary(n)
+
+        def columns():
+            for j in range(sc):
+                col = [(i, -x) for i, x in dsrc.column(j)]
+                if f is not None:
+                    col += [(shift + i, x) for i, x in f.column(j)]
+                yield col
+            for j in range(dst.rank(n)):
+                yield [(shift + i, x) for i, x in ddst.column(j)]
+
+        bounds[n] = IntMatrix.from_columns(shift + dst.rank(n - 1), columns())
     return ChainComplexWindow(
         lo,
         hi,
@@ -457,3 +469,29 @@ def mapping_cone(maps, src, dst):
         bounds,
         closed_below=src.closed_below and dst.closed_below,
     )
+
+
+def basis_window(bases, boundary, label):
+    """Chain window on degrees 0..hi, closed below, from ordered bases.
+
+    ``bases[n]`` is the basis of degree n for n = 0..hi, with
+    hi = len(bases) - 1; ``boundary(n, b)`` yields (basis element of
+    degree n-1, coeff) pairs whose sum is d(b), and ``label(b)`` names b.
+    Returns (window, index), where index[n][b] is the position of b in
+    degree n.  Raises WindowTooSmall when hi is 0.
+    """
+    hi = len(bases) - 1
+    index = {n: {b: i for i, b in enumerate(bases[n])} for n in range(hi + 1)}
+    ranks = {n: len(bases[n]) for n in index}
+    labels = {n: [label(b) for b in bases[n]] for n in index}
+    bounds = {}
+    for n in range(1, hi + 1):
+        below = index[n - 1]
+        bounds[n] = IntMatrix.from_columns(
+            ranks[n - 1],
+            ([(below[b2], c) for b2, c in boundary(n, b)] for b in bases[n]),
+        )
+    window = ChainComplexWindow(
+        0, hi, ranks, bounds, labels=labels, closed_below=True
+    )
+    return window, index

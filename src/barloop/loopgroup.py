@@ -24,7 +24,7 @@ edge x to 1 + <x>.
 import itertools
 
 from .barcobar import extended_cobar
-from .errors import BarloopError, MismatchAt, NotReduced
+from .errors import BarloopError, MismatchAt
 from .exactlin import HomologyEntry, IntMatrix, smith_normal_form
 from .monoids import MonoidPresentation, group_ring, inverse_label
 from .rewrite import IsoCertificate, h0_ring, ring_iso_certify
@@ -133,10 +133,13 @@ class LoopGroupLevel:
 def kan_loop_group(k, hi):
     """Levels 0..hi of the loop group of a reduced simplicial set.
 
-    Raises NotReduced for a set with more than one vertex and MismatchAt
-    if the structure maps fail a simplicial group identity that is
-    decidable inside the window (they never should).
+    Raises ValueError for a negative hi, NotReduced for a set with more
+    than one vertex and MismatchAt if the structure maps fail a simplicial
+    group identity that is decidable inside the window (they never
+    should).
     """
+    if hi < 0:
+        raise ValueError(f"loop group levels start at 0; got hi = {hi}")
     k.basepoint()
     simplices = {n: _free_level_simplices(k, n + 1) for n in range(hi + 2)}
     labels = {
@@ -313,19 +316,11 @@ def abelianization(pres):
     HomologyEntry, so it compares directly against a homology group.
     """
     idx = {g: i for i, g in enumerate(pres.generators)}
-    rows = []
-    for u, v in pres.relations:
-        row = [0] * len(idx)
-        for g in u:
-            row[idx[g]] += 1
-        for g in v:
-            row[idx[g]] -= 1
-        rows.append(row)
-    if rows:
-        m = IntMatrix.from_rows(rows).transpose()
-    else:
-        m = IntMatrix.zeros(len(idx), 0)
-    s = smith_normal_form(m)
+    relations = (
+        [(idx[g], 1) for g in u] + [(idx[g], -1) for g in v]
+        for u, v in pres.relations
+    )
+    s = smith_normal_form(IntMatrix.from_columns(len(idx), relations))
     nonzero = [d for d in s.d if d]
     return HomologyEntry(len(idx) - len(nonzero), nonzero, exact=True)
 
@@ -334,7 +329,7 @@ def abelianization(pres):
 # group_ring, re-exported from monoids, labels the inverse of g as g_inv.
 
 
-def h0_compare(k, budget=100_000, cap=10_000):
+def h0_compare(k, budget=100_000):
     """Certify H_0 of the inverted cobar construction against the group
     ring of the fundamental group.
 

@@ -114,9 +114,6 @@ class FiniteMonoid:
 
     # -- arithmetic -------------------------------------------------------------
 
-    def mult(self, i, j):
-        return self.table[i][j]
-
     def power(self, i, k):
         acc = self.identity
         for _ in range(k):

@@ -20,7 +20,7 @@ from .errors import (
     NotACycle,
     Unorientable,
 )
-from .exactlin import ChainComplexWindow, IntMatrix
+from .exactlin import basis_window
 from .exactlin._kernel_py import xgcd
 
 __all__ = [
@@ -796,21 +796,11 @@ def algebra_window(rsys, hi, cap=10_000):
     Returns (window, bases, index): per degree the basis words and their
     positions."""
     alg = rsys.algebra
-    bases = {n: basis_in_degree(rsys, n, cap) for n in range(hi + 1)}
-    index = {n: {w: i for i, w in enumerate(bases[n])} for n in bases}
-    ranks = {n: len(bases[n]) for n in bases}
-    bounds = {}
-    for n in range(1, hi + 1):
-        rows, cols = ranks[n - 1], ranks[n]
-        entries = [0] * (rows * cols)
-        for j, w in enumerate(bases[n]):
-            dp = rsys.normal_form(alg.differentiate({w: 1}))
-            for w2, c in dp.items():
-                entries[index[n - 1][w2] * cols + j] = c
-        bounds[n] = IntMatrix(rows, cols, entries)
-    labels = {n: [alg.word_str(w) for w in bases[n]] for n in bases}
-    window = ChainComplexWindow(
-        0, hi, ranks, bounds, labels=labels, closed_below=True
+    bases = [basis_in_degree(rsys, n, cap) for n in range(hi + 1)]
+    window, index = basis_window(
+        bases,
+        lambda n, w: rsys.normal_form(alg.differentiate({w: 1})).items(),
+        alg.word_str,
     )
     return window, bases, index
 

@@ -15,7 +15,7 @@ of the integers per chosen edge).
 import itertools
 
 from .errors import NotASubcomplex, NotReduced, UnboundedDegree
-from .monoids import FiniteMonoid, ValidationReport
+from .monoids import ValidationReport
 
 __all__ = [
     "FormalSimplex",
@@ -155,32 +155,34 @@ class SimplicialSet:
         bad = []
         for n in range(up_to + 1):
             for sid in self.n_simplices(n):
-                if self.dim(sid) != n:
-                    bad.append(f"simplex {sid!r} listed in wrong dimension")
-                    continue
-                faces = []
-                for i in range(n + 1):
-                    if n == 0:
-                        break
-                    f = self.face(sid, i)
-                    if self.formal_dim(f) != n - 1:
-                        bad.append(
-                            f"face {i} of {sid!r} has dimension "
-                            f"{self.formal_dim(f)}, expected {n - 1}"
-                        )
-                    faces.append(f)
-                if n < 2:
-                    continue
-                for j in range(1, n + 1):
-                    for i in range(j):
-                        left = self.face_formal(faces[j], i)
-                        right = self.face_formal(faces[i], j - 1)
-                        if left != right:
-                            bad.append(
-                                f"face identity fails on {sid!r}: "
-                                f"d{i} d{j} != d{j - 1} d{i}"
-                            )
+                bad.extend(self._simplex_violations(sid, n))
         return ValidationReport(bad)
+
+    def _simplex_violations(self, sid, n):
+        """Dimension, face-dimension and face-identity failures of one
+        nondegenerate n-simplex."""
+        if self.dim(sid) != n:
+            return [f"simplex {sid!r} listed in wrong dimension"]
+        bad = []
+        faces = [self.face(sid, i) for i in range(n + 1)] if n else []
+        for i, f in enumerate(faces):
+            if self.formal_dim(f) != n - 1:
+                bad.append(
+                    f"face {i} of {sid!r} has dimension "
+                    f"{self.formal_dim(f)}, expected {n - 1}"
+                )
+        if n < 2:
+            return bad
+        for j in range(1, n + 1):
+            for i in range(j):
+                left = self.face_formal(faces[j], i)
+                right = self.face_formal(faces[i], j - 1)
+                if left != right:
+                    bad.append(
+                        f"face identity fails on {sid!r}: "
+                        f"d{i} d{j} != d{j - 1} d{i}"
+                    )
+        return bad
 
     # -- serialization -----------------------------------------------------------
 
@@ -548,23 +550,7 @@ class LocalizedSimplicialSet(SimplicialSet):
         bad = []
         for n in range(1, up_to + 1):
             for sid in self.n_simplices_bounded(n, entry_bound):
-                faces = [self.face(sid, i) for i in range(n + 1)]
-                for f in faces:
-                    if self.formal_dim(f) != n - 1:
-                        bad.append(
-                            f"face of {sid!r} has wrong dimension"
-                        )
-                if n < 2:
-                    continue
-                for j in range(1, n + 1):
-                    for i in range(j):
-                        left = self.face_formal(faces[j], i)
-                        right = self.face_formal(faces[i], j - 1)
-                        if left != right:
-                            bad.append(
-                                f"face identity fails on {sid!r}: "
-                                f"d{i} d{j} != d{j - 1} d{i}"
-                            )
+                bad.extend(self._simplex_violations(sid, n))
         return ValidationReport(bad)
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from barloop import barcobar
 from barloop.barcobar import (
     bar,
     cobar,
@@ -13,11 +14,12 @@ from barloop.barcobar import (
 from barloop.dgcoalg import chains
 from barloop.errors import (
     InfiniteRank,
+    MismatchAt,
     NotCoaugmented,
     NotConnected,
     NotSimplyConnected,
 )
-from barloop.exactlin import homology_window
+from barloop.exactlin import IntMatrix, homology_window
 from barloop.monoids import FiniteMonoid, monoid_algebra, random_monoid
 from barloop.rewrite import (
     PresentedDgAlgebra,
@@ -244,3 +246,44 @@ def test_extended_cobar_of_circle_is_laurent():
 def test_extended_cobar_needs_reduced_input():
     with pytest.raises(NotCoaugmented):
         extended_cobar(boundary_delta3(), 3)
+
+
+def _corrupt_bar_window(monkeypatch, corrupt):
+    """Make nerve_bar_iso_check compare against a damaged bar window."""
+    original = barcobar._bar_data
+
+    def damaged(*args):
+        window, basis, index = original(*args)
+        corrupt(window)
+        return window, basis, index
+
+    monkeypatch.setattr(barcobar, "_bar_data", damaged)
+
+
+def test_nerve_bar_check_reports_disagreeing_differentials(monkeypatch):
+    def corrupt(window):
+        rows = window.complex.boundaries[2].to_rows()
+        window.complex.boundaries[2] = IntMatrix.from_rows(
+            [[x + 1 for x in row] for row in rows]
+        )
+
+    _corrupt_bar_window(monkeypatch, corrupt)
+    m = FiniteMonoid.cyclic(3)
+    with pytest.raises(MismatchAt, match="differentials disagree") as e:
+        nerve_bar_iso_check(m, 3)
+    assert e.value.degree == 2
+    assert e.value.element == chains(nerve(m), 3).label(2, 0)
+
+
+def test_nerve_bar_check_reports_disagreeing_coproducts(monkeypatch):
+    def corrupt(window):
+        for terms in window.coproduct[2]:
+            p, i1, i2, c = terms[0]
+            terms[0] = (p, i1, i2, c + 1)
+
+    _corrupt_bar_window(monkeypatch, corrupt)
+    m = FiniteMonoid.cyclic(3)
+    with pytest.raises(MismatchAt, match="coproducts disagree") as e:
+        nerve_bar_iso_check(m, 3)
+    assert e.value.degree == 2
+    assert e.value.element == chains(nerve(m), 3).label(2, 0)

@@ -147,9 +147,10 @@ def test_bad_window_exits_2(capsys):
         (["bar", "z3", "--window", "0..3", "--budget", "1"], 1,
          "check-failed"),
         (["paper-suite", "--budget", "1"], 1, "check-failed"),
+        (["loopgroup", "sphere1", "--hi", "-1"], 2, "invalid-input"),
     ],
     ids=["window-0", "window-0..0", "image-out-of-range", "bar-budget",
-         "paper-suite-budget"],
+         "paper-suite-budget", "loopgroup-negative-hi"],
 )
 def test_failures_end_in_a_report(capsys, argv, code, kind):
     got, r = run_json(capsys, argv)

@@ -19,7 +19,7 @@ from barloop.errors import (
     NotCoaugmented,
     UnboundedDegree,
 )
-from barloop.exactlin import IntMatrix, homology_window
+from barloop.exactlin import ChainComplexWindow, IntMatrix, homology_window
 from barloop.monoids import FiniteMonoid, MonoidMap
 from barloop.simplicial import (
     LocalizedSimplicialSet,
@@ -250,3 +250,37 @@ def test_coalgebra_json_roundtrip():
     assert back.coproduct == c.coproduct
     assert back.counit == c.counit
     assert back.coaugmentation == 0
+
+
+def two_points():
+    """Two group-like vertices and nothing above them; vertex 0 is the
+    coaugmentation."""
+    comp = ChainComplexWindow(
+        0, 1, {0: 2, 1: 0}, {1: IntMatrix.zeros(2, 0)}, closed_below=True
+    )
+    return DgCoalgebraWindow(
+        comp, {0: [[(0, 0, 0, 1)], [(0, 1, 1, 1)]], 1: []}, [1, 1], 0
+    )
+
+
+def test_coalgebra_map_reports_each_broken_law():
+    c = two_points()
+
+    def violations(rows):
+        blocks = {0: IntMatrix.from_rows(rows)}
+        return CoalgebraMap(c, c, blocks).validate().violations
+
+    assert violations([[1, 0], [0, 1]]) == []
+    assert violations([[1, 0], [0, 0]]) == ["counit is not preserved"]
+    assert violations([[1, 2], [0, -1]]) == [
+        "coproduct is not preserved on degree 0 element deg0#1"
+    ]
+    assert violations([[0, 1], [1, 0]]) == ["coaugmentation is not preserved"]
+
+
+def test_coalgebra_map_reports_a_broken_chain_map():
+    c = chains(nerve(FiniteMonoid.cyclic(2)), 3)
+    blocks = {n: IntMatrix.identity(c.rank(n)) for n in range(4)}
+    blocks[2] = IntMatrix.from_rows([[3]])
+    report = CoalgebraMap(c, c, blocks).validate()
+    assert report.violations[0] == "not a chain map in degree 2"

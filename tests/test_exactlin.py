@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_properties import determinantal_diagonal
 
 from barloop.errors import MismatchAt, WindowTooSmall
@@ -11,6 +13,7 @@ from barloop.exactlin import (
     HomologyEntry,
     HomologyTable,
     IntMatrix,
+    basis_window,
     homology_window,
     mapping_cone,
     smith_normal_form,
@@ -73,8 +76,8 @@ def test_snf_random_properties_seeded():
     for _ in range(200):
         rows = rng.randrange(1, 5)
         cols = rng.randrange(1, 5)
-        m = IntMatrix(
-            rows, cols, [rng.randrange(-9, 10) for _ in range(rows * cols)]
+        m = IntMatrix.from_rows(
+            [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
         )
         s = smith_normal_form(m)
         s.verify()
@@ -201,7 +204,7 @@ def _random_unimodular(rng, n):
     for i in range(n):
         if rng.random() < 0.5:
             rows[i] = [-x for x in rows[i]]
-    return IntMatrix.from_rows(rows) if n else IntMatrix(0, 0, [])
+    return IntMatrix.from_rows(rows)
 
 
 def _unimodular_inverse(m):
@@ -217,3 +220,184 @@ def test_mapping_cone_of_identity_is_acyclic():
     t = homology_window(cone)
     for n in range(1, 5):
         assert t[n].is_zero(), f"cone not acyclic in degree {n}"
+
+
+# -- the column builder and readers ------------------------------------------
+
+
+def test_from_columns_adds_repeated_rows():
+    m = IntMatrix.from_columns(3, [[(0, 1), (2, -1), (0, 1)], [], [(1, 5)]])
+    assert m.to_rows() == [[2, 0, 0], [0, 0, 5], [-1, 0, 0]]
+    assert IntMatrix.from_columns(1, [[(0, 1), (0, -1)]]).to_rows() == [[0]]
+
+
+def test_from_columns_edge_shapes():
+    assert IntMatrix.from_columns(0, [[], []]) == IntMatrix.zeros(0, 2)
+    assert IntMatrix.from_columns(3, []) == IntMatrix.zeros(3, 0)
+    # columns may come from a generator of generators
+    m = IntMatrix.from_columns(2, (((j % 2, j),) for j in range(3)))
+    assert m.to_rows() == [[0, 0, 2], [0, 1, 0]]
+    for row in (2, -1):
+        with pytest.raises(IndexError):
+            IntMatrix.from_columns(2, [[(row, 1)]])
+
+
+def test_column_lists_nonzero_entries_in_row_order():
+    m = IntMatrix.from_rows([[0, 3], [4, 0], [0, -1]])
+    assert m.column(0) == [(1, 4)]
+    assert m.column(1) == [(0, 3), (2, -1)]
+    assert IntMatrix.zeros(2, 1).column(0) == []
+    assert IntMatrix.zeros(0, 1).column(0) == []
+    for j in (-1, 2):
+        with pytest.raises(IndexError):
+            m.column(j)
+
+
+def test_submatrix_reorders_and_repeats_indices():
+    m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+    assert m.submatrix([1, 0], [2, 0]).to_rows() == [[6, 4], [3, 1]]
+    assert m.submatrix([0, 0], [1, 1, 1]).to_rows() == [[2, 2, 2]] * 2
+    assert m.submatrix([], [0, 1]) == IntMatrix.zeros(0, 2)
+    with pytest.raises(IndexError):
+        m.submatrix([2], [0])
+    with pytest.raises(IndexError):
+        m.submatrix([0], [-1])
+
+
+def test_basis_window_positions_labels_and_boundaries():
+    # an interval "e" from v0 to v1 and a loop at v0 whose faces cancel
+    faces = {"e": [("v1", 1), ("v0", -1)], "loop": [("v0", 1), ("v0", -1)]}
+    calls = []
+
+    def boundary(n, b):
+        calls.append((n, b))
+        return faces[b]
+
+    bases = [["v0", "v1"], ["e", "loop"]]
+    window, index = basis_window(bases, boundary, str.upper)
+    assert index == {0: {"v0": 0, "v1": 1}, 1: {"e": 0, "loop": 1}}
+    assert calls == [(1, "e"), (1, "loop")]
+    assert window.boundary(1).to_rows() == [[-1, 0], [1, 0]]
+    assert (window.lo, window.hi, window.closed_below) == (0, 1, True)
+    assert [window.label(1, i) for i in range(2)] == ["E", "LOOP"]
+    assert homology_window(window)[0].iso(HomologyEntry(1, [], True))
+    with pytest.raises(WindowTooSmall):
+        basis_window([["v0"]], boundary, str)
+
+
+# -- mapping cone against the dense construction ------------------------------
+
+
+def _dense(rows, cols, flat):
+    """Matrix from a row-major list, through the public constructors."""
+    if not rows:
+        return IntMatrix.zeros(0, cols)
+    return IntMatrix.from_rows(
+        [flat[i * cols : (i + 1) * cols] for i in range(rows)]
+    )
+
+
+def dense_mapping_cone(maps, src, dst):
+    """Reference cone: the dense, entry-by-entry construction the column
+    builder replaced, reading entries through to_rows()."""
+
+    def entry(m, i, j):
+        return m.to_rows()[i][j]
+
+    if src.lo != dst.lo or src.hi != dst.hi:
+        raise ValueError("cone needs matching windows")
+    lo, hi = src.lo, src.hi
+    ranks = {}
+    bounds = {}
+    for n in range(lo, hi + 1):
+        ranks[n] = (src.rank(n - 1) if n - 1 >= lo else 0) + dst.rank(n)
+    for n in range(lo + 1, hi + 1):
+        sc = src.rank(n - 1) if n - 1 >= lo else 0
+        sc_prev = src.rank(n - 2) if n - 2 >= lo else 0
+        dc = dst.rank(n)
+        dc_prev = dst.rank(n - 1)
+        rows = sc_prev + dc_prev
+        cols = sc + dc
+        entries = [0] * (rows * cols)
+        if sc and sc_prev and n - 1 > lo:
+            dsrc = src.boundary(n - 1)
+            for i in range(sc_prev):
+                for j in range(sc):
+                    entries[i * cols + j] = -entry(dsrc, i, j)
+        if sc and dc_prev:
+            f = maps.get(n - 1)
+            if f is None:
+                raise ValueError(f"missing map matrix in degree {n - 1}")
+            for i in range(dc_prev):
+                for j in range(sc):
+                    entries[(sc_prev + i) * cols + j] = entry(f, i, j)
+        if dc and dc_prev:
+            ddst = dst.boundary(n)
+            for i in range(dc_prev):
+                for j in range(dc):
+                    entries[(sc_prev + i) * cols + sc + j] = entry(ddst, i, j)
+        bounds[n] = _dense(rows, cols, entries)
+    return ChainComplexWindow(
+        lo,
+        hi,
+        ranks,
+        bounds,
+        closed_below=src.closed_below and dst.closed_below,
+    )
+
+
+def _cone_outcome(build, maps, src, dst):
+    try:
+        cone = build(maps, src, dst)
+    except ValueError as e:
+        return "error", str(e)
+    return cone.lo, cone.hi, cone.ranks, cone.boundaries, cone.closed_below
+
+
+@st.composite
+def cone_inputs(draw):
+    lo = draw(st.integers(0, 2))
+    hi = lo + draw(st.integers(1, 3))
+
+    def matrix(rows, cols):
+        flat = draw(
+            st.lists(st.integers(-3, 3), min_size=rows * cols,
+                     max_size=rows * cols)
+        )
+        return _dense(rows, cols, flat)
+
+    def window():
+        ranks = {n: draw(st.integers(0, 3)) for n in range(lo, hi + 1)}
+        bounds = {
+            n: matrix(ranks[n - 1], ranks[n]) for n in range(lo + 1, hi + 1)
+        }
+        return ChainComplexWindow(
+            lo, hi, ranks, bounds, closed_below=draw(st.booleans())
+        )
+
+    src, dst = window(), window()
+    maps = {n: matrix(dst.rank(n), src.rank(n)) for n in range(lo, hi + 1)}
+    if draw(st.booleans()):
+        del maps[draw(st.sampled_from(sorted(maps)))]
+    return maps, src, dst
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(cone_inputs())
+def test_mapping_cone_matches_dense_construction(inputs):
+    maps, src, dst = inputs
+    assert _cone_outcome(mapping_cone, maps, src, dst) == _cone_outcome(
+        dense_mapping_cone, maps, src, dst
+    )
+
+
+def test_mapping_cone_errors_match_dense_construction():
+    c = two_periodic_complex(3)
+    for maps, other, message in [
+        ({}, c, "missing map matrix in degree 0"),
+        ({n: IntMatrix.identity(1) for n in range(4)}, two_periodic_complex(4),
+         "cone needs matching windows"),
+    ]:
+        for build in (mapping_cone, dense_mapping_cone):
+            with pytest.raises(ValueError, match=message):
+                build(maps, c, other)

@@ -64,10 +64,7 @@ def determinantal_diagonal(m):
         dk = 0
         for rows in combinations(range(m.rows), k):
             for cols in combinations(range(m.cols), k):
-                minor = IntMatrix(
-                    k, k, [m.entry(i, j) for i in rows for j in cols]
-                )
-                dk = gcd(dk, minor.det())
+                dk = gcd(dk, m.submatrix(rows, cols).det())
         diag.append(dk // prev if dk else 0)
         prev = dk
     return tuple(diag)

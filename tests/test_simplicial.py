@@ -233,3 +233,19 @@ def test_nerve_json_materialization():
     back = ExplicitSimplicialSet.from_json_dict(d)
     assert back.validate(3).ok
     assert [len(back.n_simplices(n)) for n in range(4)] == [1, 1, 1, 1]
+
+
+def test_localized_validation_reports_a_bad_face_like_the_base_class():
+    class BrokenFace(LocalizedSimplicialSet):
+        def face(self, sid, i):
+            if sid == ("j", 0, (-1,)) and i == 0:
+                return FormalSimplex(("k", "*"), (0,))
+            return super().face(sid, i)
+
+    report = BrokenFace(minimal_sphere(1), ["t"]).validate(2, entry_bound=1)
+    assert report.violations[0] == (
+        "face 0 of ('j', 0, (-1,)) has dimension 1, expected 0"
+    )
+    assert "face identity fails on ('j', 0, (-1, -1)): d0 d1 != d0 d0" in (
+        report.violations
+    )

@@ -1,0 +1,91 @@
+"""Source rules checked with the standard library's ast module.
+
+- No module of the package imports a name it never uses, apart from the
+  names it re-exports through ``__all__``.
+- Only ``barloop.exactlin`` calls the ``IntMatrix`` constructor directly;
+  everyone else builds matrices with ``from_columns``, ``from_rows``,
+  ``zeros`` or ``identity``, so the dense layout stays private to it.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "barloop"
+EXACTLIN = PACKAGE / "exactlin"
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unused_imports(tree):
+    """Names bound by an import that no expression reads."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(
+                a.asname or a.name.split(".")[0] for a in node.names
+            )
+        elif isinstance(node, ast.ImportFrom):
+            imported.update(a.asname or a.name for a in node.names)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(imported - used - _exported(tree))
+
+
+def direct_matrix_calls(tree):
+    """Line numbers of calls to the IntMatrix constructor itself."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == "IntMatrix")
+            or (
+                isinstance(node.func, ast.Attribute)
+                and node.func.attr == "IntMatrix"
+            )
+        )
+    ]
+
+
+def _offenders(paths, rule):
+    found = {}
+    for path in paths:
+        hits = rule(_parse(path))
+        if hits:
+            found[path.relative_to(ROOT).as_posix()] = hits
+    return found
+
+
+def test_rules_detect_what_they_forbid():
+    tree = ast.parse(
+        "import os, os.path\n"
+        "from m import a, b as c, d\n"
+        "__all__ = ['d']\n"
+        "a(IntMatrix(1, 1, [0]), exactlin.IntMatrix(0, 0, []))\n"
+        "IntMatrix.zeros(1, 1)\n"
+    )
+    assert unused_imports(tree) == ["c", "os"]
+    assert direct_matrix_calls(tree) == [4, 4]
+
+
+def test_no_unused_imports_in_the_package():
+    assert _offenders(sorted(PACKAGE.rglob("*.py")), unused_imports) == {}
+
+
+def test_only_exactlin_calls_the_matrix_constructor():
+    paths = [
+        p for p in sorted(PACKAGE.rglob("*.py")) if EXACTLIN not in p.parents
+    ]
+    paths += sorted((ROOT / "tests").glob("*.py"))
+    assert _offenders(paths, direct_matrix_calls) == {}
