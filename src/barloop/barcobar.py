@@ -44,9 +44,9 @@ from .rewrite import (
     adjoin_inverses,
     algebra_window,
     basis_in_degree,
-    complete,
     poly_iadd_term,
     poly_mul,
+    require_complete,
 )
 
 __all__ = [
@@ -57,15 +57,6 @@ __all__ = [
     "counit_check",
     "unit_check",
 ]
-
-
-def _completed(algebra, budget):
-    rsys = complete(algebra, budget)
-    if not rsys.complete:
-        raise BarloopError(
-            "completion budget exhausted; no canonical monomial basis"
-        )
-    return rsys
 
 
 class _IdealBasis:
@@ -130,7 +121,8 @@ class _IdealBasis:
 
 
 def _bar_data(algebra, rsys, hi, cap):
-    """Bar coalgebra window plus its basis tuples and index maps."""
+    """Bar coalgebra window; its complex keeps the basis tuples and their
+    index maps."""
     alg = algebra
     ib = _IdealBasis(alg, rsys, hi - 1, cap)
     sdeg = {}
@@ -167,38 +159,32 @@ def _bar_data(algebra, rsys, hi, cap):
                     poly_iadd_term(col, t2, sign_through * c, alg.modulus)
         return col.items()
 
-    comp, bar_index = basis_window(
+    comp = basis_window(
         bar_basis,
         boundary,
         lambda t: "[" + "|".join(alg.word_str(w) for w in t) + "]",
     )
-    coproduct = {}
-    for n in range(hi + 1):
+    bar_index = comp.index
+
+    def coproduct(n):
+        # deconcatenation: one term per cut of the bar word
         per_degree = []
         for tup in bar_basis[n]:
-            sdegs = [sdeg[w] for w in tup]
-            terms = []
-            for k in range(len(tup) + 1):
-                p = sum(sdegs[:k])
-                terms.append(
-                    (
-                        p,
-                        bar_index[p][tup[:k]],
-                        bar_index[n - p][tup[k:]],
-                        1,
-                    )
-                )
-            per_degree.append(terms)
-        coproduct[n] = per_degree
-    window = DgCoalgebraWindow(comp, coproduct, [1], 0)
-    return window, bar_basis, bar_index
+            cuts = [0]
+            for w in tup:
+                cuts.append(cuts[-1] + sdeg[w])
+            per_degree.append([
+                (p, bar_index[p][tup[:k]], bar_index[n - p][tup[k:]], 1)
+                for k, p in enumerate(cuts)
+            ])
+        return per_degree
+
+    return DgCoalgebraWindow(comp, coproduct, [1], 0)
 
 
 def bar(algebra, hi, budget=100_000, cap=10_000):
     """Bar coalgebra window of an augmented presented dg algebra."""
-    rsys = _completed(algebra, budget)
-    window, _, _ = _bar_data(algebra, rsys, hi, cap)
-    return window
+    return _bar_data(algebra, require_complete(algebra, budget), hi, cap)
 
 
 def _cobar_with_gens(c):
@@ -277,12 +263,12 @@ def nerve_bar_iso_check(m, hi, budget=100_000, cap=10_000):
     k = nerve(m)
     cn = chains(k, hi)
     alg = monoid_algebra(m)
-    rsys = _completed(alg, budget)
-    bw, bar_basis, bar_index = _bar_data(alg, rsys, hi, cap)
+    bw = _bar_data(alg, require_complete(alg, budget), hi, cap)
+    bar_index = bw.complex.index
 
     perm = {}
     for n in range(hi + 1):
-        nerve_basis = k.n_simplices(n)
+        nerve_basis = cn.complex.bases[n]
         if len(nerve_basis) != bw.rank(n):
             raise MismatchAt(
                 f"rank {len(nerve_basis)} != {bw.rank(n)} in degree {n}",
@@ -344,23 +330,23 @@ def counit_check(algebra, hi, budget=100_000, cap=10_000):
     """Certify the counit cobar(bar(A)) -> A on degrees 0..hi by cone
     acyclicity: bar words of length one map to the elements they suspend,
     longer words map to zero."""
-    rsys_a = _completed(algebra, budget)
+    rsys_a = require_complete(algebra, budget)
     if basis_in_degree(rsys_a, 0, cap) != [()]:
         raise NotConnected(
             "counit comparison needs a connected algebra: degree 0 must be "
             "spanned by the unit"
         )
-    bw, bar_basis, _ = _bar_data(algebra, rsys_a, hi + 1, cap)
+    bw = _bar_data(algebra, rsys_a, hi + 1, cap)
     om, gen_of = _cobar_with_gens(bw)
-    rsys_om = _completed(om, budget)
+    rsys_om = require_complete(om, budget)
 
     images = {}
     for (n, i), g in gen_of.items():
-        tup = bar_basis[n][i]
+        tup = bw.complex.bases[n][i]
         images[g] = {tup[0]: 1} if len(tup) == 1 else {}
 
-    aw, _, aindex = algebra_window(rsys_a, hi, cap)
-    ow, obases, _ = algebra_window(rsys_om, hi, cap)
+    aw = algebra_window(rsys_a, hi, cap)
+    ow = algebra_window(rsys_om, hi, cap)
 
     def column(n, word):
         acc = {(): 1}
@@ -368,11 +354,13 @@ def counit_check(algebra, hi, budget=100_000, cap=10_000):
             acc = poly_mul(acc, images[g], algebra.modulus)
             if not acc:
                 break
-        return [(aindex[n][w], c) for w, c in rsys_a.normal_form(acc).items()]
+        return [
+            (aw.index[n][w], c) for w, c in rsys_a.normal_form(acc).items()
+        ]
 
     blocks = {
         n: IntMatrix.from_columns(
-            aw.rank(n), (column(n, word) for word in obases[n])
+            aw.rank(n), (column(n, word) for word in ow.bases[n])
         )
         for n in range(hi + 1)
     }
@@ -394,8 +382,9 @@ def unit_check(c, budget=100_000, cap=10_000):
             "unit comparison needs a window with no degree-1 elements"
         )
     om, gen_of = _cobar_with_gens(c)
-    rsys_om = _completed(om, budget)
-    bw, bar_basis, bar_index = _bar_data(om, rsys_om, c.hi, cap)
+    rsys_om = require_complete(om, budget)
+    bw = _bar_data(om, rsys_om, c.hi, cap)
+    bar_basis, bar_index = bw.complex.bases, bw.complex.index
 
     blocks = {0: IntMatrix.from_rows([[1]])}
     for n in range(1, c.hi + 1):

@@ -3,9 +3,11 @@
 A window holds a chain complex on degrees 0..hi together with a
 coproduct given per basis element as a list of (left degree, left index,
 right index, coefficient) terms, a counit on degree 0, and an optional
-coaugmentation.  Validation checks coassociativity, the counit laws, the
-coderivation law with Koszul signs (d(x (x) y) = dx (x) y + (-1)^{|x|}
-x (x) dy), and conilpotence by iterating the reduced coproduct.
+coaugmentation.  Each degree's coproduct is computed on first read, so
+callers that only read the complex never build it.  Validation checks
+coassociativity, the counit laws, the coderivation law with Koszul signs
+(d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy), and conilpotence by
+iterating the reduced coproduct.
 
 chains() builds the normalized chain coalgebra of a simplicial set:
 basis the nondegenerate simplices, differential the alternating face sum
@@ -43,9 +45,10 @@ __all__ = [
 class DgCoalgebraWindow:
     """Chain complex window plus coproduct, counit, coaugmentation.
 
-    coproduct[n][j] lists (p, i1, i2, coeff): the term
-    coeff * (basis_p[i1] (x) basis_{n-p}[i2]) of Delta applied to the
-    j-th basis element of degree n.
+    coproduct(n) returns, for each basis element j of degree n in order,
+    the terms (p, i1, i2, coeff): the term
+    coeff * (basis_p[i1] (x) basis_{n-p}[i2]) of Delta applied to it.  It
+    is called at most once per degree, on the first read of that degree.
     counit: list of integers over the degree-0 basis.
     coaugmentation: degree-0 basis index or None.
     """
@@ -54,18 +57,12 @@ class DgCoalgebraWindow:
         self.complex = complex_window
         if self.complex.lo != 0:
             raise ValueError("coalgebra windows must start at degree 0")
-        self.coproduct = {
-            n: [list(map(tuple, terms)) for terms in per_degree]
-            for n, per_degree in coproduct.items()
-        }
+        self._coproduct_of = coproduct
+        self._terms = {}
         self.counit = list(map(int, counit))
         self.coaugmentation = coaugmentation
         if len(self.counit) != self.rank(0):
             raise ValueError("counit has wrong length")
-        for n in range(0, self.complex.hi + 1):
-            got = len(self.coproduct.get(n, ()))
-            if got != self.rank(n):
-                raise ValueError(f"coproduct missing columns in degree {n}")
 
     # -- basic access ---------------------------------------------------------
 
@@ -79,14 +76,26 @@ class DgCoalgebraWindow:
     def label(self, n, i):
         return self.complex.label(n, i)
 
+    def _degree(self, n):
+        terms = self._terms.get(n)
+        if terms is None:
+            terms = [list(map(tuple, t)) for t in self._coproduct_of(n)]
+            if len(terms) != self.rank(n):
+                raise ValueError(f"coproduct missing columns in degree {n}")
+            self._terms[n] = terms
+        return terms
+
+    @property
+    def coproduct(self):
+        """Every degree's coproduct terms, computing those not yet read."""
+        return {n: self._degree(n) for n in range(self.hi + 1)}
+
     def delta(self, n, j):
-        return self.coproduct[n][j]
+        return self._degree(n)[j]
 
     def reduced_delta(self, n, j):
         """Coproduct terms with both factors in positive degree."""
-        return [
-            t for t in self.coproduct[n][j] if 0 < t[0] < n
-        ]
+        return [t for t in self._degree(n)[j] if 0 < t[0] < n]
 
     def boundary(self, n):
         return self.complex.boundary(n)
@@ -240,7 +249,7 @@ class DgCoalgebraWindow:
                     ]
                     for terms in per_degree
                 ]
-                for n, per_degree in sorted(self.coproduct.items())
+                for n, per_degree in self.coproduct.items()
             },
             "counit": [str(c) for c in self.counit],
             "coaugmentation": self.coaugmentation,
@@ -260,14 +269,17 @@ class DgCoalgebraWindow:
             ]
             for n, per_degree in d["coproduct"].items()
         }
-        return cls(
-            comp, cop, [int(c) for c in d["counit"]], d.get("coaugmentation")
+        window = cls(
+            comp, lambda n: cop.get(n, ()), [int(c) for c in d["counit"]],
+            d.get("coaugmentation"),
         )
+        window.coproduct  # a malformed file fails here, not on first read
+        return window
 
 
 def chains(k, hi):
     """Normalized chain coalgebra of a simplicial set on degrees 0..hi."""
-    bases = [k.n_simplices(n) for n in range(hi + 1)]
+    from .simplicial import FormalSimplex
 
     def boundary(n, sid):
         for i in range(n + 1):
@@ -275,29 +287,30 @@ def chains(k, hi):
             if not f.word:
                 yield f.base, (-1 if i % 2 else 1)
 
-    comp, index = basis_window(bases, boundary, str)
+    comp = basis_window(
+        [k.n_simplices(n) for n in range(hi + 1)], boundary, str
+    )
+    index = comp.index
 
-    from .simplicial import FormalSimplex
-
-    coproduct = {}
-    for n in range(hi + 1):
+    def coproduct(n):
+        # Alexander-Whitney: fronts[p] is the face on vertices 0..p and
+        # backs[p] the face on vertices p..n, each peeled off one face at
+        # a time from its neighbour.
         per_degree = []
-        for sid in bases[n]:
-            terms = []
-            for p in range(n + 1):
-                front = FormalSimplex(sid, ())
-                for m in range(n, p, -1):
-                    front = k.face_formal(front, m)
-                back = FormalSimplex(sid, ())
-                for _ in range(p):
-                    back = k.face_formal(back, 0)
-                if front.word or back.word:
-                    continue
-                terms.append(
-                    (p, index[p][front.base], index[n - p][back.base], 1)
-                )
-            per_degree.append(terms)
-        coproduct[n] = per_degree
+        for sid in comp.bases[n]:
+            fronts = [FormalSimplex(sid, ())]
+            for m in range(n, 0, -1):
+                fronts.append(k.face_formal(fronts[-1], m))
+            fronts.reverse()
+            backs = [FormalSimplex(sid, ())]
+            for _ in range(n):
+                backs.append(k.face_formal(backs[-1], 0))
+            per_degree.append([
+                (p, index[p][front.base], index[n - p][back.base], 1)
+                for p, (front, back) in enumerate(zip(fronts, backs))
+                if not (front.word or back.word)
+            ])
+        return per_degree
 
     counit = [1] * comp.rank(0)
     coaug = None
@@ -306,34 +319,32 @@ def chains(k, hi):
     return DgCoalgebraWindow(comp, coproduct, counit, coaug)
 
 
-def nerve_chains_map(mmap, hi):
-    """Chains-level coalgebra map induced by a monoid homomorphism.
+def nerve_chains_map(mmap, src_c, dst_c):
+    """Chains-level coalgebra map induced by a monoid homomorphism, between
+    the given chain windows of the source and target nerves.
 
     Sends a nerve tuple to its entrywise image, renormalized; tuples
     whose image is degenerate map to zero.  Naturality in this form is
-    checked by CoalgebraMap.validate on the result.
+    checked by CoalgebraMap.validate on the result.  Raises ValueError
+    when the windows differ in top degree or either keeps no bases.
     """
     from .simplicial import NerveSimplicialSet
 
-    src_nerve = NerveSimplicialSet(mmap.src)
+    if src_c.hi != dst_c.hi:
+        raise ValueError("chain windows must end in the same degree")
+    if src_c.complex.bases is None or dst_c.complex.bases is None:
+        raise ValueError("nerve chain windows must keep their bases")
     dst_nerve = NerveSimplicialSet(mmap.dst)
-    src_c = chains(src_nerve, hi)
-    dst_c = chains(dst_nerve, hi)
-    dst_index = {
-        n: {sid: i for i, sid in enumerate(dst_nerve.n_simplices(n))}
-        for n in range(hi + 1)
-    }
 
     def column(n, tup):
         img = dst_nerve.normalize_tuple(tuple(mmap.images[e] for e in tup))
-        return [] if img.word else [(dst_index[n][img.base], 1)]
+        return [] if img.word else [(dst_c.complex.index[n][img.base], 1)]
 
     blocks = {
         n: IntMatrix.from_columns(
-            dst_c.rank(n),
-            (column(n, tup) for tup in src_nerve.n_simplices(n)),
+            dst_c.rank(n), (column(n, tup) for tup in src_c.complex.bases[n])
         )
-        for n in range(hi + 1)
+        for n in range(src_c.hi + 1)
     }
     return CoalgebraMap(src_c, dst_c, blocks)
 

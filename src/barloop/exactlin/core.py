@@ -146,32 +146,6 @@ class IntMatrix:
                         out[base + j] += av * brow[j]
         return IntMatrix(n, m, out)
 
-    def det(self):
-        """Exact determinant via fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k]:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"
 
@@ -231,10 +205,15 @@ class ChainComplexWindow:
     must be present for lo < n <= hi.  ``labels`` optionally names the
     basis elements per degree.  ``closed_below`` asserts that the complex
     is zero in degrees < lo (true for chains of a simplicial set with
-    lo = 0), making degree lo exact rather than partial.
+    lo = 0), making degree lo exact rather than partial.  Windows built by
+    basis_window also keep ``bases[n]``, the basis of degree n, and
+    ``index[n][b]``, the position of b in it; both are None otherwise.
     """
 
-    __slots__ = ("lo", "hi", "ranks", "boundaries", "labels", "closed_below")
+    __slots__ = (
+        "lo", "hi", "ranks", "boundaries", "labels", "closed_below",
+        "bases", "index",
+    )
 
     def __init__(self, lo, hi, ranks, boundaries, labels=None, closed_below=False):
         if hi <= lo:
@@ -245,6 +224,8 @@ class ChainComplexWindow:
         self.boundaries = dict(boundaries)
         self.labels = dict(labels) if labels else None
         self.closed_below = closed_below
+        self.bases = None
+        self.index = None
         for n in range(lo, hi + 1):
             if n not in self.ranks:
                 raise ValueError(f"missing rank in degree {n}")
@@ -477,8 +458,8 @@ def basis_window(bases, boundary, label):
     ``bases[n]`` is the basis of degree n for n = 0..hi, with
     hi = len(bases) - 1; ``boundary(n, b)`` yields (basis element of
     degree n-1, coeff) pairs whose sum is d(b), and ``label(b)`` names b.
-    Returns (window, index), where index[n][b] is the position of b in
-    degree n.  Raises WindowTooSmall when hi is 0.
+    The window keeps ``bases`` and ``index``, where index[n][b] is the
+    position of b in degree n.  Raises WindowTooSmall when hi is 0.
     """
     hi = len(bases) - 1
     index = {n: {b: i for i, b in enumerate(bases[n])} for n in range(hi + 1)}
@@ -494,4 +475,6 @@ def basis_window(bases, boundary, label):
     window = ChainComplexWindow(
         0, hi, ranks, bounds, labels=labels, closed_below=True
     )
-    return window, index
+    window.bases = bases
+    window.index = index
+    return window

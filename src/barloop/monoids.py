@@ -449,7 +449,9 @@ def group_completion(p, budget=100_000, cap=10_000):
         except CapExceeded:
             words = None
         if words is not None:
-            labels = [alg.word_str(w) for w in words]
+            # the empty word is "1" unless a letter already has that label
+            one = inverse_label("1", set(gens), "")
+            labels = [alg.word_str(w) if w else one for w in words]
             idx = {w: i for i, w in enumerate(words)}
             table = []
             for u in words:
@@ -672,10 +674,11 @@ def _coset_enumeration(p, inv, budget):
         return c
 
     table2 = [[act(i, words[j]) for j in range(n)] for i in range(n)]
+    one = inverse_label("1", set(letters), "")
     labels = []
     for i in range(n):
         w = words[i]
-        labels.append("*".join(letters[l] for l in w) if w else "1")
+        labels.append("*".join(letters[l] for l in w) if w else one)
     return labels, comp[find(0)], table2
 
 

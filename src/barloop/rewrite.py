@@ -34,6 +34,7 @@ __all__ = [
     "IsoCertificate",
     "algebra_window",
     "complex_window",
+    "require_complete",
 ]
 
 
@@ -790,26 +791,30 @@ def ring_iso_certify(a, b, f_images, g_images, budget=100_000):
     return IsoCertificate(ok, "certified" if ok else "failed", details)
 
 
+def require_complete(algebra, budget):
+    """Complete rewriting system of an algebra, or BarloopError when the
+    budget runs out first."""
+    rsys = complete(algebra, budget)
+    if not rsys.complete:
+        raise BarloopError(
+            "completion budget exhausted; no canonical monomial basis"
+        )
+    return rsys
+
+
 def algebra_window(rsys, hi, cap=10_000):
     """Chain complex window of the algebra of a complete rewriting system
-    on degrees 0..hi, in the irreducible monomial basis of each degree.
-    Returns (window, bases, index): per degree the basis words and their
-    positions."""
+    on degrees 0..hi, in the irreducible monomial basis of each degree;
+    the window keeps the basis words and their positions."""
     alg = rsys.algebra
-    bases = [basis_in_degree(rsys, n, cap) for n in range(hi + 1)]
-    window, index = basis_window(
-        bases,
+    return basis_window(
+        [basis_in_degree(rsys, n, cap) for n in range(hi + 1)],
         lambda n, w: rsys.normal_form(alg.differentiate({w: 1})).items(),
         alg.word_str,
     )
-    return window, bases, index
 
 
 def complex_window(algebra, hi, budget=100_000, cap=10_000):
     """Materialize the underlying chain complex of a presented dg algebra
     on degrees 0..hi, using the completed monomial basis per degree."""
-    rsys = complete(algebra, budget)
-    if not rsys.complete:
-        raise BarloopError("completion budget exhausted; no canonical basis")
-    window, _, _ = algebra_window(rsys, hi, cap)
-    return window
+    return algebra_window(require_complete(algebra, budget), hi, cap)

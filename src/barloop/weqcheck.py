@@ -45,14 +45,17 @@ __all__ = [
 
 class MonoidInvariantBundle:
     """Invariants of one monoid over a window: homology of the nerve
-    chains, the group completion (or Exhausted), and group-ness."""
+    chains, the group completion (or Exhausted), and group-ness.  chains
+    is the nerve's chain window the homology was computed from."""
 
-    def __init__(self, monoid, hi, nerve_homology, completion, grouplike):
+    def __init__(self, monoid, hi, nerve_homology, completion, grouplike,
+                 chains):
         self.monoid = monoid
         self.hi = hi
         self.nerve_homology = nerve_homology
         self.completion = completion
         self.grouplike = grouplike
+        self.chains = chains
 
     def to_json_dict(self):
         if isinstance(self.completion, Exhausted):
@@ -73,9 +76,12 @@ class MonoidInvariantBundle:
 
 def invariants(m, hi=6, budget=100_000, cap=10_000):
     """Invariant bundle of a finite monoid over degrees 0..hi."""
-    table = homology_window(chains(nerve(m), hi).complex)
+    c = chains(nerve(m), hi)
+    table = homology_window(c.complex)
     completion = group_completion(m, budget=budget, cap=cap)
-    return MonoidInvariantBundle(m, hi, table, completion, m.is_group())
+    return MonoidInvariantBundle(
+        m, hi, table, completion, m.is_group(), c
+    )
 
 
 class WeqVerdict:
@@ -133,12 +139,14 @@ def _completion_letters(c, m):
 def _canonical_completion_image(c, m, elem):
     """Index in the completion table of the class of a monoid element."""
     if elem == m.identity:
-        return c.monoid.elements.index("1")
+        return c.monoid.identity
     alg = c.rules.algebra
     nf = c.rules.normal_form({(alg.gen_index(m.elements[elem]),): 1})
     if list(nf.values()) != [1]:
         return None
     (word,) = nf.keys()
+    if not word:
+        return c.monoid.identity
     return c.monoid.elements.index(alg.word_str(word))
 
 
@@ -153,9 +161,9 @@ def _induced_completion_bijective(f, cs, cd):
     src_letters = _completion_letters(cs, f.src)
     dst_m = cd.monoid
     seen = set()
-    for lbl in cs.monoid.elements:
+    for idx, lbl in enumerate(cs.monoid.elements):
         acc = dst_m.identity
-        if lbl != "1":
+        if idx != cs.monoid.identity:
             for letter in lbl.split("*"):
                 if letter not in src_letters:
                     return None
@@ -201,7 +209,7 @@ def weq_verdict(f, hi=6, budget=100_000, cap=10_000):
             "target_order": cd.order,
         })
 
-    fmap = nerve_chains_map(f, hi)
+    fmap = nerve_chains_map(f, src_b.chains, dst_b.chains)
     report = fmap.validate()
     if not report.ok:
         raise MismatchAt("; ".join(report.violations))

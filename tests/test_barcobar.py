@@ -253,9 +253,9 @@ def _corrupt_bar_window(monkeypatch, corrupt):
     original = barcobar._bar_data
 
     def damaged(*args):
-        window, basis, index = original(*args)
+        window = original(*args)
         corrupt(window)
-        return window, basis, index
+        return window
 
     monkeypatch.setattr(barcobar, "_bar_data", damaged)
 

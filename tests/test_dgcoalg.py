@@ -131,7 +131,9 @@ def test_corrupted_coproduct_is_detected():
     cop = {n: [list(ts) for ts in c.coproduct[n]] for n in c.coproduct}
     # dropping one interior term breaks coassociativity asymmetrically
     cop[3][0] = [t for t in cop[3][0] if t[0] != 2]
-    bad = DgCoalgebraWindow(c.complex, cop, c.counit, c.coaugmentation)
+    bad = DgCoalgebraWindow(
+        c.complex, cop.__getitem__, c.counit, c.coaugmentation
+    )
     report = bad.validate()
     assert not report.ok
     assert any("coassociativity" in v for v in report.violations)
@@ -141,7 +143,9 @@ def test_missing_counit_term_is_detected():
     c = chains(nerve(FiniteMonoid.cyclic(2)), 3)
     cop = {n: [list(ts) for ts in c.coproduct[n]] for n in c.coproduct}
     cop[2][0] = [t for t in cop[2][0] if t[0] != 0]
-    bad = DgCoalgebraWindow(c.complex, cop, c.counit, c.coaugmentation)
+    bad = DgCoalgebraWindow(
+        c.complex, cop.__getitem__, c.counit, c.coaugmentation
+    )
     report = bad.validate()
     assert any("Delta != id" in v for v in report.violations)
 
@@ -223,14 +227,16 @@ def test_map_raising_levels_is_rejected():
 def test_nerve_naturality_of_chains():
     z4, z2 = FiniteMonoid.cyclic(4), FiniteMonoid.cyclic(2)
     mmap = MonoidMap(z4, z2, [0, 1, 0, 1]).validate()
-    f = nerve_chains_map(mmap, 4)
+    f = nerve_chains_map(mmap, chains(nerve(z4), 4), chains(nerve(z2), 4))
     assert f.validate().ok
 
 
 def test_collapse_of_idempotent_pair_is_quasi_iso_by_cone():
     m = FiniteMonoid.idempotent_pair()
     mmap = MonoidMap.collapse(m)
-    f = nerve_chains_map(mmap, 5)
+    f = nerve_chains_map(
+        mmap, chains(nerve(m), 5), chains(nerve(mmap.dst), 5)
+    )
     assert f.validate().ok
     blocks = {n: f.block(n) for n in range(6)}
     ok, degree = cone_quasi_iso_window(blocks, f.src.complex, f.dst.complex)
@@ -259,7 +265,8 @@ def two_points():
         0, 1, {0: 2, 1: 0}, {1: IntMatrix.zeros(2, 0)}, closed_below=True
     )
     return DgCoalgebraWindow(
-        comp, {0: [[(0, 0, 0, 1)], [(0, 1, 1, 1)]], 1: []}, [1, 1], 0
+        comp, {0: [[(0, 0, 0, 1)], [(0, 1, 1, 1)]], 1: []}.__getitem__,
+        [1, 1], 0,
     )
 
 

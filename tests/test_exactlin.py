@@ -274,8 +274,9 @@ def test_basis_window_positions_labels_and_boundaries():
         return faces[b]
 
     bases = [["v0", "v1"], ["e", "loop"]]
-    window, index = basis_window(bases, boundary, str.upper)
-    assert index == {0: {"v0": 0, "v1": 1}, 1: {"e": 0, "loop": 1}}
+    window = basis_window(bases, boundary, str.upper)
+    assert window.bases == bases
+    assert window.index == {0: {"v0": 0, "v1": 1}, 1: {"e": 0, "loop": 1}}
     assert calls == [(1, "e"), (1, "loop")]
     assert window.boundary(1).to_rows() == [[-1, 0], [1, 0]]
     assert (window.lo, window.hi, window.closed_below) == (0, 1, True)

@@ -1,0 +1,198 @@
+"""The chain layer builds only what its caller reads.
+
+The Alexander-Whitney coproduct of a chain window is computed one degree
+at a time on first read; it must equal, term for term and in order, the
+eager construction that walks face_formal from the simplex for every
+front and back face.  Homology callers never trigger it, a weq question
+builds each nerve's chain window once, and nerve_chains_map maps between
+the windows it is given.
+"""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from barloop import barcobar, dgcoalg, weqcheck
+from barloop.barcobar import bar
+from barloop.dgcoalg import DgCoalgebraWindow, chains, nerve_chains_map
+from barloop.exactlin import basis_window, homology_window
+from barloop.monoids import (
+    FiniteMonoid,
+    MonoidMap,
+    monoid_algebra,
+    random_monoid,
+)
+from barloop.simplicial import (
+    FormalSimplex,
+    LocalizedSimplicialSet,
+    SimplicialSet,
+    collapsed_boundary_delta3,
+    minimal_sphere,
+    nerve,
+    rp2_model,
+)
+from barloop.weqcheck import weq_verdict
+
+
+def eager_chains(k, hi):
+    """Oracle: the chain window and every degree's coproduct, built up
+    front with each face reached by a separate walk of face_formal."""
+    bases = [k.n_simplices(n) for n in range(hi + 1)]
+
+    def boundary(n, sid):
+        for i in range(n + 1):
+            f = k.face(sid, i)
+            if not f.word:
+                yield f.base, (-1 if i % 2 else 1)
+
+    comp = basis_window(bases, boundary, str)
+    index = comp.index
+
+    coproduct = {}
+    for n in range(hi + 1):
+        per_degree = []
+        for sid in bases[n]:
+            terms = []
+            for p in range(n + 1):
+                front = FormalSimplex(sid, ())
+                for m in range(n, p, -1):
+                    front = k.face_formal(front, m)
+                back = FormalSimplex(sid, ())
+                for _ in range(p):
+                    back = k.face_formal(back, 0)
+                if front.word or back.word:
+                    continue
+                terms.append(
+                    (p, index[p][front.base], index[n - p][back.base], 1)
+                )
+            per_degree.append(terms)
+        coproduct[n] = per_degree
+    return comp, coproduct
+
+
+def assert_matches_eager(k, hi):
+    c = chains(k, hi)
+    comp, coproduct = eager_chains(k, hi)
+    assert c.coproduct == coproduct
+    assert c.complex.ranks == comp.ranks
+    assert c.complex.labels == comp.labels
+    for n in range(1, hi + 1):
+        assert c.complex.boundary(n) == comp.boundary(n)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(seed=st.integers(0, 59), hi=st.integers(1, 5))
+def test_chains_match_eager_oracle_on_random_nerves(seed, hi):
+    assert_matches_eager(nerve(random_monoid(seed)), hi)
+
+
+@pytest.mark.parametrize(
+    "k",
+    [
+        minimal_sphere(1),
+        minimal_sphere(2),
+        minimal_sphere(3),
+        rp2_model(),
+        collapsed_boundary_delta3(),
+        LocalizedSimplicialSet(nerve(FiniteMonoid.cyclic(3)), []),
+    ],
+    ids=["sphere1", "sphere2", "sphere3", "rp2", "delta3-collapsed",
+         "localized-no-edges"],
+)
+def test_chains_match_eager_oracle_on_fixed_sets(k):
+    assert_matches_eager(k, 5)
+
+
+def _record_coproduct_calls(monkeypatch, module):
+    """Make module build its coalgebra windows with a coproduct function
+    that records each degree it is asked for."""
+    calls = []
+
+    class Recording(DgCoalgebraWindow):
+        def __init__(self, comp, coproduct, *rest):
+            def recorded(n):
+                calls.append(n)
+                return coproduct(n)
+
+            super().__init__(comp, recorded, *rest)
+
+    monkeypatch.setattr(module, "DgCoalgebraWindow", Recording)
+    return calls
+
+
+def test_homology_of_chains_builds_no_coproduct(monkeypatch):
+    faces = []
+    face_formal = SimplicialSet.face_formal
+
+    def counted(self, fs, i):
+        faces.append(i)
+        return face_formal(self, fs, i)
+
+    monkeypatch.setattr(SimplicialSet, "face_formal", counted)
+    calls = _record_coproduct_calls(monkeypatch, dgcoalg)
+    c = chains(nerve(FiniteMonoid.cyclic(3)), 6)
+    homology_window(c.complex)
+    assert faces == [] and calls == []
+    # a later validate reads every degree once; each simplex of degree n
+    # costs n face_formal calls for its fronts and n for its backs
+    assert c.validate().ok
+    assert c.validate().ok
+    assert calls == list(range(7))
+    assert len(faces) == sum(2 * n * c.rank(n) for n in range(7))
+
+
+def test_homology_of_bar_builds_no_coproduct(monkeypatch):
+    calls = _record_coproduct_calls(monkeypatch, barcobar)
+    w = bar(monoid_algebra(FiniteMonoid.cyclic(3)), 4)
+    homology_window(w.complex)
+    assert calls == []
+    assert w.validate().ok
+    assert calls == list(range(5))
+
+
+def test_weq_builds_each_nerve_chain_window_once(monkeypatch):
+    built = []
+
+    def counted(k, hi):
+        built.append(hi)
+        return chains(k, hi)
+
+    monkeypatch.setattr(weqcheck, "chains", counted)
+    verdict = weq_verdict(MonoidMap.identity(FiniteMonoid.cyclic(3)), hi=3)
+    assert verdict.kind == "certified-equivalent"
+    assert built == [3, 3]
+
+
+def test_nerve_chains_map_needs_matching_windows_with_bases():
+    z3 = FiniteMonoid.cyclic(3)
+    f = MonoidMap.identity(z3)
+    c3, c4 = chains(nerve(z3), 3), chains(nerve(z3), 4)
+    with pytest.raises(ValueError, match="same degree"):
+        nerve_chains_map(f, c3, c4)
+    loaded = DgCoalgebraWindow.from_json_dict(c3.to_json_dict())
+    assert loaded.complex.bases is None
+    with pytest.raises(ValueError, match="keep their bases"):
+        nerve_chains_map(f, loaded, c3)
+    with pytest.raises(ValueError, match="keep their bases"):
+        nerve_chains_map(f, c3, loaded)
+    assert nerve_chains_map(f, c3, c3).validate().ok
+
+
+def test_short_coproduct_fails_on_first_read_and_at_load():
+    c = chains(nerve(FiniteMonoid.cyclic(3)), 3)
+    full = c.coproduct
+
+    def short(n):
+        return full[n][:-1] if n == 2 else full[n]
+
+    w = DgCoalgebraWindow(c.complex, short, c.counit, c.coaugmentation)
+    assert w.delta(1, 0) == full[1][0]
+    with pytest.raises(ValueError, match="missing columns in degree 2"):
+        w.delta(2, 0)
+
+    blob = json.loads(json.dumps(c.to_json_dict()))
+    blob["coproduct"]["2"].pop()
+    with pytest.raises(ValueError, match="missing columns in degree 2"):
+        DgCoalgebraWindow.from_json_dict(blob)

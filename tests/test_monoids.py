@@ -132,6 +132,16 @@ def test_coset_enumeration_cyclic():
     assert m.validate().ok and m.is_group()
 
 
+def test_coset_enumeration_primes_an_identity_label_a_letter_took():
+    m = FiniteMonoid(["0", "1", "2"], 0, [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    p = MonoidPresentation.from_monoid(m)
+    got = _coset_enumeration(p, {"1": "1'", "2": "2'"}, budget=10_000)
+    assert got is not None
+    labels, identity, table = got
+    assert labels[identity] == "1''"
+    assert FiniteMonoid(labels, identity, table).is_group()
+
+
 def test_coset_enumeration_symmetric_group():
     p = MonoidPresentation(
         ["a", "b"],

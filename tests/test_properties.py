@@ -54,6 +54,32 @@ def run_coalgebra_laws(seeds):
     return failures
 
 
+def determinant(m):
+    """Exact determinant of a square IntMatrix via fraction-free (Bareiss)
+    elimination."""
+    n = m.rows
+    if n == 0:
+        return 1
+    a = m.to_rows()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
 def determinantal_diagonal(m):
     """Smith diagonal from determinantal divisors, an oracle that shares
     no code with the elimination kernel: D_k is the gcd of all k x k
@@ -64,7 +90,7 @@ def determinantal_diagonal(m):
         dk = 0
         for rows in combinations(range(m.rows), k):
             for cols in combinations(range(m.cols), k):
-                dk = gcd(dk, m.submatrix(rows, cols).det())
+                dk = gcd(dk, determinant(m.submatrix(rows, cols)))
         diag.append(dk // prev if dk else 0)
         prev = dk
     return tuple(diag)

@@ -267,6 +267,11 @@ def test_complex_window_torsion():
     assert table.entries[1].group() == (0, (2,))
 
 
+def test_complex_window_needs_a_completed_basis():
+    with pytest.raises(BarloopError, match="no canonical monomial basis"):
+        complex_window(laurent_by_inversion(), hi=2, budget=1)
+
+
 def test_incomplete_budget_flagged():
     alg = laurent_by_inversion()
     rsys = complete(alg, budget=1)

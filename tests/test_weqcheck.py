@@ -1,7 +1,15 @@
 """Invariant bundles and equivalence verdicts for monoid maps."""
 
-from barloop.monoids import Exhausted, FiniteMonoid, MonoidMap
+import pytest
+
+from barloop.monoids import (
+    Exhausted,
+    FiniteMonoid,
+    MonoidMap,
+    group_completion,
+)
 from barloop.weqcheck import (
+    _canonical_completion_image,
     bundled_complexes,
     bundled_monoids,
     invariants,
@@ -122,3 +130,50 @@ def test_bundled_registries():
     assert "sphere2" in ks and "boundary-delta3-collapsed" in ks
     for k in ks.values():
         assert k.reduced
+
+
+def _cyclic_labelled(labels):
+    n = len(labels)
+    return FiniteMonoid(
+        labels, 0, [[(i + j) % n for j in range(n)] for i in range(n)]
+    )
+
+
+@pytest.mark.parametrize(
+    "m, order",
+    [
+        (_cyclic_labelled(["0", "1", "2"]), 3),
+        (_cyclic_labelled(["e", "1"]), 2),
+        # the generator "1" becomes the identity in the completion
+        (FiniteMonoid(["e", "1"], 0, [[0, 1], [1, 1]]), 1),
+    ],
+    ids=["z3", "z2", "idempotent"],
+)
+def test_numeric_labels_do_not_clash_with_the_completion_identity(m, order):
+    comp = group_completion(m)
+    assert comp.order == order
+    assert comp.monoid.elements[comp.monoid.identity] == "1''"
+    assert len(set(comp.monoid.elements)) == order
+    verdict = weq_verdict(MonoidMap.identity(m), hi=3)
+    assert verdict.kind == "certified-equivalent"
+    assert verdict.certificate["completion_order"] == order
+
+
+def test_letter_labels_keep_the_plain_identity_label():
+    comp = group_completion(_cyclic_labelled(["e", "a", "b"]))
+    assert comp.monoid.elements[comp.monoid.identity] == "1"
+
+
+def test_an_element_trivial_in_the_completion_maps_to_its_identity():
+    # Z/2 x {1, z} with z idempotent: z and w = (a, z) die in the group
+    # completion, while the generator labelled "1" survives
+    table = [
+        [(i % 2 + j % 2) % 2 + 2 * (i // 2 | j // 2) for j in range(4)]
+        for i in range(4)
+    ]
+    m = FiniteMonoid(["e", "1", "z", "w"], 0, table)
+    comp = group_completion(m)
+    assert comp.order == 2
+    assert _canonical_completion_image(comp, m, 2) == comp.monoid.identity
+    one = _canonical_completion_image(comp, m, 1)
+    assert one != comp.monoid.identity and comp.monoid.elements[one] == "1"
