@@ -91,7 +91,7 @@ class _IdealBasis:
                 words = basis_in_degree(rsys, n, cap)
             except CapExceeded as exc:
                 raise InfiniteRank(
-                    f"augmentation ideal is not degreewise finite: {exc}"
+                    f"cannot list the augmentation ideal within the cap: {exc}"
                 ) from None
             self.basis[n] = [w for w in words if w] if n == 0 else words
 
@@ -243,10 +243,9 @@ def extended_cobar(k, hi):
     cycles 1 + s^{-1}x inverted for every nondegenerate 1-simplex x."""
     c = chains(k, hi)
     alg, gen_of = _cobar_with_gens(c)
-    ones = k.n_simplices(1)
-    if not ones:
+    gens = [gen_of[(1, i)] for i in range(c.rank(1))]
+    if not gens:
         return alg
-    gens = [gen_of[(1, i)] for i in range(len(ones))]
     return adjoin_inverses(
         alg,
         [{(): 1, (g,): 1} for g in gens],

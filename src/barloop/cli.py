@@ -439,22 +439,16 @@ def _flatten(prefix, value, rows):
         rows.append((prefix, "" if value is None else value))
 
 
-def _emit(report, fmt, out):
+def _render(report, fmt):
     if fmt == "json":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    else:
-        rows = []
-        _flatten("", report, rows)
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["key", "value"])
-        writer.writerows(rows)
-        text = buf.getvalue()
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    rows = []
+    _flatten("", report, rows)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["key", "value"])
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 _DEFAULTS = {
@@ -564,7 +558,21 @@ def run(argv):
     }
     if error is not None:
         report["error"] = error
-    _emit(report, args.format, args.out)
+    if args.out:
+        # An unwritable --out is invalid input; the report goes to stdout.
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(_render(report, args.format))
+        except OSError as e:
+            code = report["exit_code"] = 2
+            report["error"] = {
+                "kind": "invalid-input",
+                "message": f"cannot write the report to {args.out}: "
+                f"{e.strerror or e}",
+            }
+        else:
+            return code
+    sys.stdout.write(_render(report, args.format))
     return code
 
 

@@ -7,8 +7,6 @@ partial unless the complex is declared closed below (chains of a
 simplicial set are: nothing lives in negative degrees).
 """
 
-from itertools import chain, compress
-
 from ..errors import MismatchAt, WindowTooSmall
 from ._kernel_py import smith_kernel
 
@@ -32,72 +30,63 @@ def backend_name():
 
 
 class IntMatrix:
-    """Immutable integer matrix of Python ints.
+    """Immutable sparse integer matrix of Python ints.
 
-    Callers build one from rows or from sparse columns and read it back by
-    rows or by the nonzero entries of a column; the dense row-major
-    storage is private to this module.
+    Column j is stored as the tuple of its nonzero (row, coeff) pairs in
+    ascending row order, the form callers build with ``from_columns`` and
+    read back with ``column``; ``to_rows`` is the only dense reader.
     """
 
-    __slots__ = ("rows", "cols", "_e")
+    __slots__ = ("rows", "cols", "_c")
 
-    def __init__(self, rows, cols, entries):
-        if rows < 0 or cols < 0:
-            raise ValueError("negative dimensions")
-        entries = tuple(int(x) for x in entries)
-        if len(entries) != rows * cols:
-            raise ValueError(
-                f"expected {rows * cols} entries, got {len(entries)}"
-            )
+    def __init__(self, rows, columns):
+        # Trusts normalized columns; every builder goes through from_columns.
         self.rows = rows
-        self.cols = cols
-        self._e = entries
+        self.cols = len(columns)
+        self._c = columns
 
     @classmethod
     def from_rows(cls, row_lists):
         rows = len(row_lists)
         cols = len(row_lists[0]) if rows else 0
-        flat = []
-        for r in row_lists:
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-            flat.extend(r)
-        return cls(rows, cols, flat)
+        if any(len(r) != cols for r in row_lists):
+            raise ValueError("ragged rows")
+        return cls.from_columns(
+            rows, (list(enumerate(col)) for col in zip(*row_lists))
+        )
 
     @classmethod
     def from_columns(cls, rows, columns):
         """Matrix with ``rows`` rows whose column j holds the (row, coeff)
         pairs of the j-th item of ``columns``; coefficients of a repeated
         row add up.  Each column is consumed once and not kept."""
-        by_column = []
-        cols = 0
+        if rows < 0:
+            raise ValueError("negative dimensions")
+        out = []
         for col in columns:
-            vec = [0] * rows
+            acc = {}
             for i, c in col:
-                if i < 0:
+                if not 0 <= i < rows:
                     raise IndexError(f"row {i} out of range")
-                vec[i] += c
-            by_column.extend(vec)
-            cols += 1
-        return cls(
-            rows, cols,
-            chain.from_iterable(by_column[i::rows] for i in range(rows)),
-        )
+                acc[i] = acc.get(i, 0) + c
+            out.append(tuple(sorted(p for p in acc.items() if p[1])))
+        return cls(rows, tuple(out))
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+        return cls.from_columns(n, ([(j, 1)] for j in range(n)))
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls(rows, cols, [0] * (rows * cols))
+        if cols < 0:
+            raise ValueError("negative dimensions")
+        return cls.from_columns(rows, [()] * cols)
 
     def column(self, j):
         """The nonzero (row, coeff) pairs of column j, in row order."""
         if not 0 <= j < self.cols:
             raise IndexError(f"column {j} out of range")
-        values = self._e[j :: self.cols]
-        return list(compress(enumerate(values), values))
+        return list(self._c[j])
 
     def submatrix(self, rows, cols):
         """The entries at the given row and column indices, in that order;
@@ -106,45 +95,45 @@ class IntMatrix:
         for idx, bound in ((rows, self.rows), (cols, self.cols)):
             if any(not 0 <= k < bound for k in idx):
                 raise IndexError("submatrix index out of range")
-        c, e = self.cols, self._e
-        return IntMatrix(
-            len(rows), len(cols), [e[i * c + j] for i in rows for j in cols]
+        positions = {}
+        for k, i in enumerate(rows):
+            positions.setdefault(i, []).append(k)
+        return IntMatrix.from_columns(
+            len(rows),
+            (
+                [(k, c) for i, c in self._c[j] for k in positions.get(i, ())]
+                for j in cols
+            ),
         )
 
     def to_rows(self):
-        c = self.cols
-        return [list(self._e[i * c : (i + 1) * c]) for i in range(self.rows)]
+        out = [[0] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self._c):
+            for i, c in col:
+                out[i][j] = c
+        return out
 
     def is_zero(self):
-        return all(x == 0 for x in self._e)
+        return not any(self._c)
 
     def __eq__(self, other):
         return (
             isinstance(other, IntMatrix)
             and self.rows == other.rows
-            and self.cols == other.cols
-            and self._e == other._e
+            and self._c == other._c
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self._e))
+        return hash((self.rows, self._c))
 
     def __mul__(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        n, m, k = self.rows, other.cols, self.cols
-        a, b = self._e, other._e
-        out = [0] * (n * m)
-        for i in range(n):
-            arow = a[i * k : (i + 1) * k]
-            base = i * m
-            for t in range(k):
-                av = arow[t]
-                if av:
-                    brow = b[t * m : (t + 1) * m]
-                    for j in range(m):
-                        out[base + j] += av * brow[j]
-        return IntMatrix(n, m, out)
+        a = self._c
+        return IntMatrix.from_columns(
+            self.rows,
+            ([(i, b * x) for t, b in bc for i, x in a[t]] for bc in other._c),
+        )
 
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"
@@ -155,12 +144,21 @@ class IntMatrix:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [str(x) for x in self._e],
+            "entries": [str(x) for row in self.to_rows() for x in row],
         }
 
     @classmethod
     def from_json_dict(cls, d):
-        return cls(int(d["rows"]), int(d["cols"]), [int(x) for x in d["entries"]])
+        rows, cols = int(d["rows"]), int(d["cols"])
+        entries = [int(x) for x in d["entries"]]
+        if cols < 0:
+            raise ValueError("negative dimensions")
+        n = rows * cols
+        if len(entries) != n:
+            raise ValueError(f"expected {n} entries, got {len(entries)}")
+        return cls.from_columns(
+            rows, (zip(range(rows), entries[j::cols]) for j in range(cols))
+        )
 
 
 class SnfResult:

@@ -67,6 +67,15 @@ def test_bar_of_free_degree_zero_generator_is_infinite_rank():
         bar(free_t, 2, cap=50)
 
 
+def test_bar_cap_hit_does_not_claim_an_infinite_ideal():
+    # Degree 0 of the ideal is the single word b, but the algebra's degree
+    # 0 has two monomials, more than a cap of 1 lets it list.
+    alg = monoid_algebra(FiniteMonoid.idempotent_pair())
+    with pytest.raises(InfiniteRank, match="within the cap") as e:
+        bar(alg, 3, cap=1)
+    assert "finite" not in str(e.value)
+
+
 def test_bar_validates_on_monoid_algebras():
     for m in (
         FiniteMonoid.cyclic(2),

@@ -225,6 +225,19 @@ def test_json_out_file_parses(tmp_path):
     assert r["outputs"]["completion"]["status"] == "completed"
 
 
+def test_unwritable_out_path_reports_on_stdout(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    code, r = run_json(
+        capsys, ["homology", "z2", "--window", "0..2", "--out", str(target)]
+    )
+    assert code == 2
+    assert r["exit_code"] == 2
+    assert r["error"]["kind"] == "invalid-input"
+    assert str(target) in r["error"]["message"]
+    assert r["outputs"]["homology"]["1"] == "Z/2"
+    assert not target.parent.exists()
+
+
 # The CLI cases behind the benchmark's golden reports: perfbench/golden
 # holds each report with timings dropped and the paper-suite seed nulled.
 GOLDEN_DIR = os.path.join(

@@ -1,12 +1,14 @@
 """Smith normal form and windowed homology."""
 
 import random
+from itertools import chain, compress
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_properties import determinantal_diagonal
 
+from barloop.dgcoalg import chains
 from barloop.errors import MismatchAt, WindowTooSmall
 from barloop.exactlin import (
     ChainComplexWindow,
@@ -18,6 +20,8 @@ from barloop.exactlin import (
     mapping_cone,
     smith_normal_form,
 )
+from barloop.monoids import random_monoid
+from barloop.simplicial import nerve
 
 
 def snf_of(rows):
@@ -402,3 +406,249 @@ def test_mapping_cone_errors_match_dense_construction():
         for build in (mapping_cone, dense_mapping_cone):
             with pytest.raises(ValueError, match=message):
                 build(maps, c, other)
+
+
+# -- sparse column storage against the dense storage it replaced -------------
+
+# The dense row-major IntMatrix, verbatim apart from its name, as an oracle.
+class DenseMatrix:
+    """Immutable integer matrix of Python ints.
+
+    Callers build one from rows or from sparse columns and read it back by
+    rows or by the nonzero entries of a column; the dense row-major
+    storage is private to this module.
+    """
+
+    __slots__ = ("rows", "cols", "_e")
+
+    def __init__(self, rows, cols, entries):
+        if rows < 0 or cols < 0:
+            raise ValueError("negative dimensions")
+        entries = tuple(int(x) for x in entries)
+        if len(entries) != rows * cols:
+            raise ValueError(
+                f"expected {rows * cols} entries, got {len(entries)}"
+            )
+        self.rows = rows
+        self.cols = cols
+        self._e = entries
+
+    @classmethod
+    def from_rows(cls, row_lists):
+        rows = len(row_lists)
+        cols = len(row_lists[0]) if rows else 0
+        flat = []
+        for r in row_lists:
+            if len(r) != cols:
+                raise ValueError("ragged rows")
+            flat.extend(r)
+        return cls(rows, cols, flat)
+
+    @classmethod
+    def from_columns(cls, rows, columns):
+        """Matrix with ``rows`` rows whose column j holds the (row, coeff)
+        pairs of the j-th item of ``columns``; coefficients of a repeated
+        row add up.  Each column is consumed once and not kept."""
+        by_column = []
+        cols = 0
+        for col in columns:
+            vec = [0] * rows
+            for i, c in col:
+                if i < 0:
+                    raise IndexError(f"row {i} out of range")
+                vec[i] += c
+            by_column.extend(vec)
+            cols += 1
+        return cls(
+            rows, cols,
+            chain.from_iterable(by_column[i::rows] for i in range(rows)),
+        )
+
+    @classmethod
+    def identity(cls, n):
+        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
+
+    @classmethod
+    def zeros(cls, rows, cols):
+        return cls(rows, cols, [0] * (rows * cols))
+
+    def column(self, j):
+        """The nonzero (row, coeff) pairs of column j, in row order."""
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} out of range")
+        values = self._e[j :: self.cols]
+        return list(compress(enumerate(values), values))
+
+    def submatrix(self, rows, cols):
+        """The entries at the given row and column indices, in that order;
+        an index may repeat."""
+        rows, cols = list(rows), list(cols)
+        for idx, bound in ((rows, self.rows), (cols, self.cols)):
+            if any(not 0 <= k < bound for k in idx):
+                raise IndexError("submatrix index out of range")
+        c, e = self.cols, self._e
+        return DenseMatrix(
+            len(rows), len(cols), [e[i * c + j] for i in rows for j in cols]
+        )
+
+    def to_rows(self):
+        c = self.cols
+        return [list(self._e[i * c : (i + 1) * c]) for i in range(self.rows)]
+
+    def is_zero(self):
+        return all(x == 0 for x in self._e)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, DenseMatrix)
+            and self.rows == other.rows
+            and self.cols == other.cols
+            and self._e == other._e
+        )
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self._e))
+
+    def __mul__(self, other):
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch in matrix product")
+        n, m, k = self.rows, other.cols, self.cols
+        a, b = self._e, other._e
+        out = [0] * (n * m)
+        for i in range(n):
+            arow = a[i * k : (i + 1) * k]
+            base = i * m
+            for t in range(k):
+                av = arow[t]
+                if av:
+                    brow = b[t * m : (t + 1) * m]
+                    for j in range(m):
+                        out[base + j] += av * brow[j]
+        return DenseMatrix(n, m, out)
+
+    def __repr__(self):
+        return f"DenseMatrix({self.rows}x{self.cols})"
+
+    def to_json_dict(self):
+        # Integers are serialized as decimal strings: JSON numbers are
+        # doubles and would silently corrupt large entries.
+        return {
+            "rows": self.rows,
+            "cols": self.cols,
+            "entries": [str(x) for x in self._e],
+        }
+
+    @classmethod
+    def from_json_dict(cls, d):
+        return cls(int(d["rows"]), int(d["cols"]), [int(x) for x in d["entries"]])
+
+
+COEFFS = st.one_of(st.integers(-3, 3), st.integers(-(10**20), 10**20))
+
+
+@st.composite
+def raw_columns(draw, rows, cols):
+    """Columns of (row, coeff) pairs, mostly empty; some repeat a row so
+    that its coefficients cancel to zero."""
+    out = []
+    for _ in range(cols):
+        col = []
+        if rows:
+            col = draw(st.lists(st.tuples(st.integers(0, rows - 1), COEFFS),
+                                max_size=3))
+        if col and draw(st.booleans()):
+            i = draw(st.sampled_from(col))[0]
+            col.append((i, -sum(c for r, c in col if r == i)))
+        out.append(col)
+    return out
+
+
+@st.composite
+def matrix_cases(draw):
+    rows, cols, k = (draw(st.integers(0, 7)) for _ in range(3))
+    a = draw(raw_columns(rows, cols))
+    if draw(st.booleans()):
+        other = [list(reversed(col)) + [(i, 0) for i, _ in col] for col in a]
+    else:
+        other = draw(raw_columns(rows, cols))
+    indices = [
+        draw(st.lists(st.sampled_from(range(bound)), max_size=5)) if bound
+        else []
+        for bound in (rows, cols)
+    ]
+    return rows, a, other, draw(raw_columns(cols, k)), indices
+
+
+def both(rows, columns):
+    return (IntMatrix.from_columns(rows, columns),
+            DenseMatrix.from_columns(rows, columns))
+
+
+def assert_same(m, d):
+    assert (m.rows, m.cols) == (d.rows, d.cols)
+    assert m.to_rows() == d.to_rows()
+    assert [m.column(j) for j in range(m.cols)] == [
+        d.column(j) for j in range(d.cols)
+    ]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(matrix_cases())
+def test_sparse_storage_matches_dense_oracle(case):
+    rows, a_cols, other_cols, b_cols, (sub_rows, sub_cols) = case
+    a, da = both(rows, a_cols)
+    other, dother = both(rows, other_cols)
+    b, db = both(len(a_cols), b_cols)
+    assert_same(a, da)
+    assert_same(a.submatrix(sub_rows, sub_cols), da.submatrix(sub_rows, sub_cols))
+    assert_same(a * b, da * db)
+    assert (a == other) == (da == dother)
+    if a == other:
+        assert hash(a) == hash(other)
+    assert a.is_zero() == da.is_zero()
+    assert a.to_json_dict() == da.to_json_dict()
+    assert IntMatrix.from_json_dict(da.to_json_dict()) == a
+    if rows:
+        assert IntMatrix.from_rows(da.to_rows()) == a
+    assert smith_normal_form(a).d == smith_normal_form(da).d
+
+
+def test_nerve_boundaries_match_dense_oracle(monkeypatch):
+    built = []
+    sparse_from_columns = IntMatrix.from_columns.__func__
+
+    def recording(cls, rows, columns):
+        columns = [list(col) for col in columns]
+        m = sparse_from_columns(cls, rows, columns)
+        built.append((m, DenseMatrix.from_columns(rows, columns)))
+        return m
+
+    monkeypatch.setattr(IntMatrix, "from_columns", classmethod(recording))
+    for seed in range(40):
+        k = nerve(random_monoid(seed))
+        for hi in range(1, 5):
+            built.clear()
+            c = chains(k, hi).complex
+            boundaries = [c.boundary(n) for n in range(1, hi + 1)]
+            assert [m for m, _ in built] == boundaries
+            for m, d in built:
+                assert_same(m, d)
+            for (m1, d1), (m2, d2) in zip(built, built[1:]):
+                assert_same(m1 * m2, d1 * d2)
+                assert (m1 * m2).is_zero()
+
+
+def test_malformed_shapes_raise_value_error():
+    with pytest.raises(ValueError, match="expected 4 entries, got 3"):
+        IntMatrix.from_json_dict({"rows": 2, "cols": 2, "entries": ["1"] * 3})
+    for rows, cols in ((-1, 0), (0, -1), (-1, -1)):
+        with pytest.raises(ValueError, match="negative dimensions"):
+            IntMatrix.from_json_dict(
+                {"rows": rows, "cols": cols, "entries": ["0"] * (rows * cols)}
+            )
+        with pytest.raises(ValueError, match="negative dimensions"):
+            IntMatrix.zeros(rows, cols)
+    with pytest.raises(ValueError, match="ragged rows"):
+        IntMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        IntMatrix.zeros(2, 3) * IntMatrix.zeros(2, 3)

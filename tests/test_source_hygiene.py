@@ -4,7 +4,10 @@
   names it re-exports through ``__all__``.
 - Only ``barloop.exactlin`` calls the ``IntMatrix`` constructor directly;
   everyone else builds matrices with ``from_columns``, ``from_rows``,
-  ``zeros`` or ``identity``, so the dense layout stays private to it.
+  ``zeros`` or ``identity``.
+- Only ``barloop.exactlin`` reads a matrix as dense rows (``to_rows``);
+  everyone else reads its sparse columns, so dense rows stay private to
+  it.  Tests may still call ``to_rows``.
 """
 
 import ast
@@ -58,6 +61,17 @@ def direct_matrix_calls(tree):
     ]
 
 
+def dense_row_calls(tree):
+    """Line numbers of calls to a ``to_rows`` method."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "to_rows"
+    ]
+
+
 def _offenders(paths, rule):
     found = {}
     for path in paths:
@@ -74,9 +88,11 @@ def test_rules_detect_what_they_forbid():
         "__all__ = ['d']\n"
         "a(IntMatrix(1, 1, [0]), exactlin.IntMatrix(0, 0, []))\n"
         "IntMatrix.zeros(1, 1)\n"
+        "d(m.to_rows(), m.column(0), to_rows)\n"
     )
     assert unused_imports(tree) == ["c", "os"]
     assert direct_matrix_calls(tree) == [4, 4]
+    assert dense_row_calls(tree) == [6]
 
 
 def test_no_unused_imports_in_the_package():
@@ -89,3 +105,10 @@ def test_only_exactlin_calls_the_matrix_constructor():
     ]
     paths += sorted((ROOT / "tests").glob("*.py"))
     assert _offenders(paths, direct_matrix_calls) == {}
+
+
+def test_only_exactlin_reads_dense_rows():
+    paths = [
+        p for p in sorted(PACKAGE.rglob("*.py")) if EXACTLIN not in p.parents
+    ]
+    assert _offenders(paths, dense_row_calls) == {}
