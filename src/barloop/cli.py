@@ -528,6 +528,9 @@ def run(argv):
             setattr(args, key, value)
     t0 = time.perf_counter()
     try:
+        for name in ("budget", "cap"):
+            if getattr(args, name) < 0:
+                raise ValueError(f"--{name} must not be negative")
         lo, hi = _parse_window(args.window)
         code, outputs, certificates, inputs = args.fn(args, lo, hi)
         error = None

@@ -1,11 +1,19 @@
-"""Elimination kernel for Smith normal form over the integers.
+"""Smith normal form over the integers: sparse unit-pivot elimination,
+then the dense kernel on the residual.
 
-All coefficients are Python ints, so nothing can overflow.  The kernel
-returns the invariant factors only: homology needs ranks and invariant
+All coefficients are Python ints, so nothing can overflow.  The kernels
+return the invariant factors only: homology needs ranks and invariant
 factors, never the unimodular transforms, so none are accumulated.
+
+``unit_pivot_smith`` first removes every +-1 pivot on sparse rows, as
+Dumas, Heckenbach, Saunders and Welker do for simplicial boundaries.  A
+unit pivot clears its column by unimodular row operations; the column
+operations that would then clear its row touch that row alone, so
+SNF(M) = I_k + SNF(R) for k unit pivots and the residual block R.  Only
+the nonzero rows and columns of R reach the dense ``smith_kernel``.
 """
 
-__all__ = ["smith_kernel", "xgcd"]
+__all__ = ["smith_kernel", "unit_pivot_smith", "xgcd"]
 
 
 def xgcd(a, b):
@@ -131,3 +139,84 @@ def smith_kernel(mat, rows, cols):
         eliminate_from(bad)
 
     return [abs(d[i][i]) for i in range(min(rows, cols))]
+
+
+def eliminate_unit_pivots(rows, cols, column):
+    """Remove the +-1 pivots of an integer matrix on sparse rows.
+
+    ``column(j)`` gives the nonzero (row, coeff) pairs of column j.  Each
+    sweep visits the columns in ascending order of their live-row count
+    and pivots on the +-1 entry of the shortest row, the lowest row index
+    breaking ties; sweeps repeat until one finds no unit pivot.  Returns
+    the number of pivots and the residual block as dense row lists
+    restricted to its nonzero rows and columns.
+    """
+    row = [{} for _ in range(rows)]
+    live = []
+    for j in range(cols):
+        col = column(j)
+        for i, c in col:
+            row[i][j] = c
+        live.append({i for i, _ in col})
+    units = 0
+    found = True
+    while found:
+        found = False
+        for j in sorted(range(cols), key=lambda j: len(live[j])):
+            rs = live[j]
+            best = None
+            for i in rs:
+                if row[i][j] in (1, -1):
+                    key = (len(row[i]), i)
+                    if best is None or key < best:
+                        best = key
+            if best is None:
+                continue
+            p = best[1]
+            prow = row[p]
+            u = prow.pop(j)
+            pivot = list(prow.items())
+            for r in rs:
+                if r == p:
+                    continue
+                target = row[r]
+                q = target.pop(j) * u
+                for k, v in pivot:
+                    x = target.get(k, 0) - q * v
+                    if x:
+                        if k not in target:
+                            live[k].add(r)
+                        target[k] = x
+                    else:
+                        del target[k]
+                        live[k].discard(r)
+            # Column j now holds only the unit; the column operations that
+            # clear the rest of row p change nothing else, so drop both.
+            for k, _ in pivot:
+                live[k].discard(p)
+            row[p] = {}
+            live[j] = set()
+            units += 1
+            found = True
+    kept = [j for j in range(cols) if live[j]]
+    at = {j: t for t, j in enumerate(kept)}
+    residual = []
+    for r in row:
+        if r:
+            dense = [0] * len(kept)
+            for j, c in r.items():
+                dense[at[j]] = c
+            residual.append(dense)
+    return units, residual
+
+
+def unit_pivot_smith(rows, cols, column):
+    """Invariant factors of the rows x cols integer matrix whose column j
+    has the nonzero (row, coeff) pairs ``column(j)``: ones for the unit
+    pivots, then the nonzero factors of the residual block, then zeros up
+    to min(rows, cols)."""
+    units, residual = eliminate_unit_pivots(rows, cols, column)
+    width = len(residual[0]) if residual else 0
+    d = [1] * units
+    d += [x for x in smith_kernel(residual, len(residual), width) if x]
+    return d + [0] * (min(rows, cols) - len(d))

@@ -8,7 +8,7 @@ simplicial set are: nothing lives in negative degrees).
 """
 
 from ..errors import MismatchAt, WindowTooSmall
-from ._kernel_py import smith_kernel
+from ._kernel_py import unit_pivot_smith
 
 __all__ = [
     "IntMatrix",
@@ -192,8 +192,9 @@ class SnfResult:
 
 
 def smith_normal_form(m):
-    """Compute the Smith normal form of an IntMatrix."""
-    return SnfResult(m, smith_kernel(m.to_rows(), m.rows, m.cols))
+    """Compute the Smith normal form of an IntMatrix by sparse unit-pivot
+    elimination, then the dense kernel on the residual block."""
+    return SnfResult(m, unit_pivot_smith(m.rows, m.cols, m.column))
 
 
 class ChainComplexWindow:

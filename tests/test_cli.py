@@ -160,6 +160,34 @@ def test_failures_end_in_a_report(capsys, argv, code, kind):
     assert r["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["bar", "z4", "--window", "0..2", "--cap", "-1"], "--cap"),
+        (["homology", "z2", "--window", "0..2", "--cap", "-3"], "--cap"),
+        (["extended-cobar", "sphere1", "--window", "0..2", "--cap", "-1"],
+         "--cap"),
+        (["bar", "z4", "--window", "0..2", "--budget", "-5"], "--budget"),
+    ],
+    ids=["bar-cap", "homology-cap", "extended-cobar-cap", "bar-budget"],
+)
+def test_negative_budget_or_cap_is_invalid_input(capsys, argv, flag):
+    code, r = run_json(capsys, argv)
+    assert code == r["exit_code"] == 2
+    assert r["error"] == {
+        "kind": "invalid-input", "message": f"{flag} must not be negative",
+    }
+    assert r["outputs"] == {}
+
+
+@pytest.mark.parametrize("flag", ["--budget", "--cap"])
+def test_zero_budget_or_cap_is_valid_input(capsys, flag):
+    argv = ["homology", "z2", "--window", "0..2", flag, "0"]
+    code, r = run_json(capsys, argv)
+    assert code == 0
+    assert "error" not in r
+
+
 def test_paper_suite_all_cases_pass(capsys):
     code, r = run_json(capsys, ["paper-suite"])
     assert code == 0

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_properties import determinantal_diagonal
 
-from barloop.dgcoalg import chains
+from barloop.barcobar import bar
+from barloop.dgcoalg import chains, nerve_chains_map
 from barloop.errors import MismatchAt, WindowTooSmall
 from barloop.exactlin import (
     ChainComplexWindow,
@@ -20,8 +21,16 @@ from barloop.exactlin import (
     mapping_cone,
     smith_normal_form,
 )
-from barloop.monoids import random_monoid
+from barloop.exactlin._kernel_py import smith_kernel
+from barloop.monoids import (
+    FiniteMonoid,
+    MonoidMap,
+    monoid_algebra,
+    random_monoid,
+)
+from barloop.rewrite import PresentedDgAlgebra
 from barloop.simplicial import nerve
+from barloop.weqcheck import bundled_monoids
 
 
 def snf_of(rows):
@@ -652,3 +661,167 @@ def test_malformed_shapes_raise_value_error():
         IntMatrix.from_rows([[1, 2], [3]])
     with pytest.raises(ValueError, match="shape mismatch"):
         IntMatrix.zeros(2, 3) * IntMatrix.zeros(2, 3)
+
+
+# -- sparse unit-pivot elimination against the dense kernel alone ----------
+
+def dense_factors(m):
+    return tuple(smith_kernel(m.to_rows(), m.rows, m.cols))
+
+
+UNITS = st.sampled_from([1, -1])
+NON_UNITS = st.one_of(
+    st.integers(2, 10), st.integers(-10, -2),
+    st.integers(2, 10**20), st.integers(-(10**20), -2),
+)
+SNF_COEFFS = {
+    "mostly-units": st.one_of(UNITS, UNITS, UNITS, st.integers(-3, 3)),
+    "no-unit": NON_UNITS,
+    "wide": st.integers(-(10**20), 10**20),
+    "empty": UNITS,
+}
+
+
+@st.composite
+def snf_inputs(draw):
+    kind = draw(st.sampled_from(sorted(SNF_COEFFS)))
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    if kind == "empty":
+        rows, cols = draw(st.sampled_from([(0, cols), (rows, 0)]))
+    entry = st.tuples(st.integers(0, max(rows - 1, 0)), SNF_COEFFS[kind])
+    columns = [
+        draw(st.lists(entry, max_size=4)) if rows else [] for _ in range(cols)
+    ]
+    return IntMatrix.from_columns(rows, columns)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(snf_inputs())
+def test_unit_pivot_smith_matches_dense_kernel(m):
+    assert smith_normal_form(m).d == dense_factors(m)
+
+
+def free_t():
+    return PresentedDgAlgebra([("t", 1)], [], {}, {0: 0})
+
+
+def automorphism_cone(m, images, hi):
+    f = MonoidMap(m, m, images).validate()
+    c = chains(nerve(m), hi)
+    return mapping_cone(nerve_chains_map(f, c, c).blocks, c.complex, c.complex)
+
+
+def boundary_shaped_windows():
+    # A window up to hi holds the boundaries of every smaller window.
+    for seed in range(40):
+        yield chains(nerve(random_monoid(seed)), 4).complex
+    yield automorphism_cone(FiniteMonoid.cyclic(4), [0, 3, 2, 1], 4)
+    yield automorphism_cone(FiniteMonoid.cyclic(3), [0, 2, 1], 5)
+    yield bar(monoid_algebra(FiniteMonoid.cyclic(3)), 5).complex
+    yield bar(monoid_algebra(FiniteMonoid.left_zero_with_unit(3)), 4).complex
+    yield bar(free_t(), 6).complex
+
+
+def test_unit_pivot_smith_matches_dense_kernel_on_boundaries():
+    checked = 0
+    for c in boundary_shaped_windows():
+        for n in range(c.lo + 1, c.hi + 1):
+            m = c.boundary(n)
+            assert smith_normal_form(m).d == dense_factors(m)
+            checked += 1
+    assert checked == 40 * 4 + 4 + 5 + 5 + 4 + 6
+
+
+# -- oracles at sizes the dense kernel never reached ------------------------
+
+def rank_mod_p(m, p):
+    """Rank over F_p by reducing each column against the earlier columns'
+    pivots, keyed by their largest row."""
+    pivots = {}
+    for j in range(m.cols):
+        col = {i: c % p for i, c in m.column(j) if c % p}
+        while col:
+            low = max(col)
+            pivot = pivots.get(low)
+            if pivot is None:
+                inv = pow(col[low], -1, p)
+                pivots[low] = {i: c * inv % p for i, c in col.items()}
+                break
+            f = col[low]
+            for i, c in pivot.items():
+                x = (col.get(i, 0) - f * c) % p
+                if x:
+                    col[i] = x
+                else:
+                    col.pop(i, None)
+    return len(pivots)
+
+
+def test_rank_mod_p_oracle_on_small_matrices():
+    m = IntMatrix.from_rows([[2, 0, 0], [0, 6, 0], [0, 0, 0]])
+    assert [rank_mod_p(m, p) for p in (2, 3, 5)] == [0, 1, 2]
+    m = IntMatrix.from_rows([[1, 1], [1, -1]])
+    assert [rank_mod_p(m, p) for p in (2, 3)] == [1, 2]
+
+
+@pytest.mark.parametrize("m, hi", [(3, 11), (5, 5)])
+def test_nerve_homology_at_scale_matches_closed_form_and_ranks_mod_p(m, hi):
+    c = chains(nerve(FiniteMonoid.cyclic(m)), hi).complex
+    assert [c.rank(n) for n in range(hi + 1)] == [
+        (m - 1) ** n for n in range(hi + 1)
+    ]
+    table = homology_window(c)
+    # H_*(BZ/m) = Z, Z/m, 0, Z/m, ...; the partial top degree is the
+    # kernel of d_hi, and rk d_{n+1} = rank C_n - rk d_n for n >= 1.
+    assert table[0].group() == (1, ())
+    for n in range(1, hi):
+        assert table[n].group() == ((0, (m,)) if n % 2 else (0, ()))
+        assert table[n].exact
+    rk_d = 0
+    for n in range(1, hi):
+        rk_d = (m - 1) ** n - rk_d
+    assert table[hi].group() == ((m - 1) ** hi - rk_d, ())
+    assert not table[hi].exact
+    for p in (2, 3, 5):
+        rank_p = {0: 0, hi + 1: 0}
+        for n in range(1, hi + 1):
+            d = smith_normal_form(c.boundary(n)).d
+            rank_p[n] = rank_mod_p(c.boundary(n), p)
+            assert rank_p[n] == sum(1 for x in d if x and x % p)
+        # Universal coefficients: dim H_n(C; F_p) = free_n plus the
+        # p-divisible torsion of H_n and of H_{n-1}.
+        for n in range(hi + 1):
+            torsion = [
+                t for k in (n, n - 1) if k >= 0 for t in table[k].torsion
+            ]
+            assert c.rank(n) - rank_p[n] - rank_p[n + 1] == (
+                table[n].free_rank + sum(1 for t in torsion if t % p == 0)
+            )
+
+
+def assert_euler_characteristic(c):
+    table = homology_window(c)
+    degrees = range(c.lo, c.hi + 1)
+    assert sum((-1) ** n * c.rank(n) for n in degrees) == sum(
+        (-1) ** n * table[n].free_rank for n in degrees
+    )
+
+
+def test_euler_characteristic_of_nerve_windows():
+    for seed in range(40):
+        mon = random_monoid(seed)
+        k = nerve(mon)
+        for hi in range(1, 6):
+            c = chains(k, hi).complex
+            assert [c.rank(n) for n in range(hi + 1)] == [
+                (mon.order() - 1) ** n for n in range(hi + 1)
+            ]
+            assert_euler_characteristic(c)
+
+
+def test_euler_characteristic_of_bundled_bar_windows():
+    algebras = [free_t()] + [
+        monoid_algebra(m) for m in bundled_monoids().values()
+    ]
+    for algebra in algebras:
+        assert_euler_characteristic(bar(algebra, 5).complex)

@@ -8,6 +8,10 @@
 - Only ``barloop.exactlin`` reads a matrix as dense rows (``to_rows``);
   everyone else reads its sparse columns, so dense rows stay private to
   it.  Tests may still call ``to_rows``.
+- Inside ``barloop.exactlin`` only ``to_json_dict`` calls ``to_rows``:
+  Smith normal form reads sparse columns and hands the dense kernel only
+  the residual block left after unit-pivot elimination, never a
+  densified matrix.
 """
 
 import ast
@@ -72,6 +76,17 @@ def dense_row_calls(tree):
     ]
 
 
+def dense_rows_outside_json(tree):
+    """Line numbers of ``to_rows`` calls outside a ``to_json_dict``."""
+    inside = {
+        line
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "to_json_dict"
+        for line in dense_row_calls(fn)
+    }
+    return [line for line in dense_row_calls(tree) if line not in inside]
+
+
 def _offenders(paths, rule):
     found = {}
     for path in paths:
@@ -89,10 +104,15 @@ def test_rules_detect_what_they_forbid():
         "a(IntMatrix(1, 1, [0]), exactlin.IntMatrix(0, 0, []))\n"
         "IntMatrix.zeros(1, 1)\n"
         "d(m.to_rows(), m.column(0), to_rows)\n"
+        "def to_json_dict(m):\n"
+        "    return m.to_rows()\n"
+        "def smith_normal_form(m):\n"
+        "    return m.to_rows()\n"
     )
     assert unused_imports(tree) == ["c", "os"]
     assert direct_matrix_calls(tree) == [4, 4]
-    assert dense_row_calls(tree) == [6]
+    assert dense_row_calls(tree) == [6, 8, 10]
+    assert dense_rows_outside_json(tree) == [6, 10]
 
 
 def test_no_unused_imports_in_the_package():
@@ -112,3 +132,8 @@ def test_only_exactlin_reads_dense_rows():
         p for p in sorted(PACKAGE.rglob("*.py")) if EXACTLIN not in p.parents
     ]
     assert _offenders(paths, dense_row_calls) == {}
+
+
+def test_exactlin_reads_dense_rows_only_for_json():
+    paths = sorted(EXACTLIN.rglob("*.py"))
+    assert _offenders(paths, dense_rows_outside_json) == {}
