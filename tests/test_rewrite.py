@@ -4,6 +4,7 @@ import random
 from itertools import product
 
 import pytest
+import sorting_rewrite as old
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -361,7 +362,7 @@ def bfs_basis_in_degree(rsys, degree, cap=10_000):
 
     def reducible(word):
         for l in lhss:
-            if not l or RewriteSystem._find_sub(word, l) >= 0:
+            if not l or old.RewriteSystem._find_sub(word, l) >= 0:
                 return True
         return False
 
