@@ -65,10 +65,16 @@ class _IdealBasis:
     Degree-0 basis elements stand for w - eps(w); in positive degrees the
     augmentation vanishes and the underline is the word itself.  Products
     and differentials are returned as coordinates in this basis, which
-    amounts to normalizing and dropping the empty word.
+    amounts to normalizing and dropping the empty word.  Each product and
+    each differential is normalized once, on first request; callers must
+    not mutate the returned coordinates.
+
+    ``words`` holds the irreducible words of degrees 0..top, unit
+    included; a caller that has already listed the lowest degrees passes
+    them in as ``listed``.
     """
 
-    def __init__(self, algebra, rsys, top, cap):
+    def __init__(self, algebra, rsys, top, cap, listed=()):
         self.alg = algebra
         self.rsys = rsys
         if algebra.augmentation is None:
@@ -85,15 +91,20 @@ class _IdealBasis:
                     raise BarloopError(
                         f"augmentation is not a chain map on d({lbl})"
                     )
-        self.basis = {}
-        for n in range(max(top, 0) + 1):
+        self.words = list(listed)
+        for n in range(len(self.words), max(top, 0) + 1):
             try:
-                words = basis_in_degree(rsys, n, cap)
+                self.words.append(basis_in_degree(rsys, n, cap))
             except CapExceeded as exc:
                 raise InfiniteRank(
                     f"cannot list the augmentation ideal within the cap: {exc}"
                 ) from None
-            self.basis[n] = [w for w in words if w] if n == 0 else words
+        self.basis = {
+            n: [w for w in words if w] if n == 0 else words
+            for n, words in enumerate(self.words)
+        }
+        self._products = {}
+        self._differentials = {}
 
     def _eps(self, word):
         v = 1
@@ -107,24 +118,32 @@ class _IdealBasis:
 
     def mult(self, w1, w2):
         """Coordinates of the ideal product of two basis elements."""
-        e1, e2 = self._eps(w1), self._eps(w2)
-        p = {}
-        poly_iadd_term(p, w1 + w2, 1, self.alg.modulus)
-        if e2:
-            poly_iadd_term(p, w1, -e2, self.alg.modulus)
-        if e1:
-            poly_iadd_term(p, w2, -e1, self.alg.modulus)
-        return self._ideal_coords(p)
+        coords = self._products.get((w1, w2))
+        if coords is None:
+            e1, e2 = self._eps(w1), self._eps(w2)
+            p = {}
+            poly_iadd_term(p, w1 + w2, 1, self.alg.modulus)
+            if e2:
+                poly_iadd_term(p, w1, -e2, self.alg.modulus)
+            if e1:
+                poly_iadd_term(p, w2, -e1, self.alg.modulus)
+            coords = self._products[(w1, w2)] = self._ideal_coords(p)
+        return coords
 
     def diff(self, w):
-        return self._ideal_coords(self.alg.differentiate({w: 1}))
+        coords = self._differentials.get(w)
+        if coords is None:
+            coords = self._differentials[w] = self._ideal_coords(
+                self.alg.differentiate({w: 1})
+            )
+        return coords
 
 
-def _bar_data(algebra, rsys, hi, cap):
-    """Bar coalgebra window; its complex keeps the basis tuples and their
+def _bar_data(ib, hi, cap):
+    """Bar coalgebra window on degrees 0..hi over an ideal basis listed
+    up to degree hi - 1; its complex keeps the basis tuples and their
     index maps."""
-    alg = algebra
-    ib = _IdealBasis(alg, rsys, hi - 1, cap)
+    alg = ib.alg
     sdeg = {}
     for n, words in ib.basis.items():
         for w in words:
@@ -184,7 +203,8 @@ def _bar_data(algebra, rsys, hi, cap):
 
 def bar(algebra, hi, budget=100_000, cap=10_000):
     """Bar coalgebra window of an augmented presented dg algebra."""
-    return _bar_data(algebra, require_complete(algebra, budget), hi, cap)
+    rsys = require_complete(algebra, budget)
+    return _bar_data(_IdealBasis(algebra, rsys, hi - 1, cap), hi, cap)
 
 
 def _cobar_with_gens(c):
@@ -262,7 +282,8 @@ def nerve_bar_iso_check(m, hi, budget=100_000, cap=10_000):
     k = nerve(m)
     cn = chains(k, hi)
     alg = monoid_algebra(m)
-    bw = _bar_data(alg, require_complete(alg, budget), hi, cap)
+    rsys = require_complete(alg, budget)
+    bw = _bar_data(_IdealBasis(alg, rsys, hi - 1, cap), hi, cap)
     bar_index = bw.complex.index
 
     perm = {}
@@ -330,12 +351,15 @@ def counit_check(algebra, hi, budget=100_000, cap=10_000):
     acyclicity: bar words of length one map to the elements they suspend,
     longer words map to zero."""
     rsys_a = require_complete(algebra, budget)
-    if basis_in_degree(rsys_a, 0, cap) != [()]:
+    degree0 = basis_in_degree(rsys_a, 0, cap)
+    if degree0 != [()]:
         raise NotConnected(
             "counit comparison needs a connected algebra: degree 0 must be "
             "spanned by the unit"
         )
-    bw = _bar_data(algebra, rsys_a, hi + 1, cap)
+    # one listing of degrees 0..hi serves the bar and the algebra window
+    ib = _IdealBasis(algebra, rsys_a, hi, cap, [degree0])
+    bw = _bar_data(ib, hi + 1, cap)
     om, gen_of = _cobar_with_gens(bw)
     rsys_om = require_complete(om, budget)
 
@@ -344,8 +368,10 @@ def counit_check(algebra, hi, budget=100_000, cap=10_000):
         tup = bw.complex.bases[n][i]
         images[g] = {tup[0]: 1} if len(tup) == 1 else {}
 
-    aw = algebra_window(rsys_a, hi, cap)
-    ow = algebra_window(rsys_om, hi, cap)
+    aw = algebra_window(rsys_a, ib.words)
+    ow = algebra_window(
+        rsys_om, [basis_in_degree(rsys_om, n, cap) for n in range(hi + 1)]
+    )
 
     def column(n, word):
         acc = {(): 1}
@@ -382,7 +408,7 @@ def unit_check(c, budget=100_000, cap=10_000):
         )
     om, gen_of = _cobar_with_gens(c)
     rsys_om = require_complete(om, budget)
-    bw = _bar_data(om, rsys_om, c.hi, cap)
+    bw = _bar_data(_IdealBasis(om, rsys_om, c.hi - 1, cap), c.hi, cap)
     bar_basis, bar_index = bw.complex.bases, bw.complex.index
 
     blocks = {0: IntMatrix.from_rows([[1]])}

@@ -831,13 +831,14 @@ def require_complete(algebra, budget):
     return rsys
 
 
-def algebra_window(rsys, hi, cap=10_000):
+def algebra_window(rsys, bases):
     """Chain complex window of the algebra of a complete rewriting system
-    on degrees 0..hi, in the irreducible monomial basis of each degree;
-    the window keeps the basis words and their positions."""
+    on the given irreducible monomial bases, one list per degree from 0
+    (``basis_in_degree``); the window keeps the basis words and their
+    positions."""
     alg = rsys.algebra
     return basis_window(
-        [basis_in_degree(rsys, n, cap) for n in range(hi + 1)],
+        bases,
         lambda n, w: rsys.normal_form(alg.differentiate({w: 1})).items(),
         alg.word_str,
     )
@@ -846,4 +847,7 @@ def algebra_window(rsys, hi, cap=10_000):
 def complex_window(algebra, hi, budget=100_000, cap=10_000):
     """Materialize the underlying chain complex of a presented dg algebra
     on degrees 0..hi, using the completed monomial basis per degree."""
-    return algebra_window(require_complete(algebra, budget), hi, cap)
+    rsys = require_complete(algebra, budget)
+    return algebra_window(
+        rsys, [basis_in_degree(rsys, n, cap) for n in range(hi + 1)]
+    )

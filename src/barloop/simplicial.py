@@ -123,6 +123,8 @@ class SimplicialSet:
         return self.dim(fs.base) + len(fs.word)
 
     def face_formal(self, fs, i):
+        if not fs.word:
+            return self.face(fs.base, i)
         word, rest = face_through_degeneracies(fs.word, i)
         if rest is None:
             return FormalSimplex(fs.base, word)

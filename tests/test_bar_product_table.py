@@ -1,0 +1,125 @@
+"""Bar windows from a product table against per-request normalization.
+
+``normalizing_bar`` keeps the previous ``_IdealBasis.mult`` and ``diff``
+verbatim: they normalized a product or a differential once per bar word
+that contained it.  The current ones fill a table on first request.  Bar
+windows built on either must have the same bases, labels, boundaries and
+coproducts, and both maps must give the same coordinates, in the same
+order, on every pair of ideal basis words.
+
+Also here: the number of normal forms a nerve/bar certification takes,
+which no longer grows with the window.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import normalizing_bar as old
+from barloop.barcobar import _bar_data, _IdealBasis, cobar, nerve_bar_iso_check
+from barloop.cli import _algebra_inputs
+from barloop.dgcoalg import chains
+from barloop.monoids import FiniteMonoid, monoid_algebra, random_monoid
+from barloop.rewrite import PresentedDgAlgebra, RewriteSystem, require_complete
+from barloop.simplicial import minimal_sphere
+
+SETTINGS = settings(
+    max_examples=150, deadline=None, derandomize=True, database=None
+)
+
+
+def _exterior():
+    return PresentedDgAlgebra([("x", 1)], [({(0, 0): 1}, {})], {}, {0: 0})
+
+
+def assert_same_bar(algebra, hi, cap=10_000):
+    rsys = require_complete(algebra, 100_000)
+    new_ib = _IdealBasis(algebra, rsys, hi - 1, cap)
+    old_ib = old.IdealBasis(algebra, rsys, hi - 1, cap)
+    assert new_ib.basis == old_ib.basis
+    words = [w for n in sorted(new_ib.basis) for w in new_ib.basis[n]]
+    for w1 in words:
+        assert list(new_ib.diff(w1).items()) == list(old_ib.diff(w1).items())
+        for w2 in words:
+            assert list(new_ib.mult(w1, w2).items()) == list(
+                old_ib.mult(w1, w2).items()
+            )
+    new = _bar_data(new_ib, hi, cap)
+    reference = _bar_data(old_ib, hi, cap)
+    assert new.complex.bases == reference.complex.bases
+    assert new.to_json_dict() == reference.to_json_dict()
+
+
+@SETTINGS
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from([None, 2, 3]),
+    st.integers(1, 4),
+)
+def test_monoid_algebra_bars_match_the_normalizing_oracle(seed, modulus, hi):
+    assert_same_bar(monoid_algebra(random_monoid(seed), modulus), hi)
+
+
+@pytest.mark.parametrize("modulus", [None, 2, 3])
+@pytest.mark.parametrize(
+    "monoid",
+    [
+        FiniteMonoid.cyclic(5),
+        FiniteMonoid.left_zero_with_unit(3),
+        FiniteMonoid.chain_of_idempotents(4),
+    ],
+    ids=["z5", "left-zero3", "chain4"],
+)
+def test_fixed_monoid_algebra_bars_match(monoid, modulus):
+    assert_same_bar(monoid_algebra(monoid, modulus), 4)
+
+
+@pytest.mark.parametrize(
+    "name, algebra, hi",
+    [("exterior", _exterior(), 7)]
+    + [(name, alg, 4) for name, alg in sorted(_algebra_inputs().items())],
+    ids=lambda v: v if isinstance(v, str) else "",
+)
+def test_named_algebra_bars_match(name, algebra, hi):
+    assert_same_bar(algebra, hi)
+
+
+def test_bar_of_the_sphere_cobar_matches():
+    # the bar that unit_check builds for the 2-sphere
+    c = chains(minimal_sphere(2), 8)
+    assert_same_bar(cobar(c), c.hi)
+
+
+def _normal_forms(monkeypatch):
+    calls = [0]
+    original = RewriteSystem.normal_form
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(RewriteSystem, "normal_form", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "monoid, count",
+    [
+        (FiniteMonoid.cyclic(5), 151),
+        (FiniteMonoid.left_zero_with_unit(5), 210),
+    ],
+    ids=["z5", "left-zero5"],
+)
+def test_nerve_bar_check_normal_forms_do_not_grow_with_the_window(
+    monkeypatch, monoid, count
+):
+    # completion (131 and 180 normal forms) plus one per product of two
+    # ideal basis words and one per differential (20 and 30), whatever
+    # the window
+    calls = _normal_forms(monkeypatch)
+    seen = []
+    for hi in range(2, 6):
+        calls[0] = 0
+        assert nerve_bar_iso_check(monoid, hi).ok
+        seen.append(calls[0])
+    assert seen == [count] * 4

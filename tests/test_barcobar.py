@@ -2,7 +2,7 @@
 
 import pytest
 
-from barloop import barcobar
+from barloop import barcobar, rewrite
 from barloop.barcobar import (
     bar,
     cobar,
@@ -13,6 +13,7 @@ from barloop.barcobar import (
 )
 from barloop.dgcoalg import chains
 from barloop.errors import (
+    CapExceeded,
     InfiniteRank,
     MismatchAt,
     NotCoaugmented,
@@ -193,6 +194,37 @@ def test_counit_quasi_iso_for_free_algebra_on_x():
 def test_counit_requires_connected_algebra():
     with pytest.raises(NotConnected):
         counit_check(monoid_algebra(FiniteMonoid.cyclic(2)), 3)
+
+
+def test_counit_lists_each_degree_once(monkeypatch):
+    listed = []
+    original = barcobar.basis_in_degree
+
+    def recording(rsys, degree, cap=10_000):
+        listed.append((id(rsys), degree))
+        return original(rsys, degree, cap)
+
+    monkeypatch.setattr(barcobar, "basis_in_degree", recording)
+    monkeypatch.setattr(rewrite, "basis_in_degree", recording)
+    # degrees 0..4 of the algebra and of the cobar of its bar
+    assert counit_check(exterior_on_x(1), 4).kind == "quasi-iso"
+    assert len(listed) == len(set(listed)) == 10
+
+
+def test_counit_cap_errors():
+    # degree 0 is listed for the connectedness test and raises as is
+    with pytest.raises(
+        CapExceeded, match="^more than 0 irreducible monomials in degree 0$"
+    ):
+        counit_check(exterior_on_x(1), 3, cap=0)
+    # higher degrees are listed for the augmentation ideal
+    two = PresentedDgAlgebra([("x", 1), ("y", 1)], [], {}, {0: 0, 1: 0})
+    with pytest.raises(
+        InfiniteRank,
+        match="^cannot list the augmentation ideal within the cap: more "
+        "than 1 irreducible monomials in degree 1$",
+    ):
+        counit_check(two, 3, cap=1)
 
 
 def test_unit_quasi_iso_for_trivial_coalgebra():

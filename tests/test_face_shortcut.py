@@ -1,0 +1,99 @@
+"""Faces of nondegenerate simplices against the general face path.
+
+``SimplicialSet.face_formal`` returns ``face(base, i)`` directly when the
+formal simplex carries no degeneracies.  ``general_face_formal`` below is
+the previous body, which pushed the face through the (empty) degeneracy
+word and rebuilt the simplex from the composed word; both must agree on
+every nondegenerate simplex up to dimension 4 and every face index, and
+on the one-letter degeneracies of those up to dimension 3.
+"""
+
+import pytest
+
+from barloop.monoids import random_monoid
+from barloop.simplicial import (
+    FormalSimplex,
+    LocalizedSimplicialSet,
+    QuotientSimplicialSet,
+    boundary_delta3,
+    compose_degeneracies,
+    face_through_degeneracies,
+    localized_nerve,
+    minimal_sphere,
+    nerve,
+    quotient_by_subcomplex,
+)
+from barloop.weqcheck import bundled_complexes
+
+TOP = 4
+
+
+def general_face_formal(k, fs, i):
+    word, rest = face_through_degeneracies(fs.word, i)
+    if rest is None:
+        return FormalSimplex(fs.base, word)
+    inner = k.face(fs.base, rest)
+    return FormalSimplex(
+        inner.base, compose_degeneracies(word, inner.word)
+    )
+
+
+def assert_faces_agree(k, simplices):
+    checked = 0
+    for n in range(1, TOP + 1):
+        for sid in simplices(n):
+            fs = FormalSimplex(sid)
+            for i in range(n + 1):
+                got = k.face_formal(fs, i)
+                assert isinstance(got, FormalSimplex)
+                assert got == general_face_formal(k, fs, i)
+                checked += 1
+            if n < TOP:
+                for j in range(n + 1):
+                    dg = FormalSimplex(sid, (j,))
+                    for i in range(n + 2):
+                        assert k.face_formal(dg, i) == general_face_formal(
+                            k, dg, i
+                        )
+    return checked
+
+
+@pytest.mark.parametrize("name", sorted(bundled_complexes()))
+def test_bundled_complexes(name):
+    k = bundled_complexes()[name]
+    assert_faces_agree(k, k.n_simplices)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_nerves_of_random_monoids(seed):
+    k = nerve(random_monoid(seed))
+    assert_faces_agree(k, k.n_simplices)
+
+
+@pytest.mark.parametrize(
+    "sub",
+    [{"0"}, {"0", "1", "01"}, {"0", "1", "2", "3", "01", "02", "03"}],
+    ids=["vertex", "edge", "star"],
+)
+def test_quotients(sub):
+    k = quotient_by_subcomplex(boundary_delta3(), sub)
+    assert isinstance(k, QuotientSimplicialSet)
+    assert assert_faces_agree(k, k.n_simplices)
+
+
+@pytest.mark.parametrize(
+    "base, edges",
+    [
+        (nerve(random_monoid(3)), None),
+        (nerve(random_monoid(11)), None),
+        (minimal_sphere(1), ["t"]),
+        (bundled_complexes()["rp2"], ["e"]),
+    ],
+    ids=["nerve-a", "nerve-b", "sphere1", "rp2"],
+)
+def test_localized_sets(base, edges):
+    if edges is None:
+        edges = base.n_simplices(1)[:1]
+    k = localized_nerve(base, edges)
+    assert isinstance(k, LocalizedSimplicialSet)
+    assert assert_faces_agree(k, lambda n: k.n_simplices_bounded(n, 2))
