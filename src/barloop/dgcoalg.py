@@ -235,47 +235,6 @@ class DgCoalgebraWindow:
             raise NotConilpotent(bad[0])
         return self
 
-    # -- serialization -----------------------------------------------------------
-
-    def to_json_dict(self):
-        return {
-            "complex": self.complex.to_json_dict(),
-            "coproduct": {
-                str(n): [
-                    [
-                        {"left_degree": p, "left": i1, "right": i2,
-                         "coeff": str(c)}
-                        for p, i1, i2, c in terms
-                    ]
-                    for terms in per_degree
-                ]
-                for n, per_degree in self.coproduct.items()
-            },
-            "counit": [str(c) for c in self.counit],
-            "coaugmentation": self.coaugmentation,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d):
-        comp = ChainComplexWindow.from_json_dict(d["complex"])
-        cop = {
-            int(n): [
-                [
-                    (int(t["left_degree"]), int(t["left"]), int(t["right"]),
-                     int(t["coeff"]))
-                    for t in terms
-                ]
-                for terms in per_degree
-            ]
-            for n, per_degree in d["coproduct"].items()
-        }
-        window = cls(
-            comp, lambda n: cop.get(n, ()), [int(c) for c in d["counit"]],
-            d.get("coaugmentation"),
-        )
-        window.coproduct  # a malformed file fails here, not on first read
-        return window
-
 
 def chains(k, hi):
     """Normalized chain coalgebra of a simplicial set on degrees 0..hi."""

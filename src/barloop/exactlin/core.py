@@ -138,28 +138,6 @@ class IntMatrix:
     def __repr__(self):
         return f"IntMatrix({self.rows}x{self.cols})"
 
-    def to_json_dict(self):
-        # Integers are serialized as decimal strings: JSON numbers are
-        # doubles and would silently corrupt large entries.
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [str(x) for row in self.to_rows() for x in row],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d):
-        rows, cols = int(d["rows"]), int(d["cols"])
-        entries = [int(x) for x in d["entries"]]
-        if cols < 0:
-            raise ValueError("negative dimensions")
-        n = rows * cols
-        if len(entries) != n:
-            raise ValueError(f"expected {n} entries, got {len(entries)}")
-        return cls.from_columns(
-            rows, (zip(range(rows), entries[j::cols]) for j in range(cols))
-        )
-
 
 class SnfResult:
     """Smith normal form of ``matrix``: the diagonal ``d`` of length
@@ -174,21 +152,6 @@ class SnfResult:
     @property
     def rank(self):
         return sum(1 for x in self.d if x)
-
-    def verify(self):
-        """Recheck that the diagonal is in normal form."""
-        m = self.matrix
-        if len(self.d) != min(m.rows, m.cols):
-            raise MismatchAt("diagonal length is not min(rows, cols)")
-        for i, x in enumerate(self.d):
-            if x < 0:
-                raise MismatchAt(f"negative entry at position {i}", element=i)
-        for i in range(len(self.d) - 1):
-            if self.d[i + 1] and self.d[i] == 0:
-                raise MismatchAt("zero before nonzero on the diagonal")
-            if self.d[i] and self.d[i + 1] % self.d[i]:
-                raise MismatchAt(f"divisibility fails at position {i}")
-        return True
 
 
 def smith_normal_form(m):
@@ -256,35 +219,6 @@ class ChainComplexWindow:
         if self.labels and n in self.labels:
             return self.labels[n][i]
         return f"deg{n}#{i}"
-
-    def to_json_dict(self):
-        d = {
-            "lo": self.lo,
-            "hi": self.hi,
-            "ranks": {str(n): self.ranks[n] for n in range(self.lo, self.hi + 1)},
-            "boundaries": {
-                str(n): self.boundaries[n].to_json_dict()
-                for n in range(self.lo + 1, self.hi + 1)
-            },
-            "closed_below": self.closed_below,
-        }
-        if self.labels:
-            d["labels"] = {str(n): list(v) for n, v in self.labels.items()}
-        return d
-
-    @classmethod
-    def from_json_dict(cls, d):
-        labels = None
-        if "labels" in d:
-            labels = {int(n): list(v) for n, v in d["labels"].items()}
-        return cls(
-            int(d["lo"]),
-            int(d["hi"]),
-            {int(n): int(r) for n, r in d["ranks"].items()},
-            {int(n): IntMatrix.from_json_dict(b) for n, b in d["boundaries"].items()},
-            labels=labels,
-            closed_below=bool(d.get("closed_below", False)),
-        )
 
 
 class HomologyEntry:
@@ -366,19 +300,6 @@ class HomologyTable:
             }
             for n, e in self.entries.items()
         }
-
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls(
-            {
-                int(n): HomologyEntry(
-                    int(v["free_rank"]),
-                    [int(t) for t in v["torsion"]],
-                    bool(v["exact"]),
-                )
-                for n, v in d.items()
-            }
-        )
 
 
 def homology_window(c):

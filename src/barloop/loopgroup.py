@@ -87,11 +87,13 @@ def _free_level_simplices(k, d):
     decreasing word drawn from {1, .., d-1} for each m <= d.
     """
     out = []
-    for m in range(d + 1):
-        words = list(itertools.combinations(range(d - 1, 0, -1), d - m))
-        if not words:
+    # For d >= 1 no word of length d avoids 0, so m = 0 contributes nothing.
+    for m in range(1 if d else 0, d + 1):
+        bases = k.n_simplices(m)
+        if not bases:
             continue
-        for b in k.n_simplices(m):
+        words = list(itertools.combinations(range(d - 1, 0, -1), d - m))
+        for b in bases:
             for w in words:
                 out.append(FormalSimplex(b, w))
     return out

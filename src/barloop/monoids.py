@@ -105,13 +105,6 @@ class FiniteMonoid:
                 return False
         return True
 
-    def is_commutative(self):
-        n = len(self.elements)
-        return all(
-            self.table[i][j] == self.table[j][i]
-            for i in range(n) for j in range(n)
-        )
-
     # -- arithmetic -------------------------------------------------------------
 
     def power(self, i, k):
@@ -227,17 +220,6 @@ class FiniteMonoid:
             "identity": self.elements[self.identity],
             "table": [list(row) for row in self.table],
         }
-
-    @classmethod
-    def from_json_dict(cls, d):
-        elements = list(d["elements"])
-        try:
-            identity = elements.index(d["identity"])
-        except ValueError:
-            raise MalformedTable(
-                f"identity label {d['identity']!r} not among elements"
-            ) from None
-        return cls(elements, identity, d["table"])
 
 
 class MonoidMap:
@@ -356,11 +338,6 @@ class MonoidPresentation:
         else:
             rels = [[list(u), list(v)] for u, v in self.relations]
         return {"gens": list(self.generators), "rels": rels}
-
-    @classmethod
-    def from_json_dict(cls, d):
-        # a string word splits into its characters, a list into its items
-        return cls(d["gens"], [(tuple(u), tuple(v)) for u, v in d["rels"]])
 
     def __repr__(self):
         rels = ", ".join(

@@ -237,31 +237,6 @@ class PresentedDgAlgebra:
             d["provenance"] = self.provenance
         return d
 
-    @classmethod
-    def from_json_dict(cls, d):
-        gens = [(g["label"], int(g["degree"])) for g in d["generators"]]
-        alg = cls(gens, modulus=d.get("modulus"))
-
-        def parse(poly_json):
-            out = {}
-            for t in poly_json:
-                word = tuple(alg._index[lbl] for lbl in t["word"])
-                poly_iadd_term(out, word, int(t["coeff"]), alg.modulus)
-            return out
-
-        alg.relations = [(parse(l), parse(r)) for l, r in d.get("relations", [])]
-        alg.differential = {
-            alg._index[lbl]: parse(p) for lbl, p in d.get("differential", {}).items()
-        }
-        if "augmentation" in d:
-            alg.augmentation = {
-                alg._index[lbl]: int(v) for lbl, v in d["augmentation"].items()
-            }
-        alg.provenance = dict(d.get("provenance", {}))
-        for l, r in alg.relations:
-            alg._check_homogeneous(poly_sub(l, r, alg.modulus))
-        return alg
-
 
 # ---------------------------------------------------------------------------
 # rewriting
@@ -361,12 +336,6 @@ class RewriteSystem:
                         queued.add(w3)
                         bisect.insort(todo, w3, key=alg.order_key)
         return p
-
-    def equal(self, p, q):
-        """Sound equality check: True means p == q in the presented ring.
-        False is only conclusive when the system is complete with unit
-        leading coefficients."""
-        return not self.normal_form(poly_sub(p, q, self.algebra.modulus))
 
     def describe(self):
         alg = self.algebra

@@ -80,7 +80,8 @@ class FormalSimplex:
     def __init__(self, base, word=()):
         self.base = base
         self.word = tuple(word)
-        if any(
+        # Words of fewer than two letters are decreasing.
+        if len(self.word) > 1 and any(
             self.word[k] <= self.word[k + 1] for k in range(len(self.word) - 1)
         ):
             raise ValueError(f"degeneracy word {self.word} is not decreasing")
@@ -267,17 +268,6 @@ class ExplicitSimplicialSet(SimplicialSet):
 
     def face(self, sid, i):
         return self._faces[(sid, i)]
-
-    @classmethod
-    def from_json_dict(cls, d):
-        simplices = [(s["id"], int(s["dim"])) for s in d["simplices"]]
-        faces = {}
-        for s in d["simplices"]:
-            for i, f in enumerate(s.get("faces", ())):
-                faces[(s["id"], i)] = FormalSimplex(
-                    f["base"], tuple(f.get("degens", ()))
-                )
-        return cls(simplices, faces)
 
 
 class NerveSimplicialSet(SimplicialSet):

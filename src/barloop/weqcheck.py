@@ -57,22 +57,6 @@ class MonoidInvariantBundle:
         self.grouplike = grouplike
         self.chains = chains
 
-    def to_json_dict(self):
-        if isinstance(self.completion, Exhausted):
-            comp = {"status": "exhausted", "reason": self.completion.reason}
-        else:
-            comp = {
-                "status": "completed",
-                "presentation": self.completion.to_json_dict(),
-                "order": self.completion.order,
-            }
-        return {
-            "window_hi": self.hi,
-            "nerve_homology": self.nerve_homology.to_json_dict(),
-            "group_completion": comp,
-            "grouplike": self.grouplike,
-        }
-
 
 def invariants(m, hi=6, budget=100_000, cap=10_000):
     """Invariant bundle of a finite monoid over degrees 0..hi."""

@@ -1,0 +1,35 @@
+"""Assertions shared by several test modules.
+
+assert_smith_diagonal rechecks that a Smith normal form diagonal is in
+normal form; assert_same_coalgebra_window compares two coalgebra
+windows field by field.
+"""
+
+
+def assert_smith_diagonal(s):
+    """The diagonal of the SnfResult s has length min(rows, cols), is
+    nonnegative, has its zeros last, and each entry divides the next."""
+    m, d = s.matrix, s.d
+    assert len(d) == min(m.rows, m.cols), "diagonal length is not min(rows, cols)"
+    for i, x in enumerate(d):
+        assert x >= 0, f"negative entry at position {i}"
+    for i in range(len(d) - 1):
+        assert d[i] or not d[i + 1], "zero before nonzero on the diagonal"
+        assert not d[i] or d[i + 1] % d[i] == 0, (
+            f"divisibility fails at position {i}"
+        )
+
+
+def assert_same_coalgebra_window(a, b):
+    """Coalgebra windows a and b have the same degrees, ranks, bases,
+    labels, boundaries, coproduct, counit and coaugmentation."""
+    ca, cb = a.complex, b.complex
+    assert (ca.lo, ca.hi, ca.closed_below) == (cb.lo, cb.hi, cb.closed_below)
+    assert ca.ranks == cb.ranks
+    assert ca.bases == cb.bases
+    assert ca.labels == cb.labels
+    for n in range(ca.lo + 1, ca.hi + 1):
+        assert ca.boundary(n) == cb.boundary(n), f"boundary in degree {n}"
+    assert a.coproduct == b.coproduct
+    assert a.counit == b.counit
+    assert a.coaugmentation == b.coaugmentation

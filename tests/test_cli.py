@@ -6,7 +6,6 @@ import os
 import pytest
 
 from barloop.cli import main
-from barloop.exactlin import HomologyTable
 
 
 def run_json(capsys, argv):
@@ -42,9 +41,15 @@ def test_homology_of_contractible_nerve(capsys):
 
 def test_homology_table_round_trips(capsys):
     code, r = run_json(capsys, ["homology", "sphere3", "--window", "0..4"])
-    table = HomologyTable.from_json_dict(r["outputs"]["table"])
-    assert table.to_json_dict() == r["outputs"]["table"]
-    assert table[3].group() == (1, ())
+    assert code == 0
+
+    def entry(free_rank, exact=True):
+        return {"free_rank": free_rank, "torsion": [], "exact": exact}
+
+    assert r["outputs"]["table"] == {
+        "0": entry(1), "1": entry(0), "2": entry(0), "3": entry(1),
+        "4": entry(0, exact=False),
+    }
 
 
 def test_bar_of_free_generator(capsys):

@@ -1,6 +1,5 @@
 """Chain coalgebras of simplicial sets: coproducts, filtrations, maps."""
 
-import json
 
 import pytest
 
@@ -246,16 +245,6 @@ def test_collapse_of_idempotent_pair_is_quasi_iso_by_cone():
         f, skeletal_filtration(f.src), skeletal_filtration(f.dst)
     )
     assert verdict.kind == "fails"
-
-
-def test_coalgebra_json_roundtrip():
-    c = chains(nerve(FiniteMonoid.cyclic(2)), 3)
-    blob = json.dumps(c.to_json_dict())
-    back = DgCoalgebraWindow.from_json_dict(json.loads(blob))
-    assert back.validate().ok
-    assert back.coproduct == c.coproduct
-    assert back.counit == c.counit
-    assert back.coaugmentation == 0
 
 
 def two_points():

@@ -6,6 +6,7 @@ from itertools import chain, compress
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from checks import assert_smith_diagonal
 from test_properties import determinantal_diagonal
 
 from barloop.barcobar import bar
@@ -14,7 +15,6 @@ from barloop.errors import MismatchAt, WindowTooSmall
 from barloop.exactlin import (
     ChainComplexWindow,
     HomologyEntry,
-    HomologyTable,
     IntMatrix,
     basis_window,
     homology_window,
@@ -41,26 +41,26 @@ def test_snf_frozen_small_matrix():
     # d1 = gcd of entries = 2; d1*d2 = |det| = |12 - 16| = 4, so d = (2, 2).
     s = snf_of([[2, 4], [4, 6]])
     assert s.d == (2, 2)
-    s.verify()
+    assert_smith_diagonal(s)
 
 
 def test_snf_diagonal_passthrough():
     s = snf_of([[1, 0], [0, 3]])
     assert s.d == (1, 3)
-    s.verify()
+    assert_smith_diagonal(s)
 
 
 def test_snf_divisibility_is_enforced():
     # diag(2, 3) is not in normal form; SNF is diag(1, 6).
     s = snf_of([[2, 0], [0, 3]])
     assert s.d == (1, 6)
-    s.verify()
+    assert_smith_diagonal(s)
 
 
 def test_snf_zero_and_empty():
     s = snf_of([[0, 0], [0, 0]])
     assert s.d == (0, 0)
-    s.verify()
+    assert_smith_diagonal(s)
     s = smith_normal_form(IntMatrix.zeros(0, 3))
     assert s.d == ()
     s = smith_normal_form(IntMatrix.zeros(3, 0))
@@ -70,16 +70,16 @@ def test_snf_zero_and_empty():
 def test_snf_rectangular():
     s = snf_of([[6, 10, 15]])
     assert s.d == (1,)
-    s.verify()
+    assert_smith_diagonal(s)
     s = snf_of([[6], [10], [15]])
     assert s.d == (1,)
-    s.verify()
+    assert_smith_diagonal(s)
 
 
 def test_snf_big_entries_stay_exact():
     n = 10**30
     s = snf_of([[n, n + 2], [n + 4, n + 6]])
-    s.verify()
+    assert_smith_diagonal(s)
     # det = n(n+6) - (n+2)(n+4) = -8; gcd of entries is 2.
     assert s.d == (2, 4)
 
@@ -93,18 +93,11 @@ def test_snf_random_properties_seeded():
             [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
         )
         s = smith_normal_form(m)
-        s.verify()
+        assert_smith_diagonal(s)
         assert s.d == determinantal_diagonal(m)
         for i in range(len(s.d) - 1):
             if s.d[i]:
                 assert s.d[i + 1] % s.d[i] == 0
-
-
-def test_matrix_json_roundtrip_decimal_strings():
-    m = IntMatrix.from_rows([[10**25, -3], [0, 7]])
-    d = m.to_json_dict()
-    assert d["entries"][0] == str(10**25)
-    assert IntMatrix.from_json_dict(d) == m
 
 
 def two_periodic_complex(hi):
@@ -187,11 +180,13 @@ def test_window_too_small_rejected():
 
 def test_homology_table_json_roundtrip():
     t = homology_window(two_periodic_complex(4))
-    d = t.to_json_dict()
-    assert d["1"]["torsion"] == ["2"]
-    t2 = HomologyTable.from_json_dict(d)
-    assert t.iso(t2)
-    assert t2[0].exact
+    assert t.to_json_dict() == {
+        "0": {"free_rank": 1, "torsion": [], "exact": True},
+        "1": {"free_rank": 0, "torsion": ["2"], "exact": True},
+        "2": {"free_rank": 0, "torsion": [], "exact": True},
+        "3": {"free_rank": 0, "torsion": ["2"], "exact": True},
+        "4": {"free_rank": 0, "torsion": [], "exact": False},
+    }
 
 
 def test_homology_invariant_under_basis_change():
@@ -419,7 +414,8 @@ def test_mapping_cone_errors_match_dense_construction():
 
 # -- sparse column storage against the dense storage it replaced -------------
 
-# The dense row-major IntMatrix, verbatim apart from its name, as an oracle.
+# The dense row-major IntMatrix, verbatim apart from its name and its JSON
+# methods, as an oracle.
 class DenseMatrix:
     """Immutable integer matrix of Python ints.
 
@@ -538,19 +534,6 @@ class DenseMatrix:
     def __repr__(self):
         return f"DenseMatrix({self.rows}x{self.cols})"
 
-    def to_json_dict(self):
-        # Integers are serialized as decimal strings: JSON numbers are
-        # doubles and would silently corrupt large entries.
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [str(x) for x in self._e],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls(int(d["rows"]), int(d["cols"]), [int(x) for x in d["entries"]])
-
 
 COEFFS = st.one_of(st.integers(-3, 3), st.integers(-(10**20), 10**20))
 
@@ -615,8 +598,6 @@ def test_sparse_storage_matches_dense_oracle(case):
     if a == other:
         assert hash(a) == hash(other)
     assert a.is_zero() == da.is_zero()
-    assert a.to_json_dict() == da.to_json_dict()
-    assert IntMatrix.from_json_dict(da.to_json_dict()) == a
     if rows:
         assert IntMatrix.from_rows(da.to_rows()) == a
     assert smith_normal_form(a).d == smith_normal_form(da).d
@@ -648,13 +629,7 @@ def test_nerve_boundaries_match_dense_oracle(monkeypatch):
 
 
 def test_malformed_shapes_raise_value_error():
-    with pytest.raises(ValueError, match="expected 4 entries, got 3"):
-        IntMatrix.from_json_dict({"rows": 2, "cols": 2, "entries": ["1"] * 3})
     for rows, cols in ((-1, 0), (0, -1), (-1, -1)):
-        with pytest.raises(ValueError, match="negative dimensions"):
-            IntMatrix.from_json_dict(
-                {"rows": rows, "cols": cols, "entries": ["0"] * (rows * cols)}
-            )
         with pytest.raises(ValueError, match="negative dimensions"):
             IntMatrix.zeros(rows, cols)
     with pytest.raises(ValueError, match="ragged rows"):

@@ -8,8 +8,6 @@ builds each nerve's chain window once, and nerve_chains_map maps between
 the windows it is given.
 """
 
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +15,7 @@ from hypothesis import strategies as st
 from barloop import barcobar, dgcoalg, weqcheck
 from barloop.barcobar import bar
 from barloop.dgcoalg import DgCoalgebraWindow, chains, nerve_chains_map
-from barloop.exactlin import basis_window, homology_window
+from barloop.exactlin import ChainComplexWindow, basis_window, homology_window
 from barloop.monoids import (
     FiniteMonoid,
     MonoidMap,
@@ -171,7 +169,12 @@ def test_nerve_chains_map_needs_matching_windows_with_bases():
     c3, c4 = chains(nerve(z3), 3), chains(nerve(z3), 4)
     with pytest.raises(ValueError, match="same degree"):
         nerve_chains_map(f, c3, c4)
-    loaded = DgCoalgebraWindow.from_json_dict(c3.to_json_dict())
+    comp = c3.complex
+    loaded = DgCoalgebraWindow(
+        ChainComplexWindow(comp.lo, comp.hi, comp.ranks, comp.boundaries,
+                           comp.labels, comp.closed_below),
+        c3.coproduct.__getitem__, c3.counit, c3.coaugmentation,
+    )
     assert loaded.complex.bases is None
     with pytest.raises(ValueError, match="keep their bases"):
         nerve_chains_map(f, loaded, c3)
@@ -180,7 +183,7 @@ def test_nerve_chains_map_needs_matching_windows_with_bases():
     assert nerve_chains_map(f, c3, c3).validate().ok
 
 
-def test_short_coproduct_fails_on_first_read_and_at_load():
+def test_short_coproduct_fails_on_first_read():
     c = chains(nerve(FiniteMonoid.cyclic(3)), 3)
     full = c.coproduct
 
@@ -191,8 +194,3 @@ def test_short_coproduct_fails_on_first_read_and_at_load():
     assert w.delta(1, 0) == full[1][0]
     with pytest.raises(ValueError, match="missing columns in degree 2"):
         w.delta(2, 0)
-
-    blob = json.loads(json.dumps(c.to_json_dict()))
-    blob["coproduct"]["2"].pop()
-    with pytest.raises(ValueError, match="missing columns in degree 2"):
-        DgCoalgebraWindow.from_json_dict(blob)

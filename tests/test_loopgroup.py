@@ -1,8 +1,11 @@
 """Loop group levels, fundamental group presentations, and the degree-zero
 ring comparison."""
 
+import itertools
+
 import pytest
 
+from barloop import loopgroup
 from barloop.dgcoalg import chains
 from barloop.errors import NotReduced
 from barloop.exactlin import homology_window
@@ -88,6 +91,40 @@ def test_collapsed_boundary_loop_group_validates():
     levels = kan_loop_group(collapsed_boundary_delta3(), 2)
     assert levels[0].rank() == 3
     assert levels[1].rank() == 4 + 3 * 1  # triangles plus s1 of each edge
+
+
+@pytest.mark.parametrize(
+    "k",
+    [minimal_sphere(2), rp2_model(), collapsed_boundary_delta3()],
+    ids=["sphere2", "rp2", "delta3-collapsed"],
+)
+def test_levels_list_no_more_degeneracy_words_than_their_rank(monkeypatch, k):
+    """Each level lists degeneracy words only for dimensions that have
+    simplices, so it never lists more words than it has generators."""
+    listed = []
+    combinations = itertools.combinations
+
+    def recording(pool, r):
+        words = list(combinations(pool, r))
+        listed.append(len(words))
+        return iter(words)
+
+    calls = []
+    level_simplices = loopgroup._free_level_simplices
+
+    def level(k, d):
+        listed.clear()
+        out = level_simplices(k, d)
+        calls.append((d, sum(listed), len(out)))
+        return out
+
+    monkeypatch.setattr(itertools, "combinations", recording)
+    monkeypatch.setattr(loopgroup, "_free_level_simplices", level)
+    for hi in (1, 4, 9):
+        calls.clear()
+        kan_loop_group(k, hi)
+        assert [d for d, _, _ in calls] == list(range(1, hi + 3))
+        assert all(words <= rank for _, words, rank in calls), calls
 
 
 def test_loop_group_requires_reduced():

@@ -32,6 +32,11 @@ from barloop.rewrite import (
 from barloop.simplicial import minimal_sphere
 
 
+def equal(rsys, p, q):
+    """p == q in the presented ring: their difference reduces to zero."""
+    return not rsys.normal_form(poly_sub(p, q, rsys.algebra.modulus))
+
+
 def laurent_by_inversion():
     """Z<t, v> with v a two-sided inverse of 1 + t."""
     alg = PresentedDgAlgebra([("t", 0)], augmentation={0: 0})
@@ -59,8 +64,8 @@ def test_laurent_equalities():
     rsys = complete(alg)
     one_plus_t = alg.poly({(): 1, ("t",): 1})
     v = alg.poly({("v",): 1})
-    assert rsys.equal(poly_mul(poly_mul(v, one_plus_t), v), v)
-    assert not rsys.equal(v, alg.poly({("t",): 1}))
+    assert equal(rsys, poly_mul(poly_mul(v, one_plus_t), v), v)
+    assert not equal(rsys, v, alg.poly({("t",): 1}))
 
 
 def test_laurent_certified_against_two_generator_presentation():
@@ -129,8 +134,8 @@ def test_invert_idempotent_collapses_to_integers():
     rsys = complete(alg)
     assert rsys.complete and not rsys.has_nonunit_leads
     assert basis_in_degree(rsys, 0) == [()]
-    assert rsys.equal(alg.poly({("b",): 1}), alg.poly({(): 1}))
-    assert rsys.equal(alg.poly({("v",): 1}), alg.poly({(): 1}))
+    assert equal(rsys, alg.poly({("b",): 1}), alg.poly({(): 1}))
+    assert equal(rsys, alg.poly({("v",): 1}), alg.poly({(): 1}))
 
 
 def test_invert_two_minus_idempotent():
@@ -143,9 +148,9 @@ def test_invert_two_minus_idempotent():
     assert rsys.complete
     assert rsys.has_nonunit_leads
     two_v = alg.poly({("v",): 2})
-    assert rsys.equal(two_v, alg.poly({(): 1, ("b",): 1}))
-    assert rsys.equal(alg.poly({("v", "b"): 1}), alg.poly({("b",): 1}))
-    assert rsys.equal(alg.poly({("b", "v"): 1}), alg.poly({("b",): 1}))
+    assert equal(rsys, two_v, alg.poly({(): 1, ("b",): 1}))
+    assert equal(rsys, alg.poly({("v", "b"): 1}), alg.poly({("b",): 1}))
+    assert equal(rsys, alg.poly({("b", "v"): 1}), alg.poly({("b",): 1}))
     with pytest.raises(Exception):
         basis_in_degree(rsys, 0)
 
@@ -279,19 +284,33 @@ def test_incomplete_budget_flagged():
     assert not rsys.complete
     # reduce-to-zero stays sound even when incomplete
     p = alg.poly({("v",): 1})
-    assert rsys.equal(p, p)
+    assert equal(rsys, p, p)
 
 
 def test_json_round_trip():
     alg = adjoin_inverses(
         idempotent_algebra(), [{(): 2, (0,): -1}], labels=["v"]
     )
-    d = alg.to_json_dict()
-    back = PresentedDgAlgebra.from_json_dict(d)
-    assert back.generators == alg.generators
-    assert back.relations == alg.relations
-    assert back.augmentation == alg.augmentation
-    assert back.to_json_dict() == d
+    def term(coeff, *word):
+        return {"coeff": coeff, "word": list(word)}
+
+    assert alg.to_json_dict() == {
+        "generators": [
+            {"label": "b", "degree": 0}, {"label": "v", "degree": 0}
+        ],
+        "relations": [
+            [[term("1", "b", "b")], [term("1", "b")]],
+            [[term("2", "v"), term("-1", "v", "b")], [term("1")]],
+            [[term("2", "v"), term("-1", "b", "v")], [term("1")]],
+        ],
+        "differential": {},
+        "augmentation": {"b": 1, "v": 1},
+        "provenance": {
+            "freeness_of_inverted_set_assumed": True,
+            "inverse_labels": ["v"],
+            "localized_at": ["-b + 2"],
+        },
+    }
 
 
 def test_seeded_random_presentations_terminate_and_reduce():
@@ -338,7 +357,7 @@ def test_h0_ring_strips_positive_degrees():
     assert h0.generators == [("t", 0)]
     # d(s) = t - 1 becomes the relation t = 1
     rsys = complete(h0)
-    assert rsys.equal({(0,): 1}, {(): 1})
+    assert equal(rsys, {(0,): 1}, {(): 1})
     assert basis_in_degree(rsys, 0) == [()]
 
 

@@ -5,13 +5,16 @@
 - Only ``barloop.exactlin`` calls the ``IntMatrix`` constructor directly;
   everyone else builds matrices with ``from_columns``, ``from_rows``,
   ``zeros`` or ``identity``.
-- Only ``barloop.exactlin`` reads a matrix as dense rows (``to_rows``);
-  everyone else reads its sparse columns, so dense rows stay private to
-  it.  Tests may still call ``to_rows``.
-- Inside ``barloop.exactlin`` only ``to_json_dict`` calls ``to_rows``:
-  Smith normal form reads sparse columns and hands the dense kernel only
-  the residual block left after unit-pivot elimination, never a
-  densified matrix.
+- No module of the package reads a matrix as dense rows (``to_rows``):
+  every caller reads sparse columns, and Smith normal form hands the
+  dense kernel only the residual block left after unit-pivot
+  elimination, never a densified matrix.  Tests and the benchmark may
+  still call ``to_rows``.
+- Every function and method the package defines, dunders aside, is read
+  by name somewhere in the package or the benchmark (an ``ast.Name`` or
+  an ``ast.Attribute``; in the benchmark also a string constant, since
+  its tracer names the entry points it wraps by string).  A few are kept
+  unread on purpose; ``UNREAD_ON_PURPOSE`` says why.
 """
 
 import ast
@@ -20,6 +23,13 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "barloop"
 EXACTLIN = PACKAGE / "exactlin"
+BENCH = ROOT / "perfbench"
+
+UNREAD_ON_PURPOSE = {
+    "abelianization": "the independent oracle of acceptance test A8",
+    "localized_nerve": "the paper's localization of a nerve, exercised by "
+    "test_simplicial.py and test_loopgroup.py",
+}
 
 
 def _parse(path):
@@ -76,15 +86,32 @@ def dense_row_calls(tree):
     ]
 
 
-def dense_rows_outside_json(tree):
-    """Line numbers of ``to_rows`` calls outside a ``to_json_dict``."""
-    inside = {
-        line
-        for fn in ast.walk(tree)
-        if isinstance(fn, ast.FunctionDef) and fn.name == "to_json_dict"
-        for line in dense_row_calls(fn)
-    }
-    return [line for line in dense_row_calls(tree) if line not in inside]
+def names_read(tree, strings=False):
+    """Names an expression reads: every ``ast.Name`` and ``ast.Attribute``,
+    and with ``strings`` every string constant too."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(
+            node.value, str
+        ):
+            read.add(node.value)
+    return read
+
+
+def unread_functions(tree, read):
+    """(line, name) of each function or method defined, dunders aside,
+    whose name is not in ``read``."""
+    return sorted(
+        (node.lineno, node.name)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in read
+    )
 
 
 def _offenders(paths, rule):
@@ -104,15 +131,22 @@ def test_rules_detect_what_they_forbid():
         "a(IntMatrix(1, 1, [0]), exactlin.IntMatrix(0, 0, []))\n"
         "IntMatrix.zeros(1, 1)\n"
         "d(m.to_rows(), m.column(0), to_rows)\n"
-        "def to_json_dict(m):\n"
-        "    return m.to_rows()\n"
-        "def smith_normal_form(m):\n"
-        "    return m.to_rows()\n"
+        "class K:\n"
+        "    def __init__(self): self.method()\n"
+        "    def method(self): return helper\n"
+        "    def unread(self): return 'by_string'\n"
+        "def helper(): pass\n"
+        "def by_string(): pass\n"
     )
     assert unused_imports(tree) == ["c", "os"]
     assert direct_matrix_calls(tree) == [4, 4]
-    assert dense_row_calls(tree) == [6, 8, 10]
-    assert dense_rows_outside_json(tree) == [6, 10]
+    assert dense_row_calls(tree) == [6]
+    assert unread_functions(tree, names_read(tree)) == [
+        (10, "unread"), (12, "by_string")
+    ]
+    assert unread_functions(tree, names_read(tree, strings=True)) == [
+        (10, "unread")
+    ]
 
 
 def test_no_unused_imports_in_the_package():
@@ -127,13 +161,15 @@ def test_only_exactlin_calls_the_matrix_constructor():
     assert _offenders(paths, direct_matrix_calls) == {}
 
 
-def test_only_exactlin_reads_dense_rows():
-    paths = [
-        p for p in sorted(PACKAGE.rglob("*.py")) if EXACTLIN not in p.parents
-    ]
-    assert _offenders(paths, dense_row_calls) == {}
+def test_package_reads_no_dense_rows():
+    assert _offenders(sorted(PACKAGE.rglob("*.py")), dense_row_calls) == {}
 
 
-def test_exactlin_reads_dense_rows_only_for_json():
-    paths = sorted(EXACTLIN.rglob("*.py"))
-    assert _offenders(paths, dense_rows_outside_json) == {}
+def test_every_function_is_read():
+    paths = sorted(PACKAGE.rglob("*.py"))
+    read = set(UNREAD_ON_PURPOSE)
+    for path in paths:
+        read |= names_read(_parse(path))
+    for path in BENCH.rglob("*.py"):
+        read |= names_read(_parse(path), strings=True)
+    assert _offenders(paths, lambda tree: unread_functions(tree, read)) == {}

@@ -109,11 +109,11 @@ def test_verdicts_are_monotone_in_the_window():
 
 
 def test_bundle_serializes():
-    d = invariants(FiniteMonoid.cyclic(2), hi=3).to_json_dict()
-    assert d["group_completion"]["status"] == "completed"
-    assert d["group_completion"]["order"] == 2
-    assert d["grouplike"] is True
-    assert d["nerve_homology"]["1"]["torsion"] == ["2"]
+    b = invariants(FiniteMonoid.cyclic(2), hi=3)
+    assert b.completion.order == 2
+    assert b.completion.to_json_dict()["gens"] == ["g"]
+    assert b.grouplike is True
+    assert b.nerve_homology.to_json_dict()["1"]["torsion"] == ["2"]
 
 
 def test_verdict_serializes():
