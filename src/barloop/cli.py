@@ -162,9 +162,6 @@ def _homology_outputs(window, hi):
 def cmd_homology(args, lo, hi):
     k, desc = _resolve("complex", args.input, hi)
     cw = chains(k, hi)
-    report = cw.validate()
-    if not report.ok:
-        raise MalformedTable("; ".join(report.violations))
     return 0, _homology_outputs(cw, hi), [], {args.input: desc}
 
 
@@ -258,11 +255,11 @@ def cmd_weq(args, lo, hi):
     dst, ddesc = _resolve("monoid", args.target, hi)
     if args.images is not None:
         images = [int(x) for x in args.images.split(",")]
-        f = MonoidMap(src, dst, images).validate()
+        f = MonoidMap(src, dst, images)
     elif args.source == args.target:
         f = MonoidMap.identity(src)
     elif dst.order() == 1:
-        f = MonoidMap(src, dst, [0] * src.order()).validate()
+        f = MonoidMap(src, dst, [0] * src.order())
     else:
         raise ValueError(
             "--images is required unless the map is an identity or the "

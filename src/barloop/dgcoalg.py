@@ -4,10 +4,11 @@ A window holds a chain complex on degrees 0..hi together with a
 coproduct given per basis element as a list of (left degree, left index,
 right index, coefficient) terms, a counit on degree 0, and an optional
 coaugmentation.  Each degree's coproduct is computed on first read, so
-callers that only read the complex never build it.  Validation checks
+callers that only read the complex never build it.  validate() checks
 coassociativity, the counit laws, the coderivation law with Koszul signs
 (d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy), and conilpotence by
-iterating the reduced coproduct.
+iterating the reduced coproduct.  It is the law check the tests assert,
+not a step of any command.
 
 chains() builds the normalized chain coalgebra of a simplicial set:
 basis the nondegenerate simplices, differential the alternating face sum
@@ -363,18 +364,15 @@ class AdmissibleFiltration:
 
 
 def skeletal_filtration(c):
-    """Level = homological degree (0 on the coaugmentation)."""
+    """Level = homological degree (0 on the coaugmentation).  Levels
+    only: the caller validates them (filtered_quasi_iso_window does)."""
     if c.coaugmentation is None:
         raise NotCoaugmented("skeletal filtration needs a coaugmentation")
     levels = {}
     for n in range(c.hi + 1):
         for j in range(c.rank(n)):
             levels[(n, j)] = n
-    filt = AdmissibleFiltration(levels)
-    report = filt.validate(c)
-    if not report.ok:
-        raise FiltrationNotRespected("; ".join(report.violations[:3]))
-    return filt
+    return AdmissibleFiltration(levels)
 
 
 class CoalgebraMap:
@@ -497,8 +495,9 @@ def cone_quasi_iso_window(blocks, src, dst):
 def filtered_quasi_iso_window(f, fc, fd):
     """Associated-graded quasi-isomorphism check for a filtered map.
 
-    f: CoalgebraMap; fc, fd: AdmissibleFiltrations of f.src and f.dst.
-    Per level, extracts the graded pieces of source, target and map and
+    f: CoalgebraMap; fc, fd: AdmissibleFiltrations of f.src and f.dst,
+    each validated first (FiltrationNotRespected if one fails).  Per
+    level, extracts the graded pieces of source, target and map and
     certifies the graded map by cone acyclicity in interior degrees.
     """
     src, dst = f.src, f.dst

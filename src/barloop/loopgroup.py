@@ -217,17 +217,18 @@ def _validate_group_window(hi, simplices, labels, face_images, degen_images):
     for n in range(hi + 2):
         for fs in simplices[n]:
             lbl = labels[n][fs]
+            # images are built reduced, so X[lbl] is the image of word
             word = ((lbl, 1),)
             # d_i d_j = d_{j-1} d_i for i < j
-            if 2 <= n <= hi + 1 and n - 1 >= 1:
+            if 2 <= n <= hi + 1:
                 for j in range(1, n + 1):
                     for i in range(j):
                         left = _free_apply(
-                            _free_apply(word, face_images[n][j]),
+                            face_images[n][j][lbl],
                             face_images[n - 1][i],
                         )
                         right = _free_apply(
-                            _free_apply(word, face_images[n][i]),
+                            face_images[n][i][lbl],
                             face_images[n - 1][j - 1],
                         )
                         if left != right:
@@ -237,11 +238,11 @@ def _validate_group_window(hi, simplices, labels, face_images, degen_images):
                 for j in range(n + 1):
                     for i in range(j + 1):
                         left = _free_apply(
-                            _free_apply(word, degen_images[n][j]),
+                            degen_images[n][j][lbl],
                             degen_images[n + 1][i],
                         )
                         right = _free_apply(
-                            _free_apply(word, degen_images[n][i]),
+                            degen_images[n][i][lbl],
                             degen_images[n + 1][j + 1],
                         )
                         if left != right:
@@ -249,7 +250,7 @@ def _validate_group_window(hi, simplices, labels, face_images, degen_images):
             # d_i s_j: identity when i in {j, j+1}, else commute
             if n + 1 <= hi + 1:
                 for j in range(n + 1):
-                    up = _free_apply(word, degen_images[n][j])
+                    up = degen_images[n][j][lbl]
                     for i in range(n + 2):
                         got = _free_apply(up, face_images[n + 1][i])
                         if i in (j, j + 1):
@@ -258,14 +259,14 @@ def _validate_group_window(hi, simplices, labels, face_images, degen_images):
                             if n < 1:
                                 continue
                             want = _free_apply(
-                                _free_apply(word, face_images[n][i]),
+                                face_images[n][i][lbl],
                                 degen_images[n - 1][j - 1],
                             )
                         else:
                             if n < 1:
                                 continue
                             want = _free_apply(
-                                _free_apply(word, face_images[n][i - 1]),
+                                face_images[n][i - 1][lbl],
                                 degen_images[n - 1][j],
                             )
                         if got != want:

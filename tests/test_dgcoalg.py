@@ -23,12 +23,11 @@ from barloop.monoids import FiniteMonoid, MonoidMap
 from barloop.simplicial import (
     LocalizedSimplicialSet,
     boundary_delta3,
-    collapsed_boundary_delta3,
     minimal_sphere,
     nerve,
     point,
-    rp2_model,
 )
+from barloop.weqcheck import bundled_complexes, bundled_monoids
 
 
 def test_circle_chains_window():
@@ -99,22 +98,25 @@ def test_nerve_z3_homology():
 
 
 def test_every_constructed_window_validates():
-    sets = [
-        minimal_sphere(1),
-        minimal_sphere(2),
-        minimal_sphere(3),
-        point(),
-        rp2_model(),
-        collapsed_boundary_delta3(),
-        boundary_delta3(),
-        nerve(FiniteMonoid.idempotent_pair()),
-        nerve(FiniteMonoid.cyclic(4)),
-        nerve(FiniteMonoid.left_zero_with_unit(2)),
-    ]
-    for k in sets:
+    """The coalgebra laws, which no command re-checks, hold on every
+    bundled complex; window 4 reaches each finite one's top dimension."""
+    sets = bundled_complexes()
+    assert len(sets) == 12
+    sets["boundary-delta3"] = boundary_delta3()
+    for name, k in sets.items():
         c = chains(k, 4)
         c.complex.validate()
-        assert c.validate().ok, type(k).__name__
+        assert c.validate().ok, name
+
+
+@pytest.mark.parametrize("kind", ["identity", "collapse"])
+@pytest.mark.parametrize("name", sorted(bundled_monoids()))
+def test_nerve_chains_maps_of_bundled_monoids_validate(name, kind):
+    """weq reads these maps only through the mapping cone; the coalgebra
+    map laws stay checked here."""
+    f = getattr(MonoidMap, kind)(bundled_monoids()[name])
+    src, dst = chains(nerve(f.src), 4), chains(nerve(f.dst), 4)
+    assert nerve_chains_map(f, src, dst).validate().ok
 
 
 def test_chains_of_unbounded_localization_raises():

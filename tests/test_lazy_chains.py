@@ -3,16 +3,18 @@
 The Alexander-Whitney coproduct of a chain window is computed one degree
 at a time on first read; it must equal, term for term and in order, the
 eager construction that walks face_formal from the simplex for every
-front and back face.  Homology callers never trigger it, a weq question
-builds each nerve's chain window once, and nerve_chains_map maps between
-the windows it is given.
+front and back face.  Homology callers and weq never trigger it, a weq
+question builds each nerve's chain window once, and nerve_chains_map
+maps between the windows it is given.
 """
+
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barloop import barcobar, dgcoalg, weqcheck
+from barloop import barcobar, cli, dgcoalg, weqcheck
 from barloop.barcobar import bar
 from barloop.dgcoalg import DgCoalgebraWindow, chains, nerve_chains_map
 from barloop.exactlin import ChainComplexWindow, basis_window, homology_window
@@ -161,6 +163,26 @@ def test_weq_builds_each_nerve_chain_window_once(monkeypatch):
     verdict = weq_verdict(MonoidMap.identity(FiniteMonoid.cyclic(3)), hi=3)
     assert verdict.kind == "certified-equivalent"
     assert built == [3, 3]
+
+
+def test_homology_and_weq_commands_build_no_coproduct(monkeypatch, capsys):
+    """homology rests on d∘d = 0 and weq on cone acyclicity; neither
+    reads a coproduct."""
+    calls = _record_coproduct_calls(monkeypatch, dgcoalg)
+    assert cli.run(["homology", "z3", "--window", "0..6"]) == 0
+    capsys.readouterr()
+    verdict = weq_verdict(MonoidMap.identity(FiniteMonoid.cyclic(3)), hi=3)
+    assert verdict.kind == "certified-equivalent"
+    assert calls == []
+
+
+def test_weq_rejects_a_non_homomorphism(capsys):
+    code = cli.run(["weq", "idempotent", "z2", "--images", "0,1"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2 and report["error"] == {
+        "kind": "invalid-input",
+        "message": "f(b * b) does not match the product of images",
+    }
 
 
 def test_nerve_chains_map_needs_matching_windows_with_bases():

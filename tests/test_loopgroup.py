@@ -7,7 +7,7 @@ import pytest
 
 from barloop import loopgroup
 from barloop.dgcoalg import chains
-from barloop.errors import NotReduced
+from barloop.errors import MismatchAt, NotReduced
 from barloop.exactlin import homology_window
 from barloop.loopgroup import (
     abelianization,
@@ -20,6 +20,8 @@ from barloop.loopgroup import (
 )
 from barloop.monoids import FiniteMonoid, group_completion
 from barloop.simplicial import (
+    FormalSimplex,
+    SimplicialSet,
     boundary_delta3,
     collapsed_boundary_delta3,
     localized_nerve,
@@ -125,6 +127,60 @@ def test_levels_list_no_more_degeneracy_words_than_their_rank(monkeypatch, k):
         kan_loop_group(k, hi)
         assert [d for d, _, _ in calls] == list(range(1, hi + 3))
         assert all(words <= rank for _, words, rank in calls), calls
+
+
+@pytest.mark.parametrize(
+    "k",
+    [minimal_sphere(2), rp2_model(), collapsed_boundary_delta3()],
+    ids=["sphere2", "rp2", "delta3-collapsed"],
+)
+def test_one_letter_images_are_read_directly(monkeypatch, k):
+    """The group-identity check reads images[lbl] as the image of the
+    one-letter word ((lbl, 1),); that holds because every face and
+    degeneracy image is built reduced."""
+    maps = []
+    validate = loopgroup._validate_group_window
+
+    def recording(hi, simplices, labels, face_images, degen_images):
+        for per_level in (face_images, degen_images):
+            for images in per_level.values():
+                maps.extend(images)
+        return validate(hi, simplices, labels, face_images, degen_images)
+
+    monkeypatch.setattr(loopgroup, "_validate_group_window", recording)
+    kan_loop_group(k, 4)
+    assert maps
+    for images in maps:
+        for lbl, word in images.items():
+            assert loopgroup._free_apply(((lbl, 1),), images) == word
+
+
+class OneBadFace(SimplicialSet):
+    """A simplicial set with one face of one simplex replaced."""
+
+    def __init__(self, base, sid, i, face):
+        self.base, self.sid, self.i, self.bad = base, sid, i, face
+
+    def n_simplices(self, n):
+        return self.base.n_simplices(n)
+
+    def dim(self, sid):
+        return self.base.dim(sid)
+
+    def face(self, sid, i):
+        if (sid, i) == (self.sid, self.i):
+            return self.bad
+        return self.base.face(sid, i)
+
+
+def test_a_corrupted_face_breaks_a_group_identity():
+    k = nerve(FiniteMonoid.cyclic(3))
+    assert k.face((1, 1, 1), 0) == FormalSimplex((1, 1), ())
+    bad = OneBadFace(k, (1, 1, 1), 0, FormalSimplex((1, 2), ()))
+    assert not bad.validate(3).ok
+    with pytest.raises(MismatchAt, match=r"d0 d1 = d0 d0 at level 2 on "
+                       r"\(1, 1, 1\)"):
+        kan_loop_group(bad, 2)
 
 
 def test_loop_group_requires_reduced():
