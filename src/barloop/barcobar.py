@@ -212,7 +212,8 @@ def _cobar_with_gens(c):
         raise NotCoaugmented(
             "cobar needs a reduced coaugmented coalgebra window"
         )
-    c.require_conilpotent()
+    # Conilpotent by degree alone: each reduced coproduct term has both
+    # factors in degrees 1..n-1, so iterating it ends within n rounds.
     gens = []
     gen_of = {}
     for n in range(1, c.hi + 1):

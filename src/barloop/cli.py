@@ -98,6 +98,7 @@ def _sha(d):
 
 
 def _parse_window(text):
+    """Top degree of a window written A..B or B; A must be 0."""
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
         lo, hi = int(lo_s), int(hi_s)
@@ -105,9 +106,9 @@ def _parse_window(text):
         lo, hi = 0, int(text)
     if lo != 0:
         raise ValueError("windows must start at degree 0")
-    if hi < lo:
+    if hi < 0:
         raise ValueError("empty window")
-    return lo, hi
+    return hi
 
 
 def _resolve(kind, name, hi):
@@ -159,13 +160,13 @@ def _homology_outputs(window, hi):
     }
 
 
-def cmd_homology(args, lo, hi):
+def cmd_homology(args, hi):
     k, desc = _resolve("complex", args.input, hi)
     cw = chains(k, hi)
     return 0, _homology_outputs(cw, hi), [], {args.input: desc}
 
 
-def cmd_bar(args, lo, hi):
+def cmd_bar(args, hi):
     alg, desc = _resolve("algebra", args.input, hi)
     bw = bar(alg, hi, budget=args.budget, cap=args.cap)
     return 0, _homology_outputs(bw, hi), [], {args.input: desc}
@@ -193,7 +194,7 @@ def _cobar_outputs(om, hi, budget, cap):
     return outputs
 
 
-def cmd_cobar(args, lo, hi):
+def cmd_cobar(args, hi):
     k, desc = _resolve("complex", args.input, hi)
     om = cobar(chains(k, hi))
     return 0, _cobar_outputs(om, hi, args.budget, args.cap), [], {
@@ -201,7 +202,7 @@ def cmd_cobar(args, lo, hi):
     }
 
 
-def cmd_extended_cobar(args, lo, hi):
+def cmd_extended_cobar(args, hi):
     k, desc = _resolve("complex", args.input, hi)
     om = extended_cobar(k, hi)
     outputs = {
@@ -223,7 +224,7 @@ def cmd_extended_cobar(args, lo, hi):
     return 0, outputs, [], {args.input: desc}
 
 
-def cmd_loopgroup(args, lo, hi):
+def cmd_loopgroup(args, hi):
     k, desc = _resolve("complex", args.input, hi)
     top = args.hi if args.hi is not None else hi
     levels = kan_loop_group(k, top)
@@ -234,7 +235,7 @@ def cmd_loopgroup(args, lo, hi):
     return 0, outputs, [], {args.input: desc}
 
 
-def cmd_pi1(args, lo, hi):
+def cmd_pi1(args, hi):
     k, desc = _resolve("complex", args.input, hi)
     pres = pi1_presentation(k)
     comp = group_completion(pres, budget=args.budget, cap=args.cap)
@@ -250,7 +251,7 @@ def cmd_pi1(args, lo, hi):
     return 0, outputs, [], {args.input: desc}
 
 
-def cmd_weq(args, lo, hi):
+def cmd_weq(args, hi):
     src, sdesc = _resolve("monoid", args.source, hi)
     dst, ddesc = _resolve("monoid", args.target, hi)
     if args.images is not None:
@@ -399,7 +400,7 @@ _CASES = {
 }
 
 
-def cmd_paper_suite(args, lo, hi):
+def cmd_paper_suite(args, hi):
     names = list(_CASES) if args.case == "all" else [args.case]
     results = []
     certificates = []
@@ -458,6 +459,17 @@ _DEFAULTS = {
 }
 
 
+class _RejectedArgv(Exception):
+    """argparse rejected the command line; the message is its own."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # Raise instead of exiting, so a rejected argv still gets a report;
+    # subparsers are built from this class too.
+    def error(self, message):
+        raise _RejectedArgv(message)
+
+
 def build_parser():
     # SUPPRESS keeps a subparser from clobbering globals given before the
     # subcommand; missing values are filled from _DEFAULTS after parsing.
@@ -477,7 +489,7 @@ def build_parser():
         "--format", choices=("json", "csv"), default=argparse.SUPPRESS
     )
 
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="barloop", description=__doc__, parents=[common],
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
@@ -517,39 +529,15 @@ def build_parser():
     return p
 
 
-def run(argv):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    for key, value in _DEFAULTS.items():
-        if not hasattr(args, key):
-            setattr(args, key, value)
-    t0 = time.perf_counter()
-    try:
-        for name in ("budget", "cap"):
-            if getattr(args, name) < 0:
-                raise ValueError(f"--{name} must not be negative")
-        lo, hi = _parse_window(args.window)
-        code, outputs, certificates, inputs = args.fn(args, lo, hi)
-        error = None
-    except _INVALID_INPUT as e:
-        code, outputs, certificates, inputs = 2, {}, [], {}
-        error = {"kind": "invalid-input", "message": str(e)}
-    except BarloopError as e:
-        code, outputs, certificates, inputs = 1, {}, [], {}
-        error = {"kind": "check-failed", "message": str(e)}
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
+def _report(command, params, inputs, outputs, certificates, code, error,
+            elapsed_ms):
     report = {
         "tool": {
             "name": "barloop",
             "version": __version__,
         },
-        "command": args.command,
-        "params": {
-            "window": args.window,
-            "budget": args.budget,
-            "cap": args.cap,
-            "seed": args.seed,
-        },
+        "command": command,
+        "params": params,
         "inputs": {k: _sha(v) for k, v in inputs.items()},
         "outputs": outputs,
         "certificates": certificates,
@@ -558,6 +546,44 @@ def run(argv):
     }
     if error is not None:
         report["error"] = error
+    return report
+
+
+def run(argv):
+    t0 = time.perf_counter()
+    try:
+        args = build_parser().parse_args(argv)
+    except _RejectedArgv as e:
+        error = {"kind": "invalid-input", "message": str(e)}
+        elapsed_ms = (time.perf_counter() - t0) * 1000.0
+        report = _report(None, None, {}, {}, [], 2, error, elapsed_ms)
+        sys.stdout.write(_render(report, "json"))
+        return 2
+    for key, value in _DEFAULTS.items():
+        if not hasattr(args, key):
+            setattr(args, key, value)
+    try:
+        for name in ("budget", "cap"):
+            if getattr(args, name) < 0:
+                raise ValueError(f"--{name} must not be negative")
+        hi = _parse_window(args.window)
+        code, outputs, certificates, inputs = args.fn(args, hi)
+        error = None
+    except _INVALID_INPUT as e:
+        code, outputs, certificates, inputs = 2, {}, [], {}
+        error = {"kind": "invalid-input", "message": str(e)}
+    except BarloopError as e:
+        code, outputs, certificates, inputs = 1, {}, [], {}
+        error = {"kind": "check-failed", "message": str(e)}
+    elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    params = {
+        "window": args.window,
+        "budget": args.budget,
+        "cap": args.cap,
+        "seed": args.seed,
+    }
+    report = _report(args.command, params, inputs, outputs, certificates,
+                     code, error, elapsed_ms)
     if args.out:
         # An unwritable --out is invalid input; the report goes to stdout.
         try:

@@ -6,9 +6,8 @@ right index, coefficient) terms, a counit on degree 0, and an optional
 coaugmentation.  Each degree's coproduct is computed on first read, so
 callers that only read the complex never build it.  validate() checks
 coassociativity, the counit laws, the coderivation law with Koszul signs
-(d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy), and conilpotence by
-iterating the reduced coproduct.  It is the law check the tests assert,
-not a step of any command.
+(d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy) and the coaugmentation.
+It is the law check the tests assert, not a step of any command.
 
 chains() builds the normalized chain coalgebra of a simplicial set:
 basis the nondegenerate simplices, differential the alternating face sum
@@ -16,11 +15,7 @@ with degenerate faces dropped, coproduct the front-face/back-face
 (Alexander-Whitney) formula with degenerate factors dropped.
 """
 
-from .errors import (
-    FiltrationNotRespected,
-    NotCoaugmented,
-    NotConilpotent,
-)
+from .errors import FiltrationNotRespected, NotCoaugmented
 from .exactlin import (
     ChainComplexWindow,
     IntMatrix,
@@ -56,8 +51,6 @@ class DgCoalgebraWindow:
 
     def __init__(self, complex_window, coproduct, counit, coaugmentation=None):
         self.complex = complex_window
-        if self.complex.lo != 0:
-            raise ValueError("coalgebra windows must start at degree 0")
         self._coproduct_of = coproduct
         self._terms = {}
         self.counit = list(map(int, counit))
@@ -115,7 +108,6 @@ class DgCoalgebraWindow:
         bad.extend(self._check_counit())
         bad.extend(self._check_coassoc())
         bad.extend(self._check_coderivation())
-        bad.extend(self._check_conilpotence())
         if self.coaugmentation is not None:
             bad.extend(self._check_coaugmentation())
         return ValidationReport(bad)
@@ -194,28 +186,6 @@ class DgCoalgebraWindow:
                     )
         return bad
 
-    def _check_conilpotence(self):
-        bad = []
-        for n in range(1, self.hi + 1):
-            for j in range(self.rank(n)):
-                # iterate the reduced coproduct on the leftmost factor
-                layer = {(n, j): 1}
-                for _ in range(n + 1):
-                    nxt = {}
-                    for (m, i), c in layer.items():
-                        for p, i1, i2, c2 in self.reduced_delta(m, i):
-                            key = (p, i1)
-                            nxt[key] = nxt.get(key, 0) + c * c2
-                    layer = {k: v for k, v in nxt.items() if v}
-                    if not layer:
-                        break
-                else:
-                    bad.append(
-                        f"reduced coproduct fails to vanish on degree {n} "
-                        f"element {self.label(n, j)}"
-                    )
-        return bad
-
     def _check_coaugmentation(self):
         bad = []
         i0 = self.coaugmentation
@@ -229,12 +199,6 @@ class DgCoalgebraWindow:
         if terms != {(0, i0, i0): 1}:
             bad.append("coaugmentation is not group-like")
         return bad
-
-    def require_conilpotent(self):
-        bad = self._check_conilpotence()
-        if bad:
-            raise NotConilpotent(bad[0])
-        return self
 
 
 def chains(k, hi):
@@ -488,7 +452,7 @@ def cone_quasi_iso_window(blocks, src, dst):
     for n in sorted(table.entries):
         e = table.entries[n]
         if e.exact and not e.is_zero():
-            return False, max(n - 1, src.lo)
+            return False, max(n - 1, 0)
     return True, None
 
 
@@ -535,9 +499,7 @@ def filtered_quasi_iso_window(f, fc, fd):
                 n: c.boundary(n).submatrix(idx[n - 1], idx[n])
                 for n in range(1, hi + 1)
             }
-            return ChainComplexWindow(
-                0, hi, ranks, bounds, closed_below=True
-            )
+            return ChainComplexWindow(hi, ranks, bounds)
 
         gs = graded_complex(src, src_idx)
         gd = graded_complex(dst, dst_idx)

@@ -12,7 +12,6 @@ __all__ = [
     "NotASubcomplex",
     "NotReduced",
     "NotCoaugmented",
-    "NotConilpotent",
     "FiltrationNotRespected",
     "InfiniteRank",
     "NotConnected",
@@ -30,7 +29,7 @@ class BarloopError(Exception):
 
 
 class WindowTooSmall(BarloopError):
-    """A degree window [lo, hi] with hi <= lo was supplied."""
+    """A degree window 0..hi with hi <= 0 was supplied."""
 
 
 class MalformedTable(BarloopError):
@@ -52,10 +51,6 @@ class NotReduced(BarloopError):
 
 class NotCoaugmented(BarloopError):
     """No group-like coaugmentation element is available in degree 0."""
-
-
-class NotConilpotent(BarloopError):
-    """Iterated reduced coproducts fail to vanish within the degree bound."""
 
 
 class FiltrationNotRespected(BarloopError):

@@ -1,10 +1,9 @@
 """Exact integer matrices, Smith normal form, and windowed homology.
 
-A chain complex is only ever known on a degree window [lo, hi].  Homology
-in the interior of the window is exact; at the window boundary the
-missing differentials are treated as zero and the result is flagged as
-partial unless the complex is declared closed below (chains of a
-simplicial set are: nothing lives in negative degrees).
+A chain complex is only ever known on a degree window 0..hi; nothing
+lives in negative degrees.  Homology in degrees 0..hi-1 is exact; in the
+top degree the missing differential d_{hi+1} is treated as zero and the
+result is flagged as partial.
 """
 
 from ..errors import MismatchAt, WindowTooSmall
@@ -161,37 +160,31 @@ def smith_normal_form(m):
 
 
 class ChainComplexWindow:
-    """A chain complex known on degrees lo..hi.
+    """A chain complex on degrees 0..hi, zero in negative degrees.
 
     ``boundaries[n]`` is the differential from degree n to degree n-1 and
-    must be present for lo < n <= hi.  ``labels`` optionally names the
-    basis elements per degree.  ``closed_below`` asserts that the complex
-    is zero in degrees < lo (true for chains of a simplicial set with
-    lo = 0), making degree lo exact rather than partial.  Windows built by
-    basis_window also keep ``bases[n]``, the basis of degree n, and
-    ``index[n][b]``, the position of b in it; both are None otherwise.
+    must be present for 0 < n <= hi.  Windows built by basis_window also
+    keep ``bases[n]``, the basis of degree n, ``index[n][b]``, the
+    position of b in it, and ``label_of``, the function that names a
+    basis element; all three are None otherwise, and ``label`` then names
+    the i-th element of degree n ``deg{n}#{i}``.
     """
 
-    __slots__ = (
-        "lo", "hi", "ranks", "boundaries", "labels", "closed_below",
-        "bases", "index",
-    )
+    __slots__ = ("hi", "ranks", "boundaries", "bases", "index", "label_of")
 
-    def __init__(self, lo, hi, ranks, boundaries, labels=None, closed_below=False):
-        if hi <= lo:
-            raise WindowTooSmall(f"window [{lo}, {hi}] has no interior")
-        self.lo = lo
+    def __init__(self, hi, ranks, boundaries):
+        if hi <= 0:
+            raise WindowTooSmall(f"window [0, {hi}] has no interior")
         self.hi = hi
         self.ranks = dict(ranks)
         self.boundaries = dict(boundaries)
-        self.labels = dict(labels) if labels else None
-        self.closed_below = closed_below
         self.bases = None
         self.index = None
-        for n in range(lo, hi + 1):
+        self.label_of = None
+        for n in range(hi + 1):
             if n not in self.ranks:
                 raise ValueError(f"missing rank in degree {n}")
-        for n in range(lo + 1, hi + 1):
+        for n in range(1, hi + 1):
             b = self.boundaries.get(n)
             if b is None:
                 raise ValueError(f"missing boundary in degree {n}")
@@ -209,15 +202,15 @@ class ChainComplexWindow:
 
     def validate(self):
         """Check d∘d == 0 on all composable pairs in the window."""
-        for n in range(self.lo + 2, self.hi + 1):
+        for n in range(2, self.hi + 1):
             prod = self.boundary(n - 1) * self.boundary(n)
             if not prod.is_zero():
                 raise MismatchAt(f"d∘d != 0 from degree {n}", degree=n)
         return True
 
     def label(self, n, i):
-        if self.labels and n in self.labels:
-            return self.labels[n][i]
+        if self.label_of is not None:
+            return self.label_of(self.bases[n][i])
         return f"deg{n}#{i}"
 
 
@@ -280,16 +273,10 @@ class HomologyTable:
     def degrees(self):
         return sorted(self.entries)
 
-    def iso(self, other, degrees=None):
-        degs = degrees if degrees is not None else self.degrees()
-        if degrees is None and sorted(other.entries) != self.degrees():
+    def iso(self, other):
+        if sorted(other.entries) != self.degrees():
             return False
-        return all(self.entries[n].iso(other.entries[n]) for n in degs)
-
-    def describe(self):
-        return ", ".join(
-            f"H_{n} = {self.entries[n].describe()}" for n in self.degrees()
-        )
+        return all(self.entries[n].iso(other.entries[n]) for n in self.entries)
 
     def to_json_dict(self):
         return {
@@ -308,21 +295,19 @@ def homology_window(c):
     Only ranks and invariant factors are needed:
     free_n = rank C_n - rk d_n - rk d_{n+1}, and the torsion of H_n is
     the invariant factors >= 2 of d_{n+1}.  Raises MismatchAt when some
-    d∘d != 0.  Interior degrees (and degree lo when the complex is closed
-    below) are exact; the remaining boundary degrees treat the
-    out-of-window differentials as zero and are flagged partial.
+    d∘d != 0.  Degrees 0..hi-1 are exact; degree hi treats the
+    out-of-window d_{hi+1} as zero and is flagged partial.
     """
     c.validate()
     factors = {}
-    for n in range(c.lo + 1, c.hi + 1):
+    for n in range(1, c.hi + 1):
         factors[n] = [x for x in smith_normal_form(c.boundary(n)).d if x]
     entries = {}
-    for n in range(c.lo, c.hi + 1):
+    for n in range(c.hi + 1):
         below = factors.get(n, [])
         above = factors.get(n + 1, [])
-        exact = c.lo < n < c.hi or (n == c.lo and c.closed_below)
         entries[n] = HomologyEntry(
-            c.rank(n) - len(below) - len(above), above, exact
+            c.rank(n) - len(below) - len(above), above, n < c.hi
         )
     return HomologyTable(entries)
 
@@ -330,22 +315,19 @@ def homology_window(c):
 def mapping_cone(maps, src, dst):
     """Mapping cone of a chain map f: src -> dst given per-degree matrices.
 
-    cone_n = src_{n-1} (+) dst_n with d(c, x) = (-d c, d x + f c).  The
-    cone window matches the common window of src and dst; its homology in
-    interior degrees certifies whether f is a quasi-isomorphism there.
+    cone_n = src_{n-1} (+) dst_n with d(c, x) = (-d c, d x + f c), on
+    degrees 0..hi of src and dst, whose top degrees must match; rank(-1)
+    and boundary(0) read as zero.  Its homology in the exact degrees
+    0..hi-1 certifies whether f is a quasi-isomorphism there.
     """
-    if src.lo != dst.lo or src.hi != dst.hi:
+    if src.hi != dst.hi:
         raise ValueError("cone needs matching windows")
-    lo, hi = src.lo, src.hi
-
-    def src_rank(n):
-        return src.rank(n) if n >= lo else 0
-
-    ranks = {n: src_rank(n - 1) + dst.rank(n) for n in range(lo, hi + 1)}
+    hi = src.hi
+    ranks = {n: src.rank(n - 1) + dst.rank(n) for n in range(hi + 1)}
     bounds = {}
-    for n in range(lo + 1, hi + 1):
-        sc, shift = src_rank(n - 1), src_rank(n - 2)
-        dsrc = src.boundary(n - 1) if n - 1 > lo else IntMatrix.zeros(0, sc)
+    for n in range(1, hi + 1):
+        sc, shift = src.rank(n - 1), src.rank(n - 2)
+        dsrc = src.boundary(n - 1)
         f = None
         if sc and dst.rank(n - 1):
             f = maps.get(n - 1)
@@ -363,28 +345,23 @@ def mapping_cone(maps, src, dst):
                 yield [(shift + i, x) for i, x in ddst.column(j)]
 
         bounds[n] = IntMatrix.from_columns(shift + dst.rank(n - 1), columns())
-    return ChainComplexWindow(
-        lo,
-        hi,
-        ranks,
-        bounds,
-        closed_below=src.closed_below and dst.closed_below,
-    )
+    return ChainComplexWindow(hi, ranks, bounds)
 
 
 def basis_window(bases, boundary, label):
-    """Chain window on degrees 0..hi, closed below, from ordered bases.
+    """Chain window on degrees 0..hi from ordered bases.
 
     ``bases[n]`` is the basis of degree n for n = 0..hi, with
     hi = len(bases) - 1; ``boundary(n, b)`` yields (basis element of
-    degree n-1, coeff) pairs whose sum is d(b), and ``label(b)`` names b.
-    The window keeps ``bases`` and ``index``, where index[n][b] is the
-    position of b in degree n.  Raises WindowTooSmall when hi is 0.
+    degree n-1, coeff) pairs whose sum is d(b), and ``label(b)`` names b,
+    called only when the window's ``label`` is read.  The window keeps
+    ``bases``, ``index``, where index[n][b] is the position of b in
+    degree n, and ``label`` as ``label_of``.  Raises WindowTooSmall when
+    hi is 0.
     """
     hi = len(bases) - 1
     index = {n: {b: i for i, b in enumerate(bases[n])} for n in range(hi + 1)}
     ranks = {n: len(bases[n]) for n in index}
-    labels = {n: [label(b) for b in bases[n]] for n in index}
     bounds = {}
     for n in range(1, hi + 1):
         below = index[n - 1]
@@ -392,9 +369,8 @@ def basis_window(bases, boundary, label):
             ranks[n - 1],
             ([(below[b2], c) for b2, c in boundary(n, b)] for b in bases[n]),
         )
-    window = ChainComplexWindow(
-        0, hi, ranks, bounds, labels=labels, closed_below=True
-    )
+    window = ChainComplexWindow(hi, ranks, bounds)
     window.bases = bases
     window.index = index
+    window.label_of = label
     return window

@@ -166,7 +166,8 @@ def weq_verdict(f, hi=6, budget=100_000, cap=10_000):
     """Window-bounded verdict on a monoid map (see module docstring)."""
     f.validate()
     src_b = invariants(f.src, hi, budget, cap)
-    dst_b = invariants(f.dst, hi, budget, cap)
+    # An endomorphism's target has the invariants already computed.
+    dst_b = src_b if f.dst == f.src else invariants(f.dst, hi, budget, cap)
 
     hs, hd = src_b.nerve_homology, dst_b.nerve_homology
     for n in sorted(set(hs.degrees()) & set(hd.degrees())):

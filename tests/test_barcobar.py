@@ -151,11 +151,6 @@ def test_cobar_rejects_unreduced_windows():
         cobar(chains(boundary_delta3(), 3))
 
 
-def test_conilpotence_is_automatic_on_reduced_windows():
-    c = chains(nerve(FiniteMonoid.cyclic(3)), 4)
-    assert c.require_conilpotent() is c
-
-
 def test_collapsed_boundary_cobar_presentation():
     k = collapsed_boundary_delta3()
     om = cobar(chains(k, 4))

@@ -153,9 +153,14 @@ def test_bad_window_exits_2(capsys):
          "check-failed"),
         (["paper-suite", "--budget", "1"], 1, "check-failed"),
         (["loopgroup", "sphere1", "--hi", "-1"], 2, "invalid-input"),
+        (["homology", "z2", "--budget", "x"], 2, "invalid-input"),
+        (["bogus"], 2, "invalid-input"),
+        (["homology", "z2", "--format", "xml"], 2, "invalid-input"),
+        (["weq", "z2"], 2, "invalid-input"),
     ],
     ids=["window-0", "window-0..0", "image-out-of-range", "bar-budget",
-         "paper-suite-budget", "loopgroup-negative-hi"],
+         "paper-suite-budget", "loopgroup-negative-hi", "budget-not-int",
+         "unknown-command", "unknown-format", "weq-missing-target"],
 )
 def test_failures_end_in_a_report(capsys, argv, code, kind):
     got, r = run_json(capsys, argv)
@@ -163,6 +168,26 @@ def test_failures_end_in_a_report(capsys, argv, code, kind):
     assert r["exit_code"] == code
     assert r["error"]["kind"] == kind
     assert r["error"]["message"]
+
+
+def test_rejected_argv_reports_the_parser_message(capsys):
+    code = main(["weq", "z2"])
+    out, err = capsys.readouterr()
+    r = json.loads(out)
+    assert code == 2 and err == ""
+    assert r["command"] is None and r["params"] is None
+    assert r["outputs"] == {} and r["certificates"] == []
+    assert r["error"] == {
+        "kind": "invalid-input",
+        "message": "the following arguments are required: target",
+    }
+
+
+def test_help_exits_0_with_the_help_text(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["--help"])
+    assert e.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: barloop")
 
 
 @pytest.mark.parametrize(

@@ -252,9 +252,7 @@ def test_collapse_of_idempotent_pair_is_quasi_iso_by_cone():
 def two_points():
     """Two group-like vertices and nothing above them; vertex 0 is the
     coaugmentation."""
-    comp = ChainComplexWindow(
-        0, 1, {0: 2, 1: 0}, {1: IntMatrix.zeros(2, 0)}, closed_below=True
-    )
+    comp = ChainComplexWindow(1, {0: 2, 1: 0}, {1: IntMatrix.zeros(2, 0)})
     return DgCoalgebraWindow(
         comp, {0: [[(0, 0, 0, 1)], [(0, 1, 1, 1)]], 1: []}.__getitem__,
         [1, 1], 0,

@@ -111,7 +111,7 @@ def two_periodic_complex(hi):
     bounds = {}
     for n in range(1, hi + 1):
         bounds[n] = IntMatrix.from_rows([[0 if n % 2 else 2]])
-    return ChainComplexWindow(0, hi, ranks, bounds, closed_below=True)
+    return ChainComplexWindow(hi, ranks, bounds)
 
 
 def test_homology_two_periodic_oracle():
@@ -123,13 +123,12 @@ def test_homology_two_periodic_oracle():
     assert table[4].iso(HomologyEntry(0, [], True))
     # top of the window is partial: the next differential is unknown
     assert not table[5].exact
-    assert table[0].exact  # closed below
+    assert table[0].exact  # nothing lives below degree 0
 
 
 def test_homology_sphere_complex():
     # Cellular-style complex of a 2-sphere: ranks (1, 0, 1), zero boundaries.
     c = ChainComplexWindow(
-        0,
         3,
         {0: 1, 1: 0, 2: 1, 3: 0},
         {
@@ -137,7 +136,6 @@ def test_homology_sphere_complex():
             2: IntMatrix.zeros(0, 1),
             3: IntMatrix.zeros(1, 0),
         },
-        closed_below=True,
     )
     t = homology_window(c)
     assert t[0].iso(HomologyEntry(1, [], True))
@@ -148,7 +146,6 @@ def test_homology_sphere_complex():
 def test_homology_detects_broken_composition():
     # d1 * d2 != 0 must be rejected.
     c = ChainComplexWindow(
-        0,
         2,
         {0: 1, 1: 1, 2: 1},
         {1: IntMatrix.from_rows([[1]]), 2: IntMatrix.from_rows([[1]])},
@@ -159,7 +156,6 @@ def test_homology_detects_broken_composition():
         homology_window(c)
     # Only the top pair d_2∘d_3 breaks; d_1∘d_2 == 0.
     c = ChainComplexWindow(
-        0,
         3,
         {0: 1, 1: 1, 2: 1, 3: 1},
         {
@@ -174,8 +170,9 @@ def test_homology_detects_broken_composition():
 
 
 def test_window_too_small_rejected():
-    with pytest.raises(WindowTooSmall):
-        ChainComplexWindow(3, 3, {3: 1}, {})
+    message = r"^window \[0, 0\] has no interior$"
+    with pytest.raises(WindowTooSmall, match=message):
+        ChainComplexWindow(0, {0: 1}, {})
 
 
 def test_homology_table_json_roundtrip():
@@ -202,7 +199,7 @@ def test_homology_invariant_under_basis_change():
             # d'_n = U_{n-1} d_n U_n^{-1}; with rank-1 pieces the random
             # unimodular is just +-1, so this exercises the sign handling.
             tweaked[n] = units[n - 1] * base.boundary(n) * _unimodular_inverse(units[n])
-        c = ChainComplexWindow(0, 4, dict(base.ranks), tweaked, closed_below=True)
+        c = ChainComplexWindow(4, dict(base.ranks), tweaked)
         assert homology_window(c).iso(homology_window(base))
 
 
@@ -287,7 +284,7 @@ def test_basis_window_positions_labels_and_boundaries():
     assert window.index == {0: {"v0": 0, "v1": 1}, 1: {"e": 0, "loop": 1}}
     assert calls == [(1, "e"), (1, "loop")]
     assert window.boundary(1).to_rows() == [[-1, 0], [1, 0]]
-    assert (window.lo, window.hi, window.closed_below) == (0, 1, True)
+    assert window.hi == 1
     assert [window.label(1, i) for i in range(2)] == ["E", "LOOP"]
     assert homology_window(window)[0].iso(HomologyEntry(1, [], True))
     with pytest.raises(WindowTooSmall):
@@ -313,22 +310,22 @@ def dense_mapping_cone(maps, src, dst):
     def entry(m, i, j):
         return m.to_rows()[i][j]
 
-    if src.lo != dst.lo or src.hi != dst.hi:
+    if src.hi != dst.hi:
         raise ValueError("cone needs matching windows")
-    lo, hi = src.lo, src.hi
+    hi = src.hi
     ranks = {}
     bounds = {}
-    for n in range(lo, hi + 1):
-        ranks[n] = (src.rank(n - 1) if n - 1 >= lo else 0) + dst.rank(n)
-    for n in range(lo + 1, hi + 1):
-        sc = src.rank(n - 1) if n - 1 >= lo else 0
-        sc_prev = src.rank(n - 2) if n - 2 >= lo else 0
+    for n in range(hi + 1):
+        ranks[n] = (src.rank(n - 1) if n - 1 >= 0 else 0) + dst.rank(n)
+    for n in range(1, hi + 1):
+        sc = src.rank(n - 1)
+        sc_prev = src.rank(n - 2) if n - 2 >= 0 else 0
         dc = dst.rank(n)
         dc_prev = dst.rank(n - 1)
         rows = sc_prev + dc_prev
         cols = sc + dc
         entries = [0] * (rows * cols)
-        if sc and sc_prev and n - 1 > lo:
+        if sc and sc_prev:
             dsrc = src.boundary(n - 1)
             for i in range(sc_prev):
                 for j in range(sc):
@@ -346,13 +343,7 @@ def dense_mapping_cone(maps, src, dst):
                 for j in range(dc):
                     entries[(sc_prev + i) * cols + sc + j] = entry(ddst, i, j)
         bounds[n] = _dense(rows, cols, entries)
-    return ChainComplexWindow(
-        lo,
-        hi,
-        ranks,
-        bounds,
-        closed_below=src.closed_below and dst.closed_below,
-    )
+    return ChainComplexWindow(hi, ranks, bounds)
 
 
 def _cone_outcome(build, maps, src, dst):
@@ -360,13 +351,12 @@ def _cone_outcome(build, maps, src, dst):
         cone = build(maps, src, dst)
     except ValueError as e:
         return "error", str(e)
-    return cone.lo, cone.hi, cone.ranks, cone.boundaries, cone.closed_below
+    return cone.hi, cone.ranks, cone.boundaries
 
 
 @st.composite
 def cone_inputs(draw):
-    lo = draw(st.integers(0, 2))
-    hi = lo + draw(st.integers(1, 3))
+    hi = draw(st.integers(1, 3))
 
     def matrix(rows, cols):
         flat = draw(
@@ -376,16 +366,12 @@ def cone_inputs(draw):
         return _dense(rows, cols, flat)
 
     def window():
-        ranks = {n: draw(st.integers(0, 3)) for n in range(lo, hi + 1)}
-        bounds = {
-            n: matrix(ranks[n - 1], ranks[n]) for n in range(lo + 1, hi + 1)
-        }
-        return ChainComplexWindow(
-            lo, hi, ranks, bounds, closed_below=draw(st.booleans())
-        )
+        ranks = {n: draw(st.integers(0, 3)) for n in range(hi + 1)}
+        bounds = {n: matrix(ranks[n - 1], ranks[n]) for n in range(1, hi + 1)}
+        return ChainComplexWindow(hi, ranks, bounds)
 
     src, dst = window(), window()
-    maps = {n: matrix(dst.rank(n), src.rank(n)) for n in range(lo, hi + 1)}
+    maps = {n: matrix(dst.rank(n), src.rank(n)) for n in range(hi + 1)}
     if draw(st.booleans()):
         del maps[draw(st.sampled_from(sorted(maps)))]
     return maps, src, dst
@@ -700,7 +686,7 @@ def boundary_shaped_windows():
 def test_unit_pivot_smith_matches_dense_kernel_on_boundaries():
     checked = 0
     for c in boundary_shaped_windows():
-        for n in range(c.lo + 1, c.hi + 1):
+        for n in range(1, c.hi + 1):
             m = c.boundary(n)
             assert smith_normal_form(m).d == dense_factors(m)
             checked += 1
@@ -776,7 +762,7 @@ def test_nerve_homology_at_scale_matches_closed_form_and_ranks_mod_p(m, hi):
 
 def assert_euler_characteristic(c):
     table = homology_window(c)
-    degrees = range(c.lo, c.hi + 1)
+    degrees = range(c.hi + 1)
     assert sum((-1) ** n * c.rank(n) for n in degrees) == sum(
         (-1) ** n * table[n].free_rank for n in degrees
     )

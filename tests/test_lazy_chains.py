@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barloop import barcobar, cli, dgcoalg, weqcheck
-from barloop.barcobar import bar
+from barloop.barcobar import bar, cobar
 from barloop.dgcoalg import DgCoalgebraWindow, chains, nerve_chains_map
 from barloop.exactlin import ChainComplexWindow, basis_window, homology_window
 from barloop.monoids import (
@@ -72,12 +72,19 @@ def eager_chains(k, hi):
     return comp, coproduct
 
 
+def labels(window):
+    return {
+        n: [window.label(n, i) for i in range(window.rank(n))]
+        for n in range(window.hi + 1)
+    }
+
+
 def assert_matches_eager(k, hi):
     c = chains(k, hi)
     comp, coproduct = eager_chains(k, hi)
     assert c.coproduct == coproduct
     assert c.complex.ranks == comp.ranks
-    assert c.complex.labels == comp.labels
+    assert labels(c.complex) == labels(comp)
     for n in range(1, hi + 1):
         assert c.complex.boundary(n) == comp.boundary(n)
 
@@ -152,7 +159,7 @@ def test_homology_of_bar_builds_no_coproduct(monkeypatch):
     assert calls == list(range(5))
 
 
-def test_weq_builds_each_nerve_chain_window_once(monkeypatch):
+def _windows_built_by_weq(monkeypatch, f):
     built = []
 
     def counted(k, hi):
@@ -160,9 +167,26 @@ def test_weq_builds_each_nerve_chain_window_once(monkeypatch):
         return chains(k, hi)
 
     monkeypatch.setattr(weqcheck, "chains", counted)
-    verdict = weq_verdict(MonoidMap.identity(FiniteMonoid.cyclic(3)), hi=3)
+    verdict = weq_verdict(f, hi=3)
     assert verdict.kind == "certified-equivalent"
-    assert built == [3, 3]
+    return built
+
+
+def test_weq_builds_each_nerve_chain_window_once(monkeypatch):
+    f = MonoidMap.identity(FiniteMonoid.cyclic(3))
+    assert _windows_built_by_weq(monkeypatch, f) == [3]
+
+
+def test_weq_reuses_the_invariants_of_an_equal_target(monkeypatch):
+    """An endomorphism's source and target are one monoid, also when the
+    target is an equal copy; a collapse still builds both nerves."""
+    z3, copy = FiniteMonoid.cyclic(3), FiniteMonoid.cyclic(3)
+    assert copy is not z3 and copy == z3
+    f = MonoidMap(z3, copy, [0, 1, 2])
+    assert _windows_built_by_weq(monkeypatch, f) == [3]
+    f = MonoidMap(FiniteMonoid.idempotent_pair(), FiniteMonoid.trivial(),
+                  [0, 0])
+    assert _windows_built_by_weq(monkeypatch, f) == [3, 3]
 
 
 def test_homology_and_weq_commands_build_no_coproduct(monkeypatch, capsys):
@@ -193,8 +217,7 @@ def test_nerve_chains_map_needs_matching_windows_with_bases():
         nerve_chains_map(f, c3, c4)
     comp = c3.complex
     loaded = DgCoalgebraWindow(
-        ChainComplexWindow(comp.lo, comp.hi, comp.ranks, comp.boundaries,
-                           comp.labels, comp.closed_below),
+        ChainComplexWindow(comp.hi, comp.ranks, comp.boundaries),
         c3.coproduct.__getitem__, c3.counit, c3.coaugmentation,
     )
     assert loaded.complex.bases is None
@@ -203,6 +226,31 @@ def test_nerve_chains_map_needs_matching_windows_with_bases():
     with pytest.raises(ValueError, match="keep their bases"):
         nerve_chains_map(f, c3, loaded)
     assert nerve_chains_map(f, c3, c3).validate().ok
+
+
+def test_windows_name_basis_elements_only_when_read(monkeypatch):
+    """Homology never names a basis element; cobar names each generator
+    by the label function given to basis_window."""
+    named = []
+
+    def spying_basis_window(bases, boundary, label):
+        def spy(b):
+            named.append(b)
+            return label(b)
+
+        return basis_window(bases, boundary, spy)
+
+    monkeypatch.setattr(dgcoalg, "basis_window", spying_basis_window)
+    monkeypatch.setattr(barcobar, "basis_window", spying_basis_window)
+    z3 = FiniteMonoid.cyclic(3)
+    c = chains(nerve(z3), 6)
+    homology_window(c.complex)
+    homology_window(bar(monoid_algebra(z3), 4).complex)
+    assert named == []
+    om = cobar(c)
+    tuples = [t for n in range(1, 7) for t in c.complex.bases[n]]
+    assert [lbl for lbl, _ in om.generators] == [str(t) for t in tuples]
+    assert named == tuples
 
 
 def test_short_coproduct_fails_on_first_read():
