@@ -38,6 +38,7 @@ from .errors import (
     NotSimplyConnected,
 )
 from .exactlin import IntMatrix, basis_window
+from .monoids import monoid_algebra
 from .rewrite import (
     IsoCertificate,
     PresentedDgAlgebra,
@@ -48,6 +49,7 @@ from .rewrite import (
     poly_mul,
     require_complete,
 )
+from .simplicial import nerve
 
 __all__ = [
     "bar",
@@ -277,9 +279,6 @@ def extended_cobar(k, hi):
 def nerve_bar_iso_check(m, hi, budget=100_000, cap=10_000):
     """Certify that the chains of the nerve and the bar of the monoid
     algebra agree bit-exactly under (m1,..,mn) -> [m1-1 | .. | mn-1]."""
-    from .monoids import monoid_algebra
-    from .simplicial import nerve
-
     k = nerve(m)
     cn = chains(k, hi)
     alg = monoid_algebra(m)

@@ -59,7 +59,7 @@ from .rewrite import (
     complex_window,
     h0_ring,
 )
-from .simplicial import collapsed_boundary_delta3, minimal_sphere
+from .simplicial import collapsed_boundary_delta3, minimal_sphere, nerve
 from .weqcheck import bundled_complexes, bundled_monoids, weq_verdict
 
 __all__ = ["main", "build_parser", "run"]
@@ -120,8 +120,6 @@ def _resolve(kind, name, hi):
             return k, {"name": name, "data": k.to_json_dict(min(hi, 3))}
         monoids = bundled_monoids()
         if name in monoids:
-            from .simplicial import nerve
-
             k = nerve(monoids[name])
             return k, {"name": name, "monoid": monoids[name].to_json_dict()}
         raise KeyError(

@@ -15,7 +15,11 @@ with degenerate faces dropped, coproduct the front-face/back-face
 (Alexander-Whitney) formula with degenerate factors dropped.
 """
 
-from .errors import FiltrationNotRespected, NotCoaugmented
+from .errors import (
+    FiltrationNotRespected,
+    NotCoaugmented,
+    ValidationReport,
+)
 from .exactlin import (
     ChainComplexWindow,
     IntMatrix,
@@ -23,7 +27,6 @@ from .exactlin import (
     homology_window,
     mapping_cone,
 )
-from .monoids import ValidationReport
 
 __all__ = [
     "DgCoalgebraWindow",

@@ -1,10 +1,11 @@
-"""Shared exception types.
+"""Shared exception types, and the report that law checks return.
 
 Every failure mode that a caller can reasonably branch on gets its own
 class; all inherit from BarloopError so blanket handling stays possible.
 """
 
 __all__ = [
+    "ValidationReport",
     "BarloopError",
     "WindowTooSmall",
     "MalformedTable",
@@ -22,6 +23,23 @@ __all__ = [
     "MismatchAt",
     "NotAHomomorphism",
 ]
+
+
+class ValidationReport:
+    """List of law violations; empty means valid."""
+
+    def __init__(self, violations):
+        self.violations = list(violations)
+
+    @property
+    def ok(self):
+        return not self.violations
+
+    def __bool__(self):
+        return self.ok
+
+    def __repr__(self):
+        return f"ValidationReport(ok={self.ok}, violations={self.violations!r})"
 
 
 class BarloopError(Exception):

@@ -139,13 +139,12 @@ class IntMatrix:
 
 
 class SnfResult:
-    """Smith normal form of ``matrix``: the diagonal ``d`` of length
+    """Smith normal form of a matrix: the diagonal ``d`` of length
     min(rows, cols), nonnegative, with each entry dividing the next."""
 
-    __slots__ = ("matrix", "d")
+    __slots__ = ("d",)
 
-    def __init__(self, matrix, d):
-        self.matrix = matrix
+    def __init__(self, d):
         self.d = tuple(d)
 
     @property
@@ -156,7 +155,7 @@ class SnfResult:
 def smith_normal_form(m):
     """Compute the Smith normal form of an IntMatrix by sparse unit-pivot
     elimination, then the dense kernel on the residual block."""
-    return SnfResult(m, unit_pivot_smith(m.rows, m.cols, m.column))
+    return SnfResult(unit_pivot_smith(m.rows, m.cols, m.column))
 
 
 class ChainComplexWindow:
@@ -272,11 +271,6 @@ class HomologyTable:
 
     def degrees(self):
         return sorted(self.entries)
-
-    def iso(self, other):
-        if sorted(other.entries) != self.degrees():
-            return False
-        return all(self.entries[n].iso(other.entries[n]) for n in self.entries)
 
     def to_json_dict(self):
         return {

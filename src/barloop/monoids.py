@@ -1,10 +1,11 @@
 """Finite monoids, presentations, monoid algebras, group completion.
 
-Multiplication tables are validated exhaustively (identity and
-associativity laws).  Group completion adjoins a formal inverse per
-generator and runs rewriting completion plus, as an independent
-finiteness prover, coset enumeration over the trivial subgroup; both are
-budgeted and report honestly when the budget runs out.
+A FiniteMonoid checks its table at construction (entries in range,
+identity and associativity laws), so every monoid in hand is valid.
+Group completion adjoins a formal inverse per generator and runs
+rewriting completion plus, as an independent finiteness prover, coset
+enumeration over the trivial subgroup; both are budgeted and report
+honestly when the budget runs out.
 """
 
 import random
@@ -13,7 +14,6 @@ from .errors import CapExceeded, MalformedTable, NotAHomomorphism
 from .rewrite import PresentedDgAlgebra, basis_in_degree, complete
 
 __all__ = [
-    "ValidationReport",
     "FiniteMonoid",
     "MonoidMap",
     "MonoidPresentation",
@@ -27,28 +27,13 @@ __all__ = [
 ]
 
 
-class ValidationReport:
-    """List of law violations; empty means valid."""
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-
-    @property
-    def ok(self):
-        return not self.violations
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        return f"ValidationReport(ok={self.ok}, violations={self.violations!r})"
-
-
 class FiniteMonoid:
     """Multiplication table on labelled elements.
 
     elements: ordered labels; identity: index; table[i][j] = index of
-    element i * element j.
+    element i * element j.  Raises MalformedTable, listing every
+    violation, unless the table satisfies the identity and associativity
+    laws.
     """
 
     def __init__(self, elements, identity, table):
@@ -69,11 +54,6 @@ class FiniteMonoid:
                         f"product of {self.elements[i]} and {self.elements[j]} "
                         f"has undefined index {v}"
                     )
-        self._index = {e: i for i, e in enumerate(self.elements)}
-
-    # -- laws -----------------------------------------------------------------
-
-    def validate(self):
         bad = []
         e = self.identity
         for i, lbl in enumerate(self.elements):
@@ -81,7 +61,6 @@ class FiniteMonoid:
                 bad.append(f"identity law fails on the left of {lbl}")
             if self.table[i][e] != i:
                 bad.append(f"identity law fails on the right of {lbl}")
-        n = len(self.elements)
         for i in range(n):
             for j in range(n):
                 ij = self.table[i][j]
@@ -92,18 +71,9 @@ class FiniteMonoid:
                             f"({self.elements[i]}, {self.elements[j]}, "
                             f"{self.elements[k]})"
                         )
-        return ValidationReport(bad)
-
-    def is_group(self):
-        e = self.identity
-        n = len(self.elements)
-        for i in range(n):
-            if not any(
-                self.table[i][j] == e and self.table[j][i] == e
-                for j in range(n)
-            ):
-                return False
-        return True
+        if bad:
+            raise MalformedTable("; ".join(bad))
+        self._index = {e: i for i, e in enumerate(self.elements)}
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -310,9 +280,6 @@ class MonoidPresentation:
 
     @classmethod
     def from_monoid(cls, m):
-        report = m.validate()
-        if not report.ok:
-            raise MalformedTable("; ".join(report.violations))
         nontriv = [i for i in range(m.order()) if i != m.identity]
         gens = [m.elements[i] for i in nontriv]
         rels = []
@@ -348,27 +315,37 @@ class MonoidPresentation:
 
 
 class GroupCompletion(MonoidPresentation):
-    """Group presentation produced by completion, with optional finite
-    materialization when coset or basis enumeration closed.  inverses
-    maps each generator of the completed monoid to the label of its
-    formal inverse."""
+    """Group presentation produced by completion, with its finite table
+    (monoid, of the given order) when basis or coset enumeration closed.
 
-    def __init__(self, generators, relations, inverses, order=None,
-                 monoid=None, rules=None, steps_used=0):
+    rules is the completed rewriting system, or None when coset
+    enumeration proved finiteness; positions then is None too, and
+    otherwise maps each irreducible word to its position in the table.
+    """
+
+    def __init__(self, generators, relations, order=None, monoid=None,
+                 rules=None, positions=None):
         super().__init__(generators, relations)
-        self.inverses = inverses
         self.order = order
         self.monoid = monoid
         self.rules = rules
-        self.steps_used = steps_used
+        self.positions = positions
+
+    def position(self, m, a):
+        """Table position of the class of element a of the monoid m this
+        completion was built from (a completion with rules and a table)."""
+        if a == m.identity:
+            return self.monoid.identity
+        alg = self.rules.algebra
+        (word,) = self.rules.normal_form({(alg.gen_index(m.elements[a]),): 1})
+        return self.positions[word]
 
 
 class Exhausted:
     """Budget ran out before anything could be certified."""
 
-    def __init__(self, reason, partial=None):
+    def __init__(self, reason):
         self.reason = reason
-        self.partial = partial
 
     def __repr__(self):
         return f"Exhausted({self.reason!r})"
@@ -407,10 +384,12 @@ def group_completion(p, budget=100_000, cap=10_000):
     Adjoins a formal inverse per generator (group_ring, labels primed),
     completes the resulting string rewriting system, Tietze-eliminates
     generators that rewrite to words, and tries to reconstruct a finite
-    multiplication table (via irreducible-word enumeration, falling back
-    to coset enumeration).  Returns a GroupCompletion, or Exhausted when
-    the budget ran out before completion and before coset enumeration
-    closed.
+    multiplication table: from the irreducible words when completion
+    finished (each word's table position kept, so GroupCompletion.position
+    can place any element's class), else by coset enumeration.  Table
+    labels are for display only.  Returns a GroupCompletion, or Exhausted
+    when the budget ran out before completion and before coset
+    enumeration closed.
     """
     if isinstance(p, FiniteMonoid):
         p = MonoidPresentation.from_monoid(p)
@@ -420,6 +399,7 @@ def group_completion(p, budget=100_000, cap=10_000):
 
     monoid = None
     order = None
+    idx = None
     if rsys.complete:
         try:
             words = basis_in_degree(rsys, 0, cap=cap)
@@ -456,8 +436,8 @@ def group_completion(p, budget=100_000, cap=10_000):
             relations.append((lhs_word, rhs_word))
         gens2, relations = _tietze_simplify(gens, relations)
         return GroupCompletion(
-            gens2, relations, inv, order=order, monoid=monoid, rules=rsys,
-            steps_used=rsys.steps_used,
+            gens2, relations, order=order, monoid=monoid, rules=rsys,
+            positions=idx,
         )
 
     # completion budget hit: fall back to coset enumeration for finiteness
@@ -467,11 +447,10 @@ def group_completion(p, budget=100_000, cap=10_000):
         monoid = FiniteMonoid(labels, identity, table)
         pres = MonoidPresentation.from_monoid(monoid)
         return GroupCompletion(
-            pres.generators, pres.relations, inv, order=monoid.order(),
-            monoid=monoid, rules=None, steps_used=budget,
+            pres.generators, pres.relations, order=monoid.order(),
+            monoid=monoid,
         )
-    return Exhausted("completion and coset enumeration budgets exhausted",
-                     partial=rsys)
+    return Exhausted("completion and coset enumeration budgets exhausted")
 
 
 def _tietze_simplify(gens, relations):
@@ -670,7 +649,4 @@ def random_monoid(seed):
         lambda: FiniteMonoid.chain_of_idempotents(rng.randint(2, 4)),
         lambda: FiniteMonoid.left_zero_with_unit(rng.randint(2, 3)),
     ]
-    m = rng.choice(builders)()
-    report = m.validate()
-    assert report.ok
-    return m
+    return rng.choice(builders)()

@@ -22,7 +22,6 @@ without being one.
 """
 
 from .dgcoalg import chains, cone_quasi_iso_window, nerve_chains_map
-from .errors import MismatchAt
 from .exactlin import homology_window
 from .monoids import Exhausted, FiniteMonoid, group_completion
 from .simplicial import (
@@ -45,26 +44,22 @@ __all__ = [
 
 class MonoidInvariantBundle:
     """Invariants of one monoid over a window: homology of the nerve
-    chains, the group completion (or Exhausted), and group-ness.  chains
-    is the nerve's chain window the homology was computed from."""
+    chains and the group completion (or Exhausted).  chains is the
+    nerve's chain window the homology was computed from."""
 
-    def __init__(self, monoid, hi, nerve_homology, completion, grouplike,
-                 chains):
-        self.monoid = monoid
-        self.hi = hi
+    def __init__(self, nerve_homology, completion, chains):
         self.nerve_homology = nerve_homology
         self.completion = completion
-        self.grouplike = grouplike
         self.chains = chains
 
 
 def invariants(m, hi=6, budget=100_000, cap=10_000):
     """Invariant bundle of a finite monoid over degrees 0..hi."""
     c = chains(nerve(m), hi)
-    table = homology_window(c.complex)
-    completion = group_completion(m, budget=budget, cap=cap)
     return MonoidInvariantBundle(
-        m, hi, table, completion, m.is_group(), c
+        homology_window(c.complex),
+        group_completion(m, budget=budget, cap=cap),
+        c,
     )
 
 
@@ -102,64 +97,29 @@ class WeqVerdict:
         return f"WeqVerdict({self.kind!r}, hi={self.hi})"
 
 
-def _group_inverse(m, x):
-    for y in range(m.order()):
-        if m.table[x][y] == m.identity and m.table[y][x] == m.identity:
-            return y
-    raise MismatchAt(f"{m.elements[x]} has no inverse in a completion table")
-
-
-def _completion_letters(c, m):
-    """Letter decoding for the completion c of the monoid m: maps a
-    generator or formal-inverse label back to (element index, exponent)."""
-    letters = {}
-    for g, lbl in c.inverses.items():
-        idx = m.index(g)
-        letters[g] = (idx, 1)
-        letters[lbl] = (idx, -1)
-    return letters
-
-
-def _canonical_completion_image(c, m, elem):
-    """Index in the completion table of the class of a monoid element."""
-    if elem == m.identity:
-        return c.monoid.identity
-    alg = c.rules.algebra
-    nf = c.rules.normal_form({(alg.gen_index(m.elements[elem]),): 1})
-    if list(nf.values()) != [1]:
-        return None
-    (word,) = nf.keys()
-    if not word:
-        return c.monoid.identity
-    return c.monoid.elements.index(alg.word_str(word))
-
-
 def _induced_completion_bijective(f, cs, cd):
     """Whether the map induced on group completion tables is a bijection.
 
-    Returns True/False, or None when the tables cannot be decoded (e.g.
-    a completion came from coset enumeration and carries no rules).
+    G(M) is generated by the classes of M's elements, so the image of the
+    induced map is the subgroup of the target table that the classes of
+    f(a), a in M, generate: their closure under the product.  Returns
+    True/False, or None when the target completion carries no rules to
+    place those classes (it came from coset enumeration).
     """
-    if cs.rules is None or cd.rules is None:
+    if cd.rules is None:
         return None
-    src_letters = _completion_letters(cs, f.src)
-    dst_m = cd.monoid
-    seen = set()
-    for idx, lbl in enumerate(cs.monoid.elements):
-        acc = dst_m.identity
-        if idx != cs.monoid.identity:
-            for letter in lbl.split("*"):
-                if letter not in src_letters:
-                    return None
-                elem, exp = src_letters[letter]
-                img = _canonical_completion_image(cd, f.dst, f(elem))
-                if img is None:
-                    return None
-                if exp == -1:
-                    img = _group_inverse(dst_m, img)
-                acc = dst_m.table[acc][img]
-        seen.add(acc)
-    return len(seen) == cs.monoid.order() == cd.monoid.order()
+    table = cd.monoid.table
+    gens = {cd.position(f.dst, b) for b in set(f.images)}
+    closure = {cd.monoid.identity}
+    frontier = list(closure)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = table[x][g]
+            if y not in closure:
+                closure.add(y)
+                frontier.append(y)
+    return len(closure) == cd.order == cs.order
 
 
 def weq_verdict(f, hi=6, budget=100_000, cap=10_000):

@@ -2,14 +2,27 @@
 
 assert_smith_diagonal rechecks that a Smith normal form diagonal is in
 normal form; assert_same_coalgebra_window compares two coalgebra
-windows field by field.
+windows field by field; is_group says whether every element of a finite
+monoid has a two-sided inverse.
 """
 
 
-def assert_smith_diagonal(s):
-    """The diagonal of the SnfResult s has length min(rows, cols), is
-    nonnegative, has its zeros last, and each entry divides the next."""
-    m, d = s.matrix, s.d
+def is_group(m):
+    """Whether every element of the FiniteMonoid m has a two-sided
+    inverse."""
+    e = m.identity
+    n = m.order()
+    return all(
+        any(m.table[i][j] == e and m.table[j][i] == e for j in range(n))
+        for i in range(n)
+    )
+
+
+def assert_smith_diagonal(m, s):
+    """The diagonal of s, the SnfResult of the matrix m, has length
+    min(rows, cols), is nonnegative, has its zeros last, and each entry
+    divides the next."""
+    d = s.d
     assert len(d) == min(m.rows, m.cols), "diagonal length is not min(rows, cols)"
     for i, x in enumerate(d):
         assert x >= 0, f"negative entry at position {i}"

@@ -110,7 +110,7 @@ def run_snf_properties(seeds):
         ])
         s = smith_normal_form(m)
         try:
-            assert_smith_diagonal(s)
+            assert_smith_diagonal(m, s)
         except AssertionError as e:
             failures.append((seed, "verify", str(e)))
             continue

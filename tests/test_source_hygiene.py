@@ -15,6 +15,11 @@
   an ``ast.Attribute``; in the benchmark also a string constant, since
   its tracer names the entry points it wraps by string).  A few are kept
   unread on purpose; ``UNREAD_ON_PURPOSE`` says why.
+- Every attribute a package class stores on ``self`` is loaded by name
+  somewhere in the package or the benchmark (an ``ast.Attribute`` in
+  ``Load`` context, or a string passed to ``getattr`` or ``hasattr``; in
+  the benchmark also any string constant).  ``STORED_UNREAD_ON_PURPOSE``
+  lists the exceptions.
 """
 
 import ast
@@ -29,6 +34,11 @@ UNREAD_ON_PURPOSE = {
     "abelianization": "the independent oracle of acceptance test A8",
     "localized_nerve": "the paper's localization of a nerve, exercised by "
     "test_simplicial.py and test_loopgroup.py",
+}
+
+STORED_UNREAD_ON_PURPOSE = {
+    "MismatchAt.element": "the error says where a comparison failed; "
+    "test_barcobar.py asserts it",
 }
 
 
@@ -114,6 +124,52 @@ def unread_functions(tree, read):
     )
 
 
+def attributes_loaded(tree, strings=False):
+    """Attribute names an expression loads: every ``ast.Attribute`` in
+    ``Load`` context and every string passed to ``getattr`` or
+    ``hasattr``, and with ``strings`` every string constant too."""
+    loaded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "hasattr")
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            loaded.add(node.args[1].value)
+        elif strings and isinstance(node, ast.Constant) and isinstance(
+            node.value, str
+        ):
+            loaded.add(node.value)
+    return loaded
+
+
+def unread_attributes(tree, loaded):
+    """(line, "Class.attr") of the first store of each attribute a class
+    stores on ``self`` whose name is not in ``loaded``."""
+    first = {}
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in ast.walk(cls):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+                and node.attr not in loaded
+            ):
+                key = f"{cls.name}.{node.attr}"
+                first[key] = min(first.get(key, node.lineno), node.lineno)
+    return sorted(
+        (line, key) for key, line in first.items()
+        if key not in STORED_UNREAD_ON_PURPOSE
+    )
+
+
 def _offenders(paths, rule):
     found = {}
     for path in paths:
@@ -147,6 +203,24 @@ def test_rules_detect_what_they_forbid():
     assert unread_functions(tree, names_read(tree, strings=True)) == [
         (10, "unread")
     ]
+    tree = ast.parse(
+        "class A:\n"
+        "    def __init__(self, x):\n"
+        "        self.kept = self.lost = x\n"
+        "        self.by_getattr = self.by_hasattr = self.by_string = x\n"
+        "        self.lost = 2 * x\n"
+        "class MismatchAt:\n"
+        "    def __init__(self): self.element = None\n"
+        "a = A(1)\n"
+        "a.kept, a.lost2\n"
+        "getattr(a, 'by_getattr'), hasattr(a, 'by_hasattr'), 'by_string'\n"
+    )
+    assert unread_attributes(tree, attributes_loaded(tree)) == [
+        (3, "A.lost"), (4, "A.by_string")
+    ]
+    assert unread_attributes(tree, attributes_loaded(tree, strings=True)) == [
+        (3, "A.lost")
+    ]
 
 
 def test_no_unused_imports_in_the_package():
@@ -173,3 +247,13 @@ def test_every_function_is_read():
     for path in BENCH.rglob("*.py"):
         read |= names_read(_parse(path), strings=True)
     assert _offenders(paths, lambda tree: unread_functions(tree, read)) == {}
+
+
+def test_every_stored_attribute_is_loaded():
+    paths = sorted(PACKAGE.rglob("*.py"))
+    loaded = set()
+    for path in paths:
+        loaded |= attributes_loaded(_parse(path))
+    for path in BENCH.rglob("*.py"):
+        loaded |= attributes_loaded(_parse(path), strings=True)
+    assert _offenders(paths, lambda tree: unread_attributes(tree, loaded)) == {}

@@ -1,15 +1,21 @@
 """Invariant bundles and equivalence verdicts for monoid maps."""
 
+import itertools
+
 import pytest
 
+import label_completion_map as old
 from barloop.monoids import (
     Exhausted,
     FiniteMonoid,
     MonoidMap,
+    MonoidPresentation,
     group_completion,
+    group_ring,
+    random_monoid,
 )
 from barloop.weqcheck import (
-    _canonical_completion_image,
+    _induced_completion_bijective,
     bundled_complexes,
     bundled_monoids,
     invariants,
@@ -25,7 +31,6 @@ def test_invariant_bundle_of_idempotent_pair():
         assert b.nerve_homology[n].is_zero()
     assert not isinstance(b.completion, Exhausted)
     assert b.completion.order == 1
-    assert b.grouplike is False
 
 
 def test_invariant_bundle_of_cyclic_group():
@@ -33,7 +38,6 @@ def test_invariant_bundle_of_cyclic_group():
     assert b.nerve_homology[1].group() == (0, (2,))
     assert b.nerve_homology[3].group() == (0, (2,))
     assert b.completion.order == 2
-    assert b.grouplike is True
 
 
 def test_collapse_of_idempotent_pair_is_certified():
@@ -97,7 +101,8 @@ def test_automorphism_of_relabelled_z4_is_certified():
     v = weq_verdict(f, hi=4)
     assert v.kind == "certified-equivalent"
     assert v.certificate["completion_order"] == 4
-    assert invariants(z4, hi=2).completion.inverses["v"] == "v''"
+    _, inverses = group_ring(MonoidPresentation.from_monoid(z4), "'")
+    assert inverses["v"] == "v''"
 
 
 def test_verdicts_are_monotone_in_the_window():
@@ -112,7 +117,6 @@ def test_bundle_serializes():
     b = invariants(FiniteMonoid.cyclic(2), hi=3)
     assert b.completion.order == 2
     assert b.completion.to_json_dict()["gens"] == ["g"]
-    assert b.grouplike is True
     assert b.nerve_homology.to_json_dict()["1"]["torsion"] == ["2"]
 
 
@@ -164,16 +168,74 @@ def test_letter_labels_keep_the_plain_identity_label():
     assert comp.monoid.elements[comp.monoid.identity] == "1"
 
 
-def test_an_element_trivial_in_the_completion_maps_to_its_identity():
+def _z2_times_idempotent():
     # Z/2 x {1, z} with z idempotent: z and w = (a, z) die in the group
     # completion, while the generator labelled "1" survives
     table = [
         [(i % 2 + j % 2) % 2 + 2 * (i // 2 | j // 2) for j in range(4)]
         for i in range(4)
     ]
-    m = FiniteMonoid(["e", "1", "z", "w"], 0, table)
+    return FiniteMonoid(["e", "1", "z", "w"], 0, table)
+
+
+def test_an_element_trivial_in_the_completion_maps_to_its_identity():
+    m = _z2_times_idempotent()
     comp = group_completion(m)
     assert comp.order == 2
-    assert _canonical_completion_image(comp, m, 2) == comp.monoid.identity
-    one = _canonical_completion_image(comp, m, 1)
+    assert comp.position(m, 0) == comp.monoid.identity
+    assert comp.position(m, 2) == comp.monoid.identity
+    assert comp.position(m, 3) == comp.position(m, 1)
+    one = comp.position(m, 1)
     assert one != comp.monoid.identity and comp.monoid.elements[one] == "1"
+
+
+def _homomorphisms(src, dst):
+    rest = [a for a in range(src.order()) if a != src.identity]
+    for imgs in itertools.product(range(dst.order()), repeat=len(rest)):
+        images = [dst.identity] * src.order()
+        for a, b in zip(rest, imgs):
+            images[a] = b
+        if all(
+            images[src.table[a][b]] == dst.table[images[a]][images[b]]
+            for a in rest for b in rest
+        ):
+            yield MonoidMap(src, dst, images)
+
+
+def test_completion_map_check_agrees_with_the_label_parsing_oracle():
+    monoids = list(bundled_monoids().values()) + [
+        FiniteMonoid.chain_of_idempotents(3),
+        FiniteMonoid.left_zero_with_unit(3),
+        _z2_times_idempotent(),
+    ] + [random_monoid(seed) for seed in range(10)]
+    completions = [group_completion(m) for m in monoids]
+    assert all(
+        c.rules is not None and c.monoid is not None for c in completions
+    )
+    checked = 0
+    verdicts = set()
+    for (src, cs), (dst, cd) in itertools.product(
+        zip(monoids, completions), repeat=2
+    ):
+        for f in _homomorphisms(src, dst):
+            want = old._induced_completion_bijective(f, cs, cd)
+            assert want is not None
+            assert _induced_completion_bijective(f, cs, cd) == want, (
+                src, dst, f.images,
+            )
+            verdicts.add(want)
+            checked += 1
+    assert checked == 881
+    assert verdicts == {True, False}
+
+
+def test_a_coset_enumerated_source_completion_is_certified():
+    # at budget 5 completion of the idempotent pair's group ring stops
+    # early and coset enumeration proves the group trivial; the target's
+    # rules still place every image, so the source's order is enough
+    f = MonoidMap.collapse(FiniteMonoid.idempotent_pair())
+    cs = group_completion(f.src, budget=5)
+    assert cs.rules is None and cs.order == 1
+    v = weq_verdict(f, hi=3, budget=5)
+    assert v.kind == "certified-equivalent"
+    assert v.certificate["completion_order"] == 1
