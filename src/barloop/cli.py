@@ -264,7 +264,7 @@ def cmd_weq(args, hi):
             "--images is required unless the map is an identity or the "
             "target is trivial"
         )
-    verdict = weq_verdict(f, hi=hi, budget=args.budget, cap=args.cap)
+    verdict = weq_verdict(f, hi=hi)
     code = 0 if verdict.kind == "certified-equivalent" else 1
     outputs = {"verdict": verdict.to_json_dict(), "images": f.images}
     return code, outputs, [verdict.to_json_dict()], {
@@ -364,17 +364,10 @@ def _case_loop_s2(budget, cap, seed):
 
 def _case_weq(budget, cap, seed):
     squash = weq_verdict(
-        MonoidMap.collapse(FiniteMonoid.idempotent_pair()), hi=4,
-        budget=budget, cap=cap,
+        MonoidMap.collapse(FiniteMonoid.idempotent_pair()), hi=4
     )
-    refute = weq_verdict(
-        MonoidMap.collapse(FiniteMonoid.cyclic(2)), hi=4, budget=budget,
-        cap=cap,
-    )
-    keep = weq_verdict(
-        MonoidMap.identity(FiniteMonoid.cyclic(3)), hi=3, budget=budget,
-        cap=cap,
-    )
+    refute = weq_verdict(MonoidMap.collapse(FiniteMonoid.cyclic(2)), hi=4)
+    keep = weq_verdict(MonoidMap.identity(FiniteMonoid.cyclic(3)), hi=3)
     ok = (
         squash.kind == "certified-equivalent"
         and refute.kind == "distinguished"

@@ -2,10 +2,12 @@
 
 A FiniteMonoid checks its table at construction (entries in range,
 identity and associativity laws), so every monoid in hand is valid.
-Group completion adjoins a formal inverse per generator and runs
-rewriting completion plus, as an independent finiteness prover, coset
-enumeration over the trivial subgroup; both are budgeted and report
-honestly when the budget runs out.
+Group completion of a finite monoid is read off its table: the quotient
+by the congruence that identifies every idempotent with the identity.
+Group completion of a presentation adjoins a formal inverse per
+generator and runs rewriting completion plus, as an independent
+finiteness prover, coset enumeration over the trivial subgroup; both
+are budgeted and report honestly when the budget runs out.
 """
 
 import random
@@ -100,49 +102,6 @@ class FiniteMonoid:
     def __repr__(self):
         return f"FiniteMonoid({self.elements!r})"
 
-    def isomorphic_as_tables(self, other):
-        """Whether some bijection of elements carries this table onto the
-        other's: a backtracking search that extends a partial map one
-        element at a time and drops it once a known product disagrees."""
-        n = self.order()
-        if n != other.order():
-            return False
-        images = [None] * n
-        images[self.identity] = other.identity
-        used = {other.identity}
-        todo = [i for i in range(n) if i != self.identity]
-
-        def consistent():
-            for p in range(n):
-                fp = images[p]
-                if fp is None:
-                    continue
-                for q in range(n):
-                    fq = images[q]
-                    if fq is None:
-                        continue
-                    fr = images[self.table[p][q]]
-                    if fr is not None and other.table[fp][fq] != fr:
-                        return False
-            return True
-
-        def extend(k):
-            if k == len(todo):
-                return True
-            x = todo[k]
-            for y in range(n):
-                if y in used:
-                    continue
-                images[x] = y
-                used.add(y)
-                if consistent() and extend(k + 1):
-                    return True
-                images[x] = None
-                used.discard(y)
-            return False
-
-        return extend(0)
-
     # -- constructors -------------------------------------------------------------
 
     @classmethod
@@ -227,13 +186,13 @@ class MonoidMap:
 
     @classmethod
     def identity(cls, m):
-        return cls(m, m, range(m.order())).validate()
+        return cls(m, m, range(m.order()))
 
     @classmethod
     def collapse(cls, src):
         """The unique map to the trivial monoid."""
         dst = FiniteMonoid.trivial()
-        return cls(src, dst, [0] * src.order()).validate()
+        return cls(src, dst, [0] * src.order())
 
 
 def _degree_zero_algebra(gens, relations, **kwargs):
@@ -315,30 +274,20 @@ class MonoidPresentation:
 
 
 class GroupCompletion(MonoidPresentation):
-    """Group presentation produced by completion, with its finite table
-    (monoid, of the given order) when basis or coset enumeration closed.
+    """Group presentation with its finite table (monoid, of the given
+    order) when the group is known to be finite.
 
-    rules is the completed rewriting system, or None when coset
-    enumeration proved finiteness; positions then is None too, and
-    otherwise maps each irreducible word to its position in the table.
+    classes is set when the completion was computed from a finite
+    monoid's table: classes[a] is the table position of the class of
+    element a.  Otherwise it is None.
     """
 
     def __init__(self, generators, relations, order=None, monoid=None,
-                 rules=None, positions=None):
+                 classes=None):
         super().__init__(generators, relations)
         self.order = order
         self.monoid = monoid
-        self.rules = rules
-        self.positions = positions
-
-    def position(self, m, a):
-        """Table position of the class of element a of the monoid m this
-        completion was built from (a completion with rules and a table)."""
-        if a == m.identity:
-            return self.monoid.identity
-        alg = self.rules.algebra
-        (word,) = self.rules.normal_form({(alg.gen_index(m.elements[a]),): 1})
-        return self.positions[word]
+        self.classes = classes
 
 
 class Exhausted:
@@ -379,27 +328,26 @@ def group_ring(pres, suffix="_inv"):
 
 
 def group_completion(p, budget=100_000, cap=10_000):
-    """Universal group of a presented monoid.
+    """Universal group of a finite monoid or a presented monoid.
 
-    Adjoins a formal inverse per generator (group_ring, labels primed),
-    completes the resulting string rewriting system, Tietze-eliminates
-    generators that rewrite to words, and tries to reconstruct a finite
-    multiplication table: from the irreducible words when completion
-    finished (each word's table position kept, so GroupCompletion.position
-    can place any element's class), else by coset enumeration.  Table
-    labels are for display only.  Returns a GroupCompletion, or Exhausted
-    when the budget ran out before completion and before coset
-    enumeration closed.
+    A FiniteMonoid is completed from its table (_table_completion), and
+    budget and cap do not apply.  A presentation gets a formal inverse
+    per generator (group_ring, labels primed); the resulting string
+    rewriting system is completed, generators that rewrite to words are
+    Tietze-eliminated, and a finite multiplication table is built from
+    the irreducible words when completion finished, else by coset
+    enumeration.  Table labels are for display only.  Returns a
+    GroupCompletion, or Exhausted when the budget ran out before
+    completion and before coset enumeration closed.
     """
     if isinstance(p, FiniteMonoid):
-        p = MonoidPresentation.from_monoid(p)
+        return _table_completion(p)
     alg, inv = group_ring(p, "'")
     gens = [lbl for lbl, _ in alg.generators]
     rsys = complete(alg, budget)
 
     monoid = None
     order = None
-    idx = None
     if rsys.complete:
         try:
             words = basis_in_degree(rsys, 0, cap=cap)
@@ -435,10 +383,7 @@ def group_completion(p, budget=100_000, cap=10_000):
                 return Exhausted("completion produced a zero rule")
             relations.append((lhs_word, rhs_word))
         gens2, relations = _tietze_simplify(gens, relations)
-        return GroupCompletion(
-            gens2, relations, order=order, monoid=monoid, rules=rsys,
-            positions=idx,
-        )
+        return GroupCompletion(gens2, relations, order=order, monoid=monoid)
 
     # completion budget hit: fall back to coset enumeration for finiteness
     tc = _coset_enumeration(p, inv, budget)
@@ -451,6 +396,51 @@ def group_completion(p, budget=100_000, cap=10_000):
             monoid=monoid,
         )
     return Exhausted("completion and coset enumeration budgets exhausted")
+
+
+def _table_completion(m):
+    """Group completion of the finite monoid m, read off its table.
+
+    Some power of each element is idempotent, so M modulo the smallest
+    congruence that identifies every idempotent with the identity is
+    already a group, and it is G(M).  The congruence is closed by
+    union-find: merging the classes of a and b queues (c*a, c*b) and
+    (a*c, b*c) for every c.  Each class is labelled by its first element.
+    """
+    n = m.order()
+    t = m.table
+    rep = list(range(n))
+
+    def find(x):
+        while rep[x] != x:
+            rep[x] = rep[rep[x]]
+            x = rep[x]
+        return x
+
+    pending = [(e, m.identity) for e in range(n) if t[e][e] == e]
+    while pending:
+        a, b = pending.pop()
+        a, b = find(a), find(b)
+        if a == b:
+            continue
+        a, b = min(a, b), max(a, b)
+        rep[b] = a
+        for c in range(n):
+            pending.append((t[c][a], t[c][b]))
+            pending.append((t[a][c], t[b][c]))
+    firsts = [a for a in range(n) if find(a) == a]
+    at = {a: i for i, a in enumerate(firsts)}
+    classes = [at[find(a)] for a in range(n)]
+    quotient = FiniteMonoid(
+        [m.elements[a] for a in firsts],
+        classes[m.identity],
+        [[classes[t[a][b]] for b in firsts] for a in firsts],
+    )
+    pres = MonoidPresentation.from_monoid(quotient)
+    return GroupCompletion(
+        pres.generators, pres.relations, order=quotient.order(),
+        monoid=quotient, classes=classes,
+    )
 
 
 def _tietze_simplify(gens, relations):

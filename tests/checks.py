@@ -3,7 +3,8 @@
 assert_smith_diagonal rechecks that a Smith normal form diagonal is in
 normal form; assert_same_coalgebra_window compares two coalgebra
 windows field by field; is_group says whether every element of a finite
-monoid has a two-sided inverse.
+monoid has a two-sided inverse; isomorphic_as_tables says whether two
+finite monoids have isomorphic tables.
 """
 
 
@@ -16,6 +17,51 @@ def is_group(m):
         any(m.table[i][j] == e and m.table[j][i] == e for j in range(n))
         for i in range(n)
     )
+
+
+def isomorphic_as_tables(a, b):
+    """Whether some bijection of elements carries the table of the
+    FiniteMonoid a onto that of b: a backtracking search that extends a
+    partial map one element at a time and drops it once a known product
+    disagrees."""
+    n = a.order()
+    if n != b.order():
+        return False
+    images = [None] * n
+    images[a.identity] = b.identity
+    used = {b.identity}
+    todo = [i for i in range(n) if i != a.identity]
+
+    def consistent():
+        for p in range(n):
+            fp = images[p]
+            if fp is None:
+                continue
+            for q in range(n):
+                fq = images[q]
+                if fq is None:
+                    continue
+                fr = images[a.table[p][q]]
+                if fr is not None and b.table[fp][fq] != fr:
+                    return False
+        return True
+
+    def extend(k):
+        if k == len(todo):
+            return True
+        x = todo[k]
+        for y in range(n):
+            if y in used:
+                continue
+            images[x] = y
+            used.add(y)
+            if consistent() and extend(k + 1):
+                return True
+            images[x] = None
+            used.discard(y)
+        return False
+
+    return extend(0)
 
 
 def assert_smith_diagonal(m, s):

@@ -6,12 +6,28 @@ by a word string, split the name on ``*`` and decoded each letter back
 to a monoid element.  Only ``_completion_letters`` differs: group
 completions no longer store the labels of their formal inverses, so it
 reads them from ``group_ring`` with the suffix ``'``, which is how
-``group_completion`` labels them.  test_weqcheck.py requires the current
-check to agree with this one on every homomorphism among small monoids.
+``group_completion`` labels them.  The check runs on
+``RewritingCompletion``: the completion of a monoid's table presentation
+by rewriting, with the completed rules its table was built from.
+test_weqcheck.py requires the current check to agree with this one on
+every homomorphism among small monoids.
 """
 
 from barloop.errors import MismatchAt
-from barloop.monoids import MonoidPresentation, group_ring
+from barloop.monoids import MonoidPresentation, group_completion, group_ring
+from barloop.rewrite import complete
+
+
+class RewritingCompletion:
+    """Group completion of MonoidPresentation.from_monoid(m) by rewriting:
+    its table (monoid, of the given order) and its completed rules."""
+
+    def __init__(self, m):
+        pres = MonoidPresentation.from_monoid(m)
+        comp = group_completion(pres)
+        self.monoid = comp.monoid
+        self.order = comp.order
+        self.rules = complete(group_ring(pres, "'")[0])
 
 
 def _group_inverse(m, x):

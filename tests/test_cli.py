@@ -6,6 +6,7 @@ import os
 import pytest
 
 from barloop.cli import main
+from barloop.weqcheck import bundled_monoids
 
 
 def run_json(capsys, argv):
@@ -127,6 +128,37 @@ def test_weq_with_explicit_images(capsys):
     )
     assert code == 1
     assert r["outputs"]["verdict"]["verdict"] == "distinguished"
+
+
+# identity and collapse maps of the bundled monoids, by name
+WEQ_MAPS = [(name, name) for name in sorted(bundled_monoids())] + [
+    (name, "trivial") for name in sorted(bundled_monoids()) if name != "trivial"
+]
+
+
+@pytest.mark.parametrize("window", ["0..1", "0..2", "0..3", "0..5"])
+def test_weq_reads_neither_budget_nor_cap(capsys, window):
+    for source, target in WEQ_MAPS:
+        argv = ["weq", source, target, "--window", window]
+        code, r = run_json(capsys, argv)
+        want = (code, r["outputs"]["verdict"])
+        for flags in (["--budget", "0"], ["--budget", "5"], ["--cap", "0"]):
+            code, r = run_json(capsys, argv + flags)
+            assert (code, r["outputs"]["verdict"]) == want, argv + flags
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weq", "z2", "z2", "--cap", "0", "--window", "0..2"],
+        ["weq", "idempotent", "trivial", "--budget", "5", "--window", "0..3"],
+    ],
+    ids=["z2-cap-0", "idempotent-budget-5"],
+)
+def test_weq_certifies_at_any_budget_or_cap(capsys, argv):
+    code, r = run_json(capsys, argv)
+    assert code == 0
+    assert r["outputs"]["verdict"]["verdict"] == "certified-equivalent"
 
 
 def test_invalid_input_exits_2(capsys):

@@ -1,10 +1,12 @@
 """Invariant bundles and equivalence verdicts for monoid maps."""
 
 import itertools
+import sys
 
 import pytest
 
 import label_completion_map as old
+from barloop import rewrite
 from barloop.monoids import (
     Exhausted,
     FiniteMonoid,
@@ -15,12 +17,12 @@ from barloop.monoids import (
     random_monoid,
 )
 from barloop.weqcheck import (
-    _induced_completion_bijective,
     bundled_complexes,
     bundled_monoids,
     invariants,
     weq_verdict,
 )
+from checks import isomorphic_as_tables
 
 
 def test_invariant_bundle_of_idempotent_pair():
@@ -154,7 +156,7 @@ def _cyclic_labelled(labels):
     ids=["z3", "z2", "idempotent"],
 )
 def test_numeric_labels_do_not_clash_with_the_completion_identity(m, order):
-    comp = group_completion(m)
+    comp = group_completion(MonoidPresentation.from_monoid(m))
     assert comp.order == order
     assert comp.monoid.elements[comp.monoid.identity] == "1''"
     assert len(set(comp.monoid.elements)) == order
@@ -164,7 +166,9 @@ def test_numeric_labels_do_not_clash_with_the_completion_identity(m, order):
 
 
 def test_letter_labels_keep_the_plain_identity_label():
-    comp = group_completion(_cyclic_labelled(["e", "a", "b"]))
+    comp = group_completion(
+        MonoidPresentation.from_monoid(_cyclic_labelled(["e", "a", "b"]))
+    )
     assert comp.monoid.elements[comp.monoid.identity] == "1"
 
 
@@ -182,10 +186,10 @@ def test_an_element_trivial_in_the_completion_maps_to_its_identity():
     m = _z2_times_idempotent()
     comp = group_completion(m)
     assert comp.order == 2
-    assert comp.position(m, 0) == comp.monoid.identity
-    assert comp.position(m, 2) == comp.monoid.identity
-    assert comp.position(m, 3) == comp.position(m, 1)
-    one = comp.position(m, 1)
+    assert comp.classes[0] == comp.monoid.identity
+    assert comp.classes[2] == comp.monoid.identity
+    assert comp.classes[3] == comp.classes[1]
+    one = comp.classes[1]
     assert one != comp.monoid.identity and comp.monoid.elements[one] == "1"
 
 
@@ -202,25 +206,32 @@ def _homomorphisms(src, dst):
             yield MonoidMap(src, dst, images)
 
 
+def _completion_map_bijective(f, cs, cd):
+    # the rule weq_verdict applies to table completions: equal orders,
+    # and the classes of the images f(a) fill the target completion
+    return cs.order == cd.order and (
+        len({cd.classes[b] for b in f.images}) == cd.order
+    )
+
+
 def test_completion_map_check_agrees_with_the_label_parsing_oracle():
     monoids = list(bundled_monoids().values()) + [
         FiniteMonoid.chain_of_idempotents(3),
         FiniteMonoid.left_zero_with_unit(3),
         _z2_times_idempotent(),
     ] + [random_monoid(seed) for seed in range(10)]
-    completions = [group_completion(m) for m in monoids]
-    assert all(
-        c.rules is not None and c.monoid is not None for c in completions
-    )
+    tables = [group_completion(m) for m in monoids]
+    rewritten = [old.RewritingCompletion(m) for m in monoids]
+    assert all(c.monoid is not None for c in rewritten)
     checked = 0
     verdicts = set()
-    for (src, cs), (dst, cd) in itertools.product(
-        zip(monoids, completions), repeat=2
+    for (src, cs, rs), (dst, cd, rd) in itertools.product(
+        zip(monoids, tables, rewritten), repeat=2
     ):
         for f in _homomorphisms(src, dst):
-            want = old._induced_completion_bijective(f, cs, cd)
+            want = old._induced_completion_bijective(f, rs, rd)
             assert want is not None
-            assert _induced_completion_bijective(f, cs, cd) == want, (
+            assert _completion_map_bijective(f, cs, cd) == want, (
                 src, dst, f.images,
             )
             verdicts.add(want)
@@ -229,13 +240,61 @@ def test_completion_map_check_agrees_with_the_label_parsing_oracle():
     assert verdicts == {True, False}
 
 
+# every monoid the rewriting completion is compared with, by name
+DIFFERENTIAL = {
+    **bundled_monoids(),
+    "chain3": FiniteMonoid.chain_of_idempotents(3),
+    "left-zero3": FiniteMonoid.left_zero_with_unit(3),
+    "z2-times-idempotent": _z2_times_idempotent(),
+    **{f"random-{seed}": random_monoid(seed) for seed in range(30)},
+    **{f"cyclic-{n}": FiniteMonoid.cyclic(n) for n in range(5, 13)},
+}
+
+
+@pytest.mark.parametrize("m", DIFFERENTIAL.values(), ids=DIFFERENTIAL.keys())
+def test_table_completion_matches_the_rewriting_completion(m):
+    table = group_completion(m)
+    rewritten = group_completion(MonoidPresentation.from_monoid(m))
+    assert table.order == rewritten.order == table.monoid.order()
+    assert isomorphic_as_tables(table.monoid, rewritten.monoid)
+    assert len(table.classes) == m.order()
+    assert table.classes[m.identity] == table.monoid.identity
+    # the classes form a homomorphism onto the completion table
+    for a in range(m.order()):
+        for b in range(m.order()):
+            assert table.classes[m.table[a][b]] == table.monoid.table[
+                table.classes[a]
+            ][table.classes[b]]
+    assert set(table.classes) == set(range(table.order))
+
+
 def test_a_coset_enumerated_source_completion_is_certified():
-    # at budget 5 completion of the idempotent pair's group ring stops
-    # early and coset enumeration proves the group trivial; the target's
-    # rules still place every image, so the source's order is enough
-    f = MonoidMap.collapse(FiniteMonoid.idempotent_pair())
-    cs = group_completion(f.src, budget=5)
-    assert cs.rules is None and cs.order == 1
-    v = weq_verdict(f, hi=3, budget=5)
-    assert v.kind == "certified-equivalent"
-    assert v.certificate["completion_order"] == 1
+    # at budget 5 rewriting completion of the idempotent pair's group
+    # ring stops early and coset enumeration proves the group trivial
+    p = MonoidPresentation.from_monoid(FiniteMonoid.idempotent_pair())
+    assert not rewrite.complete(group_ring(p, "'")[0], 5).complete
+    cs = group_completion(p, budget=5)
+    assert cs.order == 1 and cs.monoid.order() == 1
+
+
+def test_weq_builds_no_rewriting_system(monkeypatch):
+    calls = []
+    for name in ("complete", "basis_in_degree"):
+        real = getattr(rewrite, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        for mod in list(sys.modules.values()):
+            if (
+                getattr(mod, "__name__", "").startswith("barloop")
+                and getattr(mod, name, None) is real
+            ):
+                monkeypatch.setattr(mod, name, spy)
+    verdict = weq_verdict(MonoidMap.identity(FiniteMonoid.cyclic(4)), hi=3)
+    assert verdict.kind == "certified-equivalent"
+    assert calls == []
+    # the spies see the rewriting completion of a presentation
+    group_completion(MonoidPresentation.from_monoid(FiniteMonoid.cyclic(4)))
+    assert calls[:2] == ["complete", "basis_in_degree"]
