@@ -245,11 +245,7 @@ def _cobar_with_gens(c):
             differential[g] = d
 
     alg = PresentedDgAlgebra(
-        gens,
-        [],
-        differential,
-        {g: 0 for g in range(len(gens))},
-        provenance={"cobar_ranks": {n: c.rank(n) for n in range(c.hi + 1)}},
+        gens, [], differential, {g: 0 for g in range(len(gens))}
     )
     return alg, gen_of
 

@@ -236,13 +236,13 @@ def cmd_loopgroup(args, hi):
 def cmd_pi1(args, hi):
     k, desc = _resolve("complex", args.input, hi)
     pres = pi1_presentation(k)
-    comp = group_completion(pres, budget=args.budget, cap=args.cap)
+    comp = group_completion(pres, budget=args.budget)
     if isinstance(comp, Exhausted):
         completion = {"status": "exhausted", "reason": comp.reason}
     else:
         completion = {
             "status": "completed",
-            "presentation": comp.to_json_dict(),
+            "presentation": comp.presentation.to_json_dict(),
             "order": comp.order,
         }
     outputs = {"presentation": pres.to_json_dict(), "completion": completion}

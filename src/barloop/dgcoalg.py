@@ -82,11 +82,6 @@ class DgCoalgebraWindow:
             self._terms[n] = terms
         return terms
 
-    @property
-    def coproduct(self):
-        """Every degree's coproduct terms, computing those not yet read."""
-        return {n: self._degree(n) for n in range(self.hi + 1)}
-
     def delta(self, n, j):
         return self._degree(n)[j]
 
@@ -420,8 +415,8 @@ class Verdict:
         return cls("quasi-iso", detail=detail)
 
     @classmethod
-    def fails(cls, level, degree, detail=None):
-        return cls("fails", level=level, degree=degree, detail=detail)
+    def fails(cls, level, degree):
+        return cls("fails", level=level, degree=degree)
 
     def __bool__(self):
         return self.kind == "quasi-iso"

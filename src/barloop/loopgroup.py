@@ -332,14 +332,15 @@ def abelianization(pres):
 # group_ring, re-exported from monoids, labels the inverse of g as g_inv.
 
 
-def h0_compare(k, budget=100_000):
+def h0_compare(k):
     """Certify H_0 of the inverted cobar construction against the group
     ring of the fundamental group.
 
     The maps exchange a fundamental-group generator x with the
     group-like 1 + <x> on the cobar side and pair the formal inverses.
     Returns an IsoCertificate; status "inconclusive" when a rewriting
-    system did not complete within budget and nothing was refuted.
+    system did not complete within ring_iso_certify's budget and nothing
+    was refuted.
     """
     pres = pi1_presentation(k)
     ga, inv = group_ring(pres)
@@ -362,7 +363,7 @@ def h0_compare(k, budget=100_000):
         f_images[inv[x]] = {h0.word(f"{cx}_inv"): 1}
         g_images[cx] = {ga.word(x): 1, (): -1}
         g_images[f"{cx}_inv"] = {ga.word(inv[x]): 1}
-    cert = ring_iso_certify(ga, h0, f_images, g_images, budget)
+    cert = ring_iso_certify(ga, h0, f_images, g_images)
     if cert.ok:
         return cert
     if not (

@@ -2,18 +2,22 @@
 
 A FiniteMonoid checks its table at construction (entries in range,
 identity and associativity laws), so every monoid in hand is valid.
-Group completion of a finite monoid is read off its table: the quotient
-by the congruence that identifies every idempotent with the identity.
-Group completion of a presentation adjoins a formal inverse per
-generator and runs rewriting completion plus, as an independent
-finiteness prover, coset enumeration over the trivial subgroup; both
-are budgeted and report honestly when the budget runs out.
+Group completion returns only what its callers read: the order, plus
+the class of each element for a finite monoid or a presentation for a
+presented monoid.  A finite monoid's completion is read off its table:
+the quotient by the congruence that identifies every idempotent with
+the identity.  A presentation gets a formal inverse per generator and
+goes through rewriting completion; the order is the count of
+irreducible degree-0 words.  When completion runs out of budget, coset
+enumeration over the trivial subgroup proves finiteness instead, and
+its coset table is the only completion table built.  Both are budgeted
+and report honestly when the budget runs out.
 """
 
 import random
 
-from .errors import CapExceeded, MalformedTable, NotAHomomorphism
-from .rewrite import PresentedDgAlgebra, basis_in_degree, complete
+from .errors import MalformedTable, NotAHomomorphism
+from .rewrite import PresentedDgAlgebra, basis_size, complete
 
 __all__ = [
     "FiniteMonoid",
@@ -250,10 +254,6 @@ class MonoidPresentation:
                 rels.append((lhs, rhs))
         return cls(gens, rels)
 
-    @classmethod
-    def free(cls, labels):
-        return cls(labels, [])
-
     # words serialize as plain strings when every generator is one character
     def _single_char(self):
         return all(len(g) == 1 for g in self.generators)
@@ -273,21 +273,20 @@ class MonoidPresentation:
         return f"<{', '.join(self.generators)} | {rels}>"
 
 
-class GroupCompletion(MonoidPresentation):
-    """Group presentation with its finite table (monoid, of the given
-    order) when the group is known to be finite.
+class GroupCompletion:
+    """Group completion G(M) as its callers read it: order, the number
+    of elements, or None when G(M) is infinite.
 
-    classes is set when the completion was computed from a finite
-    monoid's table: classes[a] is the table position of the class of
-    element a.  Otherwise it is None.
+    For a finite monoid, classes[a] is the position in 0..order-1
+    of the class of element a (classes numbered by first element).  For
+    a presented monoid, presentation is a presentation of G(M).  The
+    other field is None.
     """
 
-    def __init__(self, generators, relations, order=None, monoid=None,
-                 classes=None):
-        super().__init__(generators, relations)
+    def __init__(self, order, classes=None, presentation=None):
         self.order = order
-        self.monoid = monoid
         self.classes = classes
+        self.presentation = presentation
 
 
 class Exhausted:
@@ -327,47 +326,26 @@ def group_ring(pres, suffix="_inv"):
     return alg, inv
 
 
-def group_completion(p, budget=100_000, cap=10_000):
+def group_completion(p, budget=100_000):
     """Universal group of a finite monoid or a presented monoid.
 
     A FiniteMonoid is completed from its table (_table_completion), and
-    budget and cap do not apply.  A presentation gets a formal inverse
-    per generator (group_ring, labels primed); the resulting string
+    budget does not apply.  A presentation gets a formal inverse per
+    generator (group_ring, labels primed); the resulting string
     rewriting system is completed, generators that rewrite to words are
-    Tietze-eliminated, and a finite multiplication table is built from
-    the irreducible words when completion finished, else by coset
-    enumeration.  Table labels are for display only.  Returns a
+    Tietze-eliminated, and the order is the count of irreducible
+    degree-0 words (basis_size), None when they are infinitely many.
+    When completion runs out of budget, coset enumeration proves the
+    group finite and its table gives the presentation.  Returns a
     GroupCompletion, or Exhausted when the budget ran out before
     completion and before coset enumeration closed.
     """
     if isinstance(p, FiniteMonoid):
         return _table_completion(p)
     alg, inv = group_ring(p, "'")
-    gens = [lbl for lbl, _ in alg.generators]
     rsys = complete(alg, budget)
 
-    monoid = None
-    order = None
     if rsys.complete:
-        try:
-            words = basis_in_degree(rsys, 0, cap=cap)
-        except CapExceeded:
-            words = None
-        if words is not None:
-            # the empty word is "1" unless a letter already has that label
-            one = inverse_label("1", set(gens), "")
-            labels = [alg.word_str(w) if w else one for w in words]
-            idx = {w: i for i, w in enumerate(words)}
-            table = []
-            for u in words:
-                row = []
-                for v in words:
-                    nf = rsys.normal_form({u + v: 1})
-                    (w2,) = nf.keys()
-                    row.append(idx[w2])
-                table.append(row)
-            monoid = FiniteMonoid(labels, idx[()], table)
-            order = len(words)
         relations = []
         for r in rsys.rules:
             lhs_word = tuple(alg.gen_label(g) for g in r.lhs)
@@ -382,18 +360,19 @@ def group_completion(p, budget=100_000, cap=10_000):
             else:
                 return Exhausted("completion produced a zero rule")
             relations.append((lhs_word, rhs_word))
-        gens2, relations = _tietze_simplify(gens, relations)
-        return GroupCompletion(gens2, relations, order=order, monoid=monoid)
+        gens = [lbl for lbl, _ in alg.generators]
+        gens, relations = _tietze_simplify(gens, relations)
+        return GroupCompletion(
+            basis_size(rsys, 0),
+            presentation=MonoidPresentation(gens, relations),
+        )
 
     # completion budget hit: fall back to coset enumeration for finiteness
     tc = _coset_enumeration(p, inv, budget)
     if tc is not None:
-        labels, identity, table = tc
-        monoid = FiniteMonoid(labels, identity, table)
-        pres = MonoidPresentation.from_monoid(monoid)
+        monoid = FiniteMonoid(*tc)
         return GroupCompletion(
-            pres.generators, pres.relations, order=monoid.order(),
-            monoid=monoid,
+            monoid.order(), presentation=MonoidPresentation.from_monoid(monoid)
         )
     return Exhausted("completion and coset enumeration budgets exhausted")
 
@@ -405,7 +384,7 @@ def _table_completion(m):
     congruence that identifies every idempotent with the identity is
     already a group, and it is G(M).  The congruence is closed by
     union-find: merging the classes of a and b queues (c*a, c*b) and
-    (a*c, b*c) for every c.  Each class is labelled by its first element.
+    (a*c, b*c) for every c.
     """
     n = m.order()
     t = m.table
@@ -430,17 +409,7 @@ def _table_completion(m):
             pending.append((t[a][c], t[b][c]))
     firsts = [a for a in range(n) if find(a) == a]
     at = {a: i for i, a in enumerate(firsts)}
-    classes = [at[find(a)] for a in range(n)]
-    quotient = FiniteMonoid(
-        [m.elements[a] for a in firsts],
-        classes[m.identity],
-        [[classes[t[a][b]] for b in firsts] for a in firsts],
-    )
-    pres = MonoidPresentation.from_monoid(quotient)
-    return GroupCompletion(
-        pres.generators, pres.relations, order=quotient.order(),
-        monoid=quotient, classes=classes,
-    )
+    return GroupCompletion(len(firsts), classes=[at[find(a)] for a in range(n)])
 
 
 def _tietze_simplify(gens, relations):

@@ -32,6 +32,7 @@ __all__ = [
     "RewriteSystem",
     "complete",
     "basis_in_degree",
+    "basis_size",
     "h0_ring",
     "adjoin_inverses",
     "ring_iso_certify",
@@ -144,14 +145,6 @@ class PresentedDgAlgebra:
 
     def word(self, *labels):
         return tuple(self._index[lbl] for lbl in labels)
-
-    def poly(self, terms):
-        """Build a polynomial from {word-of-labels: coeff}."""
-        out = {}
-        for w, c in terms.items():
-            word = tuple(self._index[lbl] for lbl in w)
-            poly_iadd_term(out, word, c, self.modulus)
-        return out
 
     def word_str(self, w):
         return "*".join(self.gen_label(g) for g in w) if w else "1"
@@ -512,18 +505,17 @@ def _live_transitions(lhss, ngens):
     ]
 
 
-def basis_in_degree(rsys, degree, cap=10_000):
-    """All irreducible monomials of the given degree, sorted by the
-    monomial order.  Requires a complete system with unit leading
+def _basis_paths(rsys, degree):
+    """The irreducible monomials of the given degree as paths: returns
+    (successors, count).  Requires a complete system with unit leading
     coefficients (otherwise the irreducible monomials are not a basis).
 
-    Raises CapExceeded when there are more than ``cap`` such words,
-    including infinitely many, decided without enumerating: the words
-    are the paths of an automaton over the rule left-hand sides, crossed
-    with the degree so far, and a degree has infinitely many words
-    exactly when the paths ending in it run through a cycle (of
-    degree-0 letters; Ufnarovskij's criterion).  Otherwise the paths are
-    counted first and listed only when the count is within the cap."""
+    The words are the paths from (0, 0) of an automaton over the rule
+    left-hand sides, crossed with the degree so far, that end at the
+    given degree; successors maps each node that can still end there to
+    its (letter, node) steps.  count is None when there are infinitely
+    many words, which happens exactly when the paths run through a
+    cycle (of degree-0 letters; Ufnarovskij's criterion)."""
     if not rsys.complete:
         raise BarloopError("rewrite system is not complete; no canonical basis")
     if rsys.has_nonunit_leads:
@@ -534,7 +526,7 @@ def basis_in_degree(rsys, degree, cap=10_000):
     alg = rsys.algebra
     lhss = [r.lhs for r in rsys.rules]
     if not all(lhss):
-        return []
+        return {}, 0
     gdeg = [d for _, d in alg.generators]
     live = _live_transitions(lhss, len(gdeg))
 
@@ -577,21 +569,41 @@ def basis_in_degree(rsys, degree, cap=10_000):
             indeg[v] -= 1
             if not indeg[v]:
                 order.append(v)
-    count = None
-    if len(order) == len(succ):
-        paths = dict.fromkeys(succ, 0)
-        if start in paths:
-            paths[start] = 1
-        for u in order:
-            for _, v in succ[u]:
-                paths[v] += paths[u]
-        count = sum(n for u, n in paths.items() if u[1] == degree)
+    if len(order) != len(succ):
+        return succ, None
+    paths = dict.fromkeys(succ, 0)
+    if start in paths:
+        paths[start] = 1
+    for u in order:
+        for _, v in succ[u]:
+            paths[v] += paths[u]
+    return succ, sum(n for u, n in paths.items() if u[1] == degree)
+
+
+def basis_size(rsys, degree):
+    """Number of irreducible monomials of the given degree, counted
+    without listing them; None when there are infinitely many.  Same
+    requirements as basis_in_degree."""
+    return _basis_paths(rsys, degree)[1]
+
+
+def basis_in_degree(rsys, degree, cap=10_000):
+    """All irreducible monomials of the given degree, sorted by the
+    monomial order.  Requires a complete system with unit leading
+    coefficients (otherwise the irreducible monomials are not a basis).
+
+    Raises CapExceeded when there are more than ``cap`` such words,
+    including infinitely many, decided without enumerating: the words
+    are counted first, on the walk basis_size counts on, and listed
+    from it only when the count is within the cap."""
+    succ, count = _basis_paths(rsys, degree)
     if count is None or count > cap:
         raise CapExceeded(
             f"more than {cap} irreducible monomials in degree {degree}"
         )
 
     found = []
+    start = (0, 0)
     if start in succ:
         if degree == 0:
             found.append(())
@@ -608,7 +620,7 @@ def basis_in_degree(rsys, degree, cap=10_000):
                 branches.pop()
                 if word:
                     word.pop()
-    return sorted(found, key=alg.order_key)
+    return sorted(found, key=rsys.algebra.order_key)
 
 
 def h0_ring(algebra):
@@ -640,10 +652,7 @@ def h0_ring(algebra):
     aug = None
     if alg.augmentation is not None:
         aug = {remap[g]: v for g, v in alg.augmentation.items() if g in remap}
-    return PresentedDgAlgebra(
-        gens, rels, {}, aug, modulus=alg.modulus,
-        provenance={"degree_zero_of": alg.provenance},
-    )
+    return PresentedDgAlgebra(gens, rels, {}, aug, modulus=alg.modulus)
 
 
 def adjoin_inverses(algebra, elements, labels=None):
@@ -694,11 +703,7 @@ def adjoin_inverses(algebra, elements, labels=None):
         alg.differential,
         new_aug,
         modulus=alg.modulus,
-        provenance={
-            "localized_at": [alg.poly_str(p) for p in elements],
-            "inverse_labels": list(labels),
-            "freeness_of_inverted_set_assumed": True,
-        },
+        provenance={"localized_at": [alg.poly_str(p) for p in elements]},
     )
 
 
@@ -726,17 +731,19 @@ def _apply_hom(src, dst, images, p):
     return out
 
 
-def ring_iso_certify(a, b, f_images, g_images, budget=100_000):
+def ring_iso_certify(a, b, f_images, g_images):
     """Certify that f: a -> b and g: b -> a are mutually inverse ring maps.
 
     f_images / g_images map generator labels to polynomials (dicts over
     monomials) in the other presentation.  Each relation of a must reduce
     to zero after applying f (and symmetrically for b), and both
-    composites must fix every generator.  Returns an IsoCertificate that
-    records every check; ok is False when one fails to reduce to zero.
+    composites must fix every generator.  Both presentations are
+    completed at complete's default budget.  Returns an IsoCertificate
+    that records every check; ok is False when one fails to reduce to
+    zero.
     """
-    ra = complete(a, budget)
-    rb = complete(b, budget)
+    ra = complete(a)
+    rb = complete(b)
     details = {
         "source_complete": ra.complete,
         "target_complete": rb.complete,

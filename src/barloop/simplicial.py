@@ -193,47 +193,25 @@ class SimplicialSet:
 
     # -- serialization -----------------------------------------------------------
 
-    def materialize(self, up_to):
-        """Explicit copy of the data up to the given dimension."""
-        simplices = []
-        for n in range(up_to + 1):
-            for sid in self.n_simplices(n):
-                faces = [self.face(sid, i) for i in range(n + 1)] if n else []
-                simplices.append((str(sid), n, [
-                    (str(f.base), f.word) for f in faces
-                ]))
-        ids = {s[0] for s in simplices}
-        if len(ids) != len(simplices):
-            raise ValueError("stringified simplex ids collide")
-        return ExplicitSimplicialSet(
-            [(sid, n) for sid, n, _ in simplices],
-            {
-                (sid, i): FormalSimplex(base, word)
-                for sid, n, faces in simplices
-                for i, (base, word) in enumerate(faces)
-            },
-        )
-
     def to_json_dict(self, up_to):
-        mat = self.materialize(up_to)
-        return {
-            "simplices": [
-                {
-                    "id": sid,
-                    "dim": mat.dim(sid),
-                    "faces": [
-                        {
-                            "base": mat.face(sid, i).base,
-                            "degens": list(mat.face(sid, i).word),
-                        }
-                        for i in range(mat.dim(sid) + 1)
-                    ] if mat.dim(sid) else [],
-                }
-                for n in range(up_to + 1)
-                for sid in mat.n_simplices(n)
-            ],
-            "reduced": mat.reduced,
-        }
+        """Nondegenerate simplices up to the given dimension with their
+        faces, ids and face bases as strings."""
+        simplices = [
+            {
+                "id": str(sid),
+                "dim": n,
+                "faces": [
+                    {"base": str(f.base), "degens": list(f.word)}
+                    for f in (self.face(sid, i) for i in range(n + 1))
+                ] if n else [],
+            }
+            for n in range(up_to + 1)
+            for sid in self.n_simplices(n)
+        ]
+        if len({s["id"] for s in simplices}) != len(simplices):
+            raise ValueError("stringified simplex ids collide")
+        vertices = sum(s["dim"] == 0 for s in simplices)
+        return {"simplices": simplices, "reduced": vertices == 1}
 
 
 class ExplicitSimplicialSet(SimplicialSet):

@@ -1,11 +1,50 @@
-"""Assertions shared by several test modules.
+"""Assertions and builders shared by several test modules.
 
 assert_smith_diagonal rechecks that a Smith normal form diagonal is in
 normal form; assert_same_coalgebra_window compares two coalgebra
 windows field by field; is_group says whether every element of a finite
 monoid has a two-sided inverse; isomorphic_as_tables says whether two
-finite monoids have isomorphic tables.
+finite monoids have isomorphic tables; quotient_table builds the table
+of a group completion from its classes; coproduct reads every degree of
+a coalgebra window's coproduct; poly builds a polynomial of a presented
+algebra from label words.
 """
+
+from barloop.monoids import FiniteMonoid
+from barloop.rewrite import poly_iadd_term
+
+
+def quotient_table(m, classes):
+    """The FiniteMonoid m modulo the classes of a group completion:
+    classes[a] is the position of the class of element a, each class is
+    labelled by its first element, and the product of two classes is
+    the class of the product of their first elements."""
+    firsts = {}
+    for a, c in enumerate(classes):
+        firsts.setdefault(c, a)
+    reps = [firsts[c] for c in range(len(firsts))]
+    return FiniteMonoid(
+        [m.elements[a] for a in reps],
+        classes[m.identity],
+        [[classes[m.table[a][b]] for b in reps] for a in reps],
+    )
+
+
+def coproduct(window):
+    """Every degree's coproduct terms of a coalgebra window, one list per
+    basis element (the window's own lists, so a test can corrupt them)."""
+    return {
+        n: [window.delta(n, j) for j in range(window.rank(n))]
+        for n in range(window.hi + 1)
+    }
+
+
+def poly(alg, terms):
+    """Polynomial of the presented algebra alg from {label word: coeff}."""
+    out = {}
+    for w, c in terms.items():
+        poly_iadd_term(out, alg.word(*w), c, alg.modulus)
+    return out
 
 
 def is_group(m):
@@ -92,6 +131,6 @@ def assert_same_coalgebra_window(a, b):
         ], f"labels in degree {n}"
     for n in range(1, ca.hi + 1):
         assert ca.boundary(n) == cb.boundary(n), f"boundary in degree {n}"
-    assert a.coproduct == b.coproduct
+    assert coproduct(a) == coproduct(b)
     assert a.counit == b.counit
     assert a.coaugmentation == b.coaugmentation

@@ -8,26 +8,48 @@ completions no longer store the labels of their formal inverses, so it
 reads them from ``group_ring`` with the suffix ``'``, which is how
 ``group_completion`` labels them.  The check runs on
 ``RewritingCompletion``: the completion of a monoid's table presentation
-by rewriting, with the completed rules its table was built from.
+by rewriting, with the completed rules its table was built from; the
+table is built here, since ``group_completion`` builds none.
 test_weqcheck.py requires the current check to agree with this one on
 every homomorphism among small monoids.
 """
 
 from barloop.errors import MismatchAt
-from barloop.monoids import MonoidPresentation, group_completion, group_ring
-from barloop.rewrite import complete
+from barloop.monoids import (
+    FiniteMonoid,
+    MonoidPresentation,
+    group_ring,
+    inverse_label,
+)
+from barloop.rewrite import basis_in_degree, complete
 
 
 class RewritingCompletion:
     """Group completion of MonoidPresentation.from_monoid(m) by rewriting:
-    its table (monoid, of the given order) and its completed rules."""
+    its table (monoid, of the given order) and its completed rules.
+
+    The table is built on the irreducible degree-0 words, each labelled
+    by its word string, the empty word by "1" primed past the letters;
+    products are normal forms of concatenations."""
 
     def __init__(self, m):
         pres = MonoidPresentation.from_monoid(m)
-        comp = group_completion(pres)
-        self.monoid = comp.monoid
-        self.order = comp.order
-        self.rules = complete(group_ring(pres, "'")[0])
+        alg = group_ring(pres, "'")[0]
+        self.rules = complete(alg)
+        words = basis_in_degree(self.rules, 0)
+        one = inverse_label("1", {lbl for lbl, _ in alg.generators}, "")
+        idx = {w: i for i, w in enumerate(words)}
+        table = []
+        for u in words:
+            row = []
+            for v in words:
+                (w,) = self.rules.normal_form({u + v: 1}).keys()
+                row.append(idx[w])
+            table.append(row)
+        self.monoid = FiniteMonoid(
+            [alg.word_str(w) if w else one for w in words], idx[()], table
+        )
+        self.order = len(words)
 
 
 def _group_inverse(m, x):

@@ -37,6 +37,7 @@ from barloop.simplicial import (
     nerve,
     point,
 )
+from checks import coproduct, poly
 
 
 def exterior_on_x(degree=1):
@@ -268,12 +269,12 @@ def test_extended_cobar_of_circle_is_laurent():
         {0: 1, 1: 1},
     )
     f = {
-        "t": laurent.poly({("x",): 1, (): -1}),
-        "t_inv": laurent.poly({("y",): 1}),
+        "t": poly(laurent, {("x",): 1, (): -1}),
+        "t_inv": poly(laurent, {("y",): 1}),
     }
     g = {
-        "x": om.poly({("t",): 1, (): 1}),
-        "y": om.poly({("t_inv",): 1}),
+        "x": poly(om, {("t",): 1, (): 1}),
+        "y": poly(om, {("t_inv",): 1}),
     }
     cert = ring_iso_certify(om, laurent, f, g)
     assert cert.ok and cert.status == "certified"
@@ -313,7 +314,7 @@ def test_nerve_bar_check_reports_disagreeing_differentials(monkeypatch):
 
 def test_nerve_bar_check_reports_disagreeing_coproducts(monkeypatch):
     def corrupt(window):
-        for terms in window.coproduct[2]:
+        for terms in coproduct(window)[2]:
             p, i1, i2, c = terms[0]
             terms[0] = (p, i1, i2, c + 1)
 

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from barloop.cli import main
-from barloop.weqcheck import bundled_monoids
+from barloop.weqcheck import bundled_complexes, bundled_monoids
 
 
 def run_json(capsys, argv):
@@ -159,6 +159,17 @@ def test_weq_certifies_at_any_budget_or_cap(capsys, argv):
     code, r = run_json(capsys, argv)
     assert code == 0
     assert r["outputs"]["verdict"]["verdict"] == "certified-equivalent"
+
+
+@pytest.mark.parametrize("name", sorted(bundled_complexes()))
+def test_pi1_does_not_read_the_cap(capsys, name):
+    """A presented group's order is counted from the completed rules, so
+    no enumeration cap can hide it."""
+    code, r = run_json(capsys, ["pi1", name])
+    want = (code, r["outputs"]["completion"])
+    for cap in ("0", "1"):
+        code, r = run_json(capsys, ["pi1", name, "--cap", cap])
+        assert (code, r["outputs"]["completion"]) == want, cap
 
 
 def test_invalid_input_exits_2(capsys):

@@ -28,6 +28,7 @@ from barloop.simplicial import (
     point,
 )
 from barloop.weqcheck import bundled_complexes, bundled_monoids
+from checks import coproduct
 
 
 def test_circle_chains_window():
@@ -129,7 +130,7 @@ def test_chains_of_unbounded_localization_raises():
 
 def test_corrupted_coproduct_is_detected():
     c = chains(nerve(FiniteMonoid.cyclic(2)), 3)
-    cop = {n: [list(ts) for ts in c.coproduct[n]] for n in c.coproduct}
+    cop = {n: [list(ts) for ts in terms] for n, terms in coproduct(c).items()}
     # dropping one interior term breaks coassociativity asymmetrically
     cop[3][0] = [t for t in cop[3][0] if t[0] != 2]
     bad = DgCoalgebraWindow(
@@ -142,7 +143,7 @@ def test_corrupted_coproduct_is_detected():
 
 def test_missing_counit_term_is_detected():
     c = chains(nerve(FiniteMonoid.cyclic(2)), 3)
-    cop = {n: [list(ts) for ts in c.coproduct[n]] for n in c.coproduct}
+    cop = {n: [list(ts) for ts in terms] for n, terms in coproduct(c).items()}
     cop[2][0] = [t for t in cop[2][0] if t[0] != 0]
     bad = DgCoalgebraWindow(
         c.complex, cop.__getitem__, c.counit, c.coaugmentation

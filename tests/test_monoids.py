@@ -21,7 +21,7 @@ from barloop.monoids import (
     random_monoid,
 )
 from barloop.rewrite import complete
-from checks import is_group, isomorphic_as_tables
+from checks import is_group, isomorphic_as_tables, quotient_table
 
 
 def test_builtin_monoids_are_valid():
@@ -89,12 +89,12 @@ def test_monoid_algebra_augmentation_is_multiplicative():
 
 
 def test_group_completion_free_monoid():
-    p = MonoidPresentation.free(["t"])
+    p = MonoidPresentation(["t"], [])
     out = group_completion(p)
     assert isinstance(out, GroupCompletion)
     assert out.order is None
-    assert sorted(out.generators) == ["t", "t'"]
-    assert len(out.relations) == 2
+    assert sorted(out.presentation.generators) == ["t", "t'"]
+    assert len(out.presentation.relations) == 2
     # normal forms behave like integer powers
     rules = complete(group_ring(p, "'")[0])
     alg = rules.algebra
@@ -104,11 +104,14 @@ def test_group_completion_free_monoid():
 
 
 def test_group_completion_idempotent_is_trivial():
-    out = group_completion(FiniteMonoid.idempotent_pair())
+    m = FiniteMonoid.idempotent_pair()
+    out = group_completion(m)
     assert isinstance(out, GroupCompletion)
     assert out.order == 1
-    assert out.monoid.order() == 1
-    assert out.generators == []
+    assert out.classes == [0, 0]
+    quotient = quotient_table(m, out.classes)
+    assert quotient.order() == 1
+    assert MonoidPresentation.from_monoid(quotient).generators == []
 
 
 def test_group_completion_of_groups_reconstructs_them():
@@ -117,8 +120,9 @@ def test_group_completion_of_groups_reconstructs_them():
         out = group_completion(m)
         assert isinstance(out, GroupCompletion)
         assert out.order == n
-        assert is_group(out.monoid)
-        assert isomorphic_as_tables(out.monoid, m)
+        quotient = quotient_table(m, out.classes)
+        assert is_group(quotient)
+        assert isomorphic_as_tables(quotient, m)
 
 
 def test_group_completion_collapses_idempotent_families():
@@ -171,7 +175,7 @@ def test_coset_enumeration_symmetric_group():
 
 
 def test_group_completion_budget_exhaustion():
-    out = group_completion(MonoidPresentation.free(["t"]), budget=1)
+    out = group_completion(MonoidPresentation(["t"], []), budget=1)
     assert isinstance(out, Exhausted)
     assert "budget" in out.reason or "exhausted" in out.reason
 
@@ -222,11 +226,11 @@ def test_monoid_map_validation():
 
 
 def test_group_completion_primes_inverse_labels_past_taken_ones():
-    p = MonoidPresentation.free(["a", "a'"])
+    p = MonoidPresentation(["a", "a'"], [])
     out = group_completion(p)
     assert isinstance(out, GroupCompletion)
     assert group_ring(p, "'")[1] == {"a": "a''", "a'": "a'''"}
-    assert out.generators == ["a", "a'", "a''", "a'''"]
+    assert out.presentation.generators == ["a", "a'", "a''", "a'''"]
     rules = complete(group_ring(p, "'")[0])
     lhss = {r.lhs for r in rules.rules}
     assert rules.algebra.word("a", "a''") in lhss
@@ -234,7 +238,7 @@ def test_group_completion_primes_inverse_labels_past_taken_ones():
 
 
 def test_group_ring_primes_the_inverse_suffix_past_taken_labels():
-    alg, inv = group_ring(MonoidPresentation.free(["t", "t_inv"]))
+    alg, inv = group_ring(MonoidPresentation(["t", "t_inv"], []))
     assert inv == {"t": "t_inv'", "t_inv": "t_inv_inv"}
     assert [lbl for lbl, _ in alg.generators] == [
         "t", "t_inv", "t_inv'", "t_inv_inv",
@@ -249,8 +253,7 @@ def test_random_monoids_valid_and_completable():
         assert isinstance(out, GroupCompletion)
         seen_orders.add(m.order())
         if is_group(m):
-            assert out.monoid is not None
-            assert isomorphic_as_tables(out.monoid, m)
+            assert isomorphic_as_tables(quotient_table(m, out.classes), m)
     assert len(seen_orders) >= 3
 
 

@@ -22,8 +22,10 @@ import sorting_rewrite as old
 from barloop.barcobar import extended_cobar
 from barloop.cli import _algebra_inputs
 from barloop.loopgroup import pi1_presentation
+from barloop.errors import BarloopError, CapExceeded
 from barloop.monoids import (
     FiniteMonoid,
+    MonoidPresentation,
     group_ring,
     monoid_algebra,
     random_monoid,
@@ -32,11 +34,13 @@ from barloop.rewrite import (
     PresentedDgAlgebra,
     adjoin_inverses,
     basis_in_degree,
+    basis_size,
     complete,
     h0_ring,
     poly_iadd_term,
 )
 from barloop.weqcheck import bundled_complexes
+from checks import poly
 
 SETTINGS = settings(
     max_examples=150, deadline=None, derandomize=True, database=None
@@ -165,6 +169,74 @@ def test_bundled_algebras_match_sorting_completion(name):
         _assert_same(alg, budget, seed=budget)
 
 
+def _sizes_and_listings(rsys):
+    """Per degree 0..3, basis_size and the length of basis_in_degree at
+    a cap of 10**12 (None when it raises CapExceeded)."""
+    out = []
+    for degree in range(4):
+        try:
+            listed = len(basis_in_degree(rsys, degree, cap=10**12))
+        except CapExceeded:
+            listed = None
+        out.append((basis_size(rsys, degree), listed))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_bundled_algebras()))
+def test_basis_size_counts_the_listed_basis_of_bundled_algebras(name):
+    rsys = complete(_bundled_algebras()[name])
+    assert rsys.complete and not rsys.has_nonunit_leads
+    for size, listed in _sizes_and_listings(rsys):
+        assert size == listed
+
+
+def _random_algebra(rng):
+    """A group ring of a random presentation, or a free graded algebra on
+    generators of degree 0 and 1 with random homogeneous monomial
+    relations, some of them with a non-unit coefficient."""
+    ngens = rng.randint(1, 3)
+
+    def word():
+        return tuple(rng.randrange(ngens) for _ in range(rng.randint(0, 3)))
+
+    if rng.random() < 0.5:
+        labels = [f"g{i}" for i in range(ngens)]
+        rels = [
+            (tuple(labels[g] for g in word()), tuple(labels[g] for g in word()))
+            for _ in range(rng.randint(0, 3))
+        ]
+        return group_ring(MonoidPresentation(labels, rels), "'")[0]
+    alg = PresentedDgAlgebra(
+        [(f"x{i}", rng.randint(0, 1)) for i in range(ngens)]
+    )
+    rels = []
+    for _ in range(rng.randint(0, 3)):
+        u, v = word(), word()
+        if u != v and alg.word_degree(u) == alg.word_degree(v):
+            rels.append(({u: rng.choice([1, 1, 2])}, {v: 1}))
+    alg.relations = rels
+    return alg
+
+
+def test_basis_size_counts_the_listed_basis_of_random_presentations():
+    # a small budget: completion's step budget does not bound zero
+    # S-polynomials, and some of these systems never complete
+    rng = random.Random(20261019)
+    sizes = set()
+    for _ in range(120):
+        rsys = complete(_random_algebra(rng), budget=100)
+        if not rsys.complete or rsys.has_nonunit_leads:
+            for degree in range(4):
+                with pytest.raises(BarloopError):
+                    basis_size(rsys, degree)
+            continue
+        for size, listed in _sizes_and_listings(rsys):
+            assert size == listed
+            sizes.add(size)
+    # finite and infinite bases both occur
+    assert None in sizes and len(sizes) > 3
+
+
 def _monoid_word(m, nontriv, e):
     return () if e == m.identity else (nontriv.index(e),)
 
@@ -208,7 +280,7 @@ def test_normal_form_drops_coefficients_that_vanish_mod_m():
     """Over Z/4 with x*x -> -3*x, a coefficient 4 or -8 on x*x is zero;
     it used to be reduced by a zero multiple of the rule forever."""
     alg = PresentedDgAlgebra([("x", 0)], modulus=4)
-    alg.relations = [(alg.poly({("x", "x"): 1}), alg.poly({("x",): -3}))]
+    alg.relations = [(poly(alg, {("x", "x"): 1}), poly(alg, {("x",): -3}))]
     rsys = complete(alg)
     assert rsys.describe() == ["x*x -> -3*x"]
     xx, x = alg.word("x", "x"), alg.word("x")

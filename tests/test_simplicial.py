@@ -219,7 +219,7 @@ def test_localized_group_nerve_consistency():
 def test_point_and_json_round_trip():
     assert point().reduced
     k = rp2_model()
-    assert k.materialize(2).validate(2).ok
+    assert k.validate(2).ok
     edge = {"base": "*", "degens": []}
     assert k.to_json_dict(2) == {
         "simplices": [
@@ -237,7 +237,7 @@ def test_point_and_json_round_trip():
 
 def test_nerve_json_materialization():
     k = nerve(FiniteMonoid.cyclic(2))
-    assert k.materialize(3).validate(3).ok
+    assert k.validate(3).ok
     d = k.to_json_dict(3)
     assert [s["id"] for s in d["simplices"]] == [
         "()", "(1,)", "(1, 1)", "(1, 1, 1)"

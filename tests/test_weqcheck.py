@@ -12,6 +12,7 @@ from barloop.monoids import (
     FiniteMonoid,
     MonoidMap,
     MonoidPresentation,
+    _coset_enumeration,
     group_completion,
     group_ring,
     random_monoid,
@@ -22,7 +23,7 @@ from barloop.weqcheck import (
     invariants,
     weq_verdict,
 )
-from checks import isomorphic_as_tables
+from checks import isomorphic_as_tables, quotient_table
 
 
 def test_invariant_bundle_of_idempotent_pair():
@@ -116,9 +117,13 @@ def test_verdicts_are_monotone_in_the_window():
 
 
 def test_bundle_serializes():
-    b = invariants(FiniteMonoid.cyclic(2), hi=3)
+    m = FiniteMonoid.cyclic(2)
+    b = invariants(m, hi=3)
     assert b.completion.order == 2
-    assert b.completion.to_json_dict()["gens"] == ["g"]
+    quotient = quotient_table(m, b.completion.classes)
+    assert MonoidPresentation.from_monoid(quotient).to_json_dict()["gens"] == [
+        "g"
+    ]
     assert b.nerve_homology.to_json_dict()["1"]["torsion"] == ["2"]
 
 
@@ -156,20 +161,26 @@ def _cyclic_labelled(labels):
     ids=["z3", "z2", "idempotent"],
 )
 def test_numeric_labels_do_not_clash_with_the_completion_identity(m, order):
-    comp = group_completion(MonoidPresentation.from_monoid(m))
+    p = MonoidPresentation.from_monoid(m)
+    comp = group_completion(p)
     assert comp.order == order
-    assert comp.monoid.elements[comp.monoid.identity] == "1''"
-    assert len(set(comp.monoid.elements)) == order
+    # coset enumeration is the one path that labels a completion table
+    labels, identity, _ = _coset_enumeration(
+        p, group_ring(p, "'")[1], budget=10_000
+    )
+    assert labels[identity] == "1''"
+    assert len(set(labels)) == order
     verdict = weq_verdict(MonoidMap.identity(m), hi=3)
     assert verdict.kind == "certified-equivalent"
     assert verdict.certificate["completion_order"] == order
 
 
 def test_letter_labels_keep_the_plain_identity_label():
-    comp = group_completion(
-        MonoidPresentation.from_monoid(_cyclic_labelled(["e", "a", "b"]))
+    p = MonoidPresentation.from_monoid(_cyclic_labelled(["e", "a", "b"]))
+    labels, identity, _ = _coset_enumeration(
+        p, group_ring(p, "'")[1], budget=10_000
     )
-    assert comp.monoid.elements[comp.monoid.identity] == "1"
+    assert labels[identity] == "1"
 
 
 def _z2_times_idempotent():
@@ -186,11 +197,11 @@ def test_an_element_trivial_in_the_completion_maps_to_its_identity():
     m = _z2_times_idempotent()
     comp = group_completion(m)
     assert comp.order == 2
-    assert comp.classes[0] == comp.monoid.identity
-    assert comp.classes[2] == comp.monoid.identity
+    identity = comp.classes[m.identity]
+    assert comp.classes[0] == identity
+    assert comp.classes[2] == identity
     assert comp.classes[3] == comp.classes[1]
-    one = comp.classes[1]
-    assert one != comp.monoid.identity and comp.monoid.elements[one] == "1"
+    assert comp.classes[1] != identity
 
 
 def _homomorphisms(src, dst):
@@ -254,15 +265,17 @@ DIFFERENTIAL = {
 @pytest.mark.parametrize("m", DIFFERENTIAL.values(), ids=DIFFERENTIAL.keys())
 def test_table_completion_matches_the_rewriting_completion(m):
     table = group_completion(m)
-    rewritten = group_completion(MonoidPresentation.from_monoid(m))
-    assert table.order == rewritten.order == table.monoid.order()
-    assert isomorphic_as_tables(table.monoid, rewritten.monoid)
+    counted = group_completion(MonoidPresentation.from_monoid(m))
+    rewritten = old.RewritingCompletion(m)
+    quotient = quotient_table(m, table.classes)
+    assert table.order == counted.order == rewritten.order == quotient.order()
+    assert isomorphic_as_tables(quotient, rewritten.monoid)
     assert len(table.classes) == m.order()
-    assert table.classes[m.identity] == table.monoid.identity
+    assert table.classes[m.identity] == quotient.identity
     # the classes form a homomorphism onto the completion table
     for a in range(m.order()):
         for b in range(m.order()):
-            assert table.classes[m.table[a][b]] == table.monoid.table[
+            assert table.classes[m.table[a][b]] == quotient.table[
                 table.classes[a]
             ][table.classes[b]]
     assert set(table.classes) == set(range(table.order))
@@ -274,12 +287,12 @@ def test_a_coset_enumerated_source_completion_is_certified():
     p = MonoidPresentation.from_monoid(FiniteMonoid.idempotent_pair())
     assert not rewrite.complete(group_ring(p, "'")[0], 5).complete
     cs = group_completion(p, budget=5)
-    assert cs.order == 1 and cs.monoid.order() == 1
+    assert cs.order == 1 and cs.presentation.generators == []
 
 
 def test_weq_builds_no_rewriting_system(monkeypatch):
     calls = []
-    for name in ("complete", "basis_in_degree"):
+    for name in ("complete", "basis_in_degree", "basis_size"):
         real = getattr(rewrite, name)
 
         def spy(*args, _name=name, _real=real, **kwargs):
@@ -297,4 +310,4 @@ def test_weq_builds_no_rewriting_system(monkeypatch):
     assert calls == []
     # the spies see the rewriting completion of a presentation
     group_completion(MonoidPresentation.from_monoid(FiniteMonoid.cyclic(4)))
-    assert calls[:2] == ["complete", "basis_in_degree"]
+    assert calls == ["complete", "basis_size"]
