@@ -278,8 +278,7 @@ def nerve_bar_iso_check(m, hi, budget=100_000, cap=10_000):
     k = nerve(m)
     cn = chains(k, hi)
     alg = monoid_algebra(m)
-    rsys = require_complete(alg, budget)
-    bw = _bar_data(_IdealBasis(alg, rsys, hi - 1, cap), hi, cap)
+    bw = bar(alg, hi, budget, cap)
     bar_index = bw.complex.index
 
     perm = {}
@@ -403,8 +402,7 @@ def unit_check(c, budget=100_000, cap=10_000):
             "unit comparison needs a window with no degree-1 elements"
         )
     om, gen_of = _cobar_with_gens(c)
-    rsys_om = require_complete(om, budget)
-    bw = _bar_data(_IdealBasis(om, rsys_om, c.hi - 1, cap), c.hi, cap)
+    bw = bar(om, c.hi, budget, cap)
     bar_basis, bar_index = bw.complex.bases, bw.complex.index
 
     blocks = {0: IntMatrix.from_rows([[1]])}

@@ -44,10 +44,11 @@ __all__ = [
 class DgCoalgebraWindow:
     """Chain complex window plus coproduct, counit, coaugmentation.
 
-    coproduct(n) returns, for each basis element j of degree n in order,
-    the terms (p, i1, i2, coeff): the term
+    coproduct(n) returns a list with, for each basis element j of degree
+    n in order, the list of its terms (p, i1, i2, coeff): the term
     coeff * (basis_p[i1] (x) basis_{n-p}[i2]) of Delta applied to it.  It
-    is called at most once per degree, on the first read of that degree.
+    is called at most once per degree, on the first read of that degree,
+    and the window keeps the lists it returns.
     counit: list of integers over the degree-0 basis.
     coaugmentation: degree-0 basis index or None.
     """
@@ -76,7 +77,7 @@ class DgCoalgebraWindow:
     def _degree(self, n):
         terms = self._terms.get(n)
         if terms is None:
-            terms = [list(map(tuple, t)) for t in self._coproduct_of(n)]
+            terms = self._coproduct_of(n)
             if len(terms) != self.rank(n):
                 raise ValueError(f"coproduct missing columns in degree {n}")
             self._terms[n] = terms
@@ -250,17 +251,17 @@ def nerve_chains_map(mmap, src_c, dst_c):
     checked by CoalgebraMap.validate on the result.  Raises ValueError
     when the windows differ in top degree or either keeps no bases.
     """
-    from .simplicial import NerveSimplicialSet
+    from .simplicial import strip_units
 
     if src_c.hi != dst_c.hi:
         raise ValueError("chain windows must end in the same degree")
     if src_c.complex.bases is None or dst_c.complex.bases is None:
         raise ValueError("nerve chain windows must keep their bases")
-    dst_nerve = NerveSimplicialSet(mmap.dst)
+    unit = mmap.dst.identity
 
     def column(n, tup):
-        img = dst_nerve.normalize_tuple(tuple(mmap.images[e] for e in tup))
-        return [] if img.word else [(dst_c.complex.index[n][img.base], 1)]
+        img, word = strip_units(tuple(mmap.images[e] for e in tup), unit)
+        return [] if word else [(dst_c.complex.index[n][img], 1)]
 
     blocks = {
         n: IntMatrix.from_columns(
@@ -402,7 +403,10 @@ class CoalgebraMap:
 
 
 class Verdict:
-    """QuasiIso, or Fails(level, degree), or ConsistentUpToWindow."""
+    """Outcome of a quasi-isomorphism check on a window: kind
+    "quasi-iso", or kind "fails" with the degree where the check failed
+    and the filtration level whose graded piece failed (None for a check
+    without a filtration)."""
 
     def __init__(self, kind, level=None, degree=None, detail=None):
         self.kind = kind

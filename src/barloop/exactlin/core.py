@@ -72,10 +72,6 @@ class IntMatrix:
         return cls(rows, tuple(out))
 
     @classmethod
-    def identity(cls, n):
-        return cls.from_columns(n, ([(j, 1)] for j in range(n)))
-
-    @classmethod
     def zeros(cls, rows, cols):
         if cols < 0:
             raise ValueError("negative dimensions")
@@ -146,10 +142,6 @@ class SnfResult:
 
     def __init__(self, d):
         self.d = tuple(d)
-
-    @property
-    def rank(self):
-        return sum(1 for x in self.d if x)
 
 
 def smith_normal_form(m):

@@ -26,7 +26,7 @@ import itertools
 from .barcobar import extended_cobar
 from .errors import BarloopError, MismatchAt
 from .exactlin import HomologyEntry, IntMatrix, smith_normal_form
-from .monoids import MonoidPresentation, group_ring, inverse_label
+from .monoids import MonoidPresentation, group_ring, with_inverses
 from .rewrite import IsoCertificate, h0_ring, ring_iso_certify
 from .simplicial import FormalSimplex, LocalizedSimplicialSet
 
@@ -108,15 +108,14 @@ class LoopGroupLevel:
     generators one level above the window.
     """
 
-    def __init__(self, n, generators, labels, faces, degeneracies):
+    def __init__(self, n, labels, faces, degeneracies):
         self.n = n
-        self.generators = list(generators)
         self.labels = list(labels)
         self.faces = faces
         self.degeneracies = degeneracies
 
     def rank(self):
-        return len(self.generators)
+        return len(self.labels)
 
     def to_json_dict(self):
         def enc(word):
@@ -203,7 +202,7 @@ def kan_loop_group(k, hi):
             [degen_images[n][i][labels[n][fs]] for i in range(n + 1)]
             for fs in gens
         ]
-        levels.append(LoopGroupLevel(n, gens, lbls, faces, degens))
+        levels.append(LoopGroupLevel(n, lbls, faces, degens))
     return levels
 
 
@@ -277,7 +276,7 @@ def _validate_group_window(hi, simplices, labels, face_images, degen_images):
 
 
 def _edge_word(f):
-    return () if f.is_degenerate() else (str(f.base),)
+    return () if f.word else (str(f.base),)
 
 
 def pi1_presentation(k):
@@ -291,15 +290,7 @@ def pi1_presentation(k):
     """
     if isinstance(k, LocalizedSimplicialSet):
         base = pi1_presentation(k.base_set)
-        gens = list(base.generators)
-        rels = list(base.relations)
-        taken = set(gens)
-        for e in k.edges:
-            lbl = inverse_label(str(e), taken, "_inv")
-            gens.append(lbl)
-            rels.append(((str(e), lbl), ()))
-            rels.append(((lbl, str(e)), ()))
-        return MonoidPresentation(gens, rels)
+        return with_inverses(base, [str(e) for e in k.edges], "_inv")[0]
     k.basepoint()
     gens = [str(s) for s in k.n_simplices(1)]
     if len(set(gens)) != len(gens):

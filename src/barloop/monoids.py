@@ -27,6 +27,7 @@ __all__ = [
     "Exhausted",
     "monoid_algebra",
     "inverse_label",
+    "with_inverses",
     "group_ring",
     "group_completion",
     "random_monoid",
@@ -79,7 +80,6 @@ class FiniteMonoid:
                         )
         if bad:
             raise MalformedTable("; ".join(bad))
-        self._index = {e: i for i, e in enumerate(self.elements)}
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -88,9 +88,6 @@ class FiniteMonoid:
         for _ in range(k):
             acc = self.table[acc][i]
         return acc
-
-    def index(self, label):
-        return self._index[label]
 
     def order(self):
         return len(self.elements)
@@ -309,21 +306,27 @@ def inverse_label(g, taken, suffix):
     return lbl
 
 
-def group_ring(pres, suffix="_inv"):
-    """Integer group ring of a presented group, as a degree-0 algebra.
-
-    Adjoins one formal inverse per generator, labelled by inverse_label
-    with the given suffix.  Returns (algebra, inv) where inv maps each
-    generator label to its inverse's label.
-    """
+def with_inverses(pres, letters, suffix):
+    """pres with a two-sided inverse g' (inverse_label) adjoined to each
+    listed generator g, and the relations g.g' = 1, g'.g = 1 appended
+    letter by letter.  Returns (presentation, inverse labels)."""
     taken = set(pres.generators)
-    inv = {g: inverse_label(g, taken, suffix) for g in pres.generators}
+    inv = [inverse_label(g, taken, suffix) for g in letters]
     rels = list(pres.relations)
-    for g in pres.generators:
-        rels.append(((g, inv[g]), ()))
-        rels.append(((inv[g], g), ()))
-    alg = _degree_zero_algebra(pres.generators + list(inv.values()), rels)
-    return alg, inv
+    for g, g_inv in zip(letters, inv):
+        rels.append(((g, g_inv), ()))
+        rels.append(((g_inv, g), ()))
+    return MonoidPresentation(pres.generators + inv, rels), inv
+
+
+def group_ring(pres, suffix="_inv"):
+    """Integer group ring of a presented group, as a degree-0 algebra
+    with one formal inverse per generator (with_inverses).  Returns
+    (algebra, inv) where inv maps each generator label to its inverse's
+    label."""
+    ext, inv = with_inverses(pres, pres.generators, suffix)
+    alg = _degree_zero_algebra(ext.generators, ext.relations)
+    return alg, dict(zip(pres.generators, inv))
 
 
 def group_completion(p, budget=100_000):
@@ -389,17 +392,10 @@ def _table_completion(m):
     n = m.order()
     t = m.table
     rep = list(range(n))
-
-    def find(x):
-        while rep[x] != x:
-            rep[x] = rep[rep[x]]
-            x = rep[x]
-        return x
-
     pending = [(e, m.identity) for e in range(n) if t[e][e] == e]
     while pending:
         a, b = pending.pop()
-        a, b = find(a), find(b)
+        a, b = _find(rep, a), _find(rep, b)
         if a == b:
             continue
         a, b = min(a, b), max(a, b)
@@ -407,9 +403,19 @@ def _table_completion(m):
         for c in range(n):
             pending.append((t[c][a], t[c][b]))
             pending.append((t[a][c], t[b][c]))
-    firsts = [a for a in range(n) if find(a) == a]
+    firsts = [a for a in range(n) if _find(rep, a) == a]
     at = {a: i for i, a in enumerate(firsts)}
-    return GroupCompletion(len(firsts), classes=[at[find(a)] for a in range(n)])
+    return GroupCompletion(
+        len(firsts), classes=[at[_find(rep, a)] for a in range(n)]
+    )
+
+
+def _find(rep, x):
+    """Root of x in the union-find forest rep, halving the path walked."""
+    while rep[x] != x:
+        rep[x] = rep[rep[x]]
+        x = rep[x]
+    return x
 
 
 def _tietze_simplify(gens, relations):
@@ -479,16 +485,10 @@ def _coset_enumeration(p, inv, budget):
     table = [[None] * nl]  # table[coset][letter]
     rep = [0]              # union-find over cosets
 
-    def find(x):
-        while rep[x] != x:
-            rep[x] = rep[rep[x]]
-            x = rep[x]
-        return x
-
     pending = []
 
     def merge(a, b):
-        a, b = find(a), find(b)
+        a, b = _find(rep, a), _find(rep, b)
         if a != b:
             if a > b:
                 a, b = b, a
@@ -496,13 +496,13 @@ def _coset_enumeration(p, inv, budget):
             pending.append(b)
 
     def deduce(c, l, d):
-        c, d = find(c), find(d)
+        c, d = _find(rep, c), _find(rep, d)
         cur = table[c][l]
-        if cur is not None and find(cur) != d:
+        if cur is not None and _find(rep, cur) != d:
             merge(cur, d)
         table[c][l] = d
         cur2 = table[d][pair[l]]
-        if cur2 is not None and find(cur2) != c:
+        if cur2 is not None and _find(rep, cur2) != c:
             merge(cur2, c)
         table[d][pair[l]] = c
 
@@ -513,11 +513,11 @@ def _coset_enumeration(p, inv, budget):
     while qi < len(queue):
         c = queue[qi]
         qi += 1
-        if find(c) != c:
+        if _find(rep, c) != c:
             continue
         for rel in relators:
             # scan the relator cycle from coset c, defining as needed
-            cur = find(c)
+            cur = _find(rep, c)
             for pos, l in enumerate(rel):
                 steps += 1
                 if steps > budget:
@@ -525,8 +525,8 @@ def _coset_enumeration(p, inv, budget):
                 nxt = table[cur][l]
                 if nxt is None:
                     if pos == len(rel) - 1:
-                        deduce(cur, l, find(c))
-                        nxt = find(c)
+                        deduce(cur, l, _find(rep, c))
+                        nxt = _find(rep, c)
                     else:
                         table.append([None] * nl)
                         rep.append(len(rep))
@@ -537,10 +537,10 @@ def _coset_enumeration(p, inv, budget):
                         deduce(cur, l, nxt)
                         queue.append(nxt)
                 else:
-                    nxt = find(nxt)
-                    if pos == len(rel) - 1 and nxt != find(c):
-                        merge(nxt, find(c))
-                        nxt = find(c)
+                    nxt = _find(rep, nxt)
+                    if pos == len(rel) - 1 and nxt != _find(rep, c):
+                        merge(nxt, _find(rep, c))
+                        nxt = _find(rep, c)
                 cur = nxt
             # process coincidences eagerly
             while pending:
@@ -548,12 +548,12 @@ def _coset_enumeration(p, inv, budget):
                 row = table[dead]
                 for l, d in enumerate(row):
                     if d is not None:
-                        a = find(dead)
-                        deduce(a, l, find(d))
+                        a = _find(rep, dead)
+                        deduce(a, l, _find(rep, d))
         # all relators traced from c without budget blowup
 
     # compact the live cosets
-    live = sorted({find(c) for c in range(len(rep))})
+    live = sorted({_find(rep, c) for c in range(len(rep))})
     # every entry must be filled for the enumeration to have closed
     comp = {c: i for i, c in enumerate(live)}
     out = []
@@ -563,13 +563,13 @@ def _coset_enumeration(p, inv, budget):
         for l in range(nl):
             if row[l] is None:
                 return None
-            new_row.append(comp[find(row[l])])
+            new_row.append(comp[_find(rep, row[l])])
         out.append(new_row)
 
     # coset-by-letter action -> full multiplication table: represent
     # each coset by a shortest word reaching it from the trivial coset
-    words = {comp[find(0)]: ()}
-    frontier = [comp[find(0)]]
+    words = {comp[_find(rep, 0)]: ()}
+    frontier = [comp[_find(rep, 0)]]
     while frontier:
         nxt_frontier = []
         for c in frontier:
@@ -594,7 +594,7 @@ def _coset_enumeration(p, inv, budget):
     for i in range(n):
         w = words[i]
         labels.append("*".join(letters[l] for l in w) if w else one)
-    return labels, comp[find(0)], table2
+    return labels, comp[_find(rep, 0)], table2
 
 
 def random_monoid(seed):

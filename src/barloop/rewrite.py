@@ -715,9 +715,6 @@ class IsoCertificate:
         self.status = status
         self.details = details
 
-    def to_json_dict(self):
-        return {"ok": self.ok, "status": self.status, "details": self.details}
-
 
 def _apply_hom(src, dst, images, p):
     out = {}
@@ -751,27 +748,25 @@ def ring_iso_certify(a, b, f_images, g_images):
         "target_nonunit_leads": rb.has_nonunit_leads,
         "checks": [],
     }
-    checks = [
-        ("f(relation of source) = 0",
-         poly_sub(_apply_hom(a, b, f_images, l),
-                  _apply_hom(a, b, f_images, r), b.modulus), rb, b)
-        for l, r in a.relations
-    ] + [
-        ("g(relation of target) = 0",
-         poly_sub(_apply_hom(b, a, g_images, l),
-                  _apply_hom(b, a, g_images, r), a.modulus), ra, a)
-        for l, r in b.relations
-    ] + [
-        (f"g(f({lbl})) = {lbl}",
-         poly_sub(_apply_hom(b, a, g_images, f_images[lbl]), {(i,): 1},
-                  a.modulus), ra, a)
-        for i, (lbl, _) in enumerate(a.generators)
-    ] + [
-        (f"f(g({lbl})) = {lbl}",
-         poly_sub(_apply_hom(a, b, f_images, g_images[lbl]), {(i,): 1},
-                  b.modulus), rb, b)
-        for i, (lbl, _) in enumerate(b.generators)
-    ]
+    # relation checks of both directions first, then generator checks
+    relation_checks, generator_checks = [], []
+    for f, g, side, src, dst, r_src, r_dst, f_img, g_img in (
+        ("f", "g", "source", a, b, ra, rb, f_images, g_images),
+        ("g", "f", "target", b, a, rb, ra, g_images, f_images),
+    ):
+        relation_checks += [
+            (f"{f}(relation of {side}) = 0",
+             poly_sub(_apply_hom(src, dst, f_img, l),
+                      _apply_hom(src, dst, f_img, r), dst.modulus), r_dst, dst)
+            for l, r in src.relations
+        ]
+        generator_checks += [
+            (f"{g}({f}({lbl})) = {lbl}",
+             poly_sub(_apply_hom(dst, src, g_img, f_img[lbl]), {(i,): 1},
+                      src.modulus), r_src, src)
+            for i, (lbl, _) in enumerate(src.generators)
+        ]
+    checks = relation_checks + generator_checks
 
     ok = True
     for kind, poly, rsys, alg in checks:

@@ -7,11 +7,17 @@ monoid has a two-sided inverse; isomorphic_as_tables says whether two
 finite monoids have isomorphic tables; quotient_table builds the table
 of a group completion from its classes; coproduct reads every degree of
 a coalgebra window's coproduct; poly builds a polynomial of a presented
-algebra from label words.
+algebra from label words; identity_matrix builds an identity IntMatrix.
 """
 
+from barloop.exactlin import IntMatrix
 from barloop.monoids import FiniteMonoid
 from barloop.rewrite import poly_iadd_term
+
+
+def identity_matrix(n):
+    """The n x n identity IntMatrix."""
+    return IntMatrix.from_columns(n, ([(j, 1)] for j in range(n)))
 
 
 def quotient_table(m, classes):

@@ -65,7 +65,7 @@ def _completion_letters(c, m):
     letters = {}
     _, inverses = group_ring(MonoidPresentation.from_monoid(m), "'")
     for g, lbl in inverses.items():
-        idx = m.index(g)
+        idx = m.elements.index(g)
         letters[g] = (idx, 1)
         letters[lbl] = (idx, -1)
     return letters

@@ -28,7 +28,7 @@ from barloop.simplicial import (
     point,
 )
 from barloop.weqcheck import bundled_complexes, bundled_monoids
-from checks import coproduct
+from checks import coproduct, identity_matrix
 
 
 def test_circle_chains_window():
@@ -185,7 +185,7 @@ def test_admissible_filtration_violations_are_reported():
 
 def identity_map(c):
     blocks = {
-        n: IntMatrix.identity(c.rank(n)) for n in range(c.hi + 1)
+        n: identity_matrix(c.rank(n)) for n in range(c.hi + 1)
     }
     return CoalgebraMap(c, c, blocks)
 
@@ -277,7 +277,7 @@ def test_coalgebra_map_reports_each_broken_law():
 
 def test_coalgebra_map_reports_a_broken_chain_map():
     c = chains(nerve(FiniteMonoid.cyclic(2)), 3)
-    blocks = {n: IntMatrix.identity(c.rank(n)) for n in range(4)}
+    blocks = {n: identity_matrix(c.rank(n)) for n in range(4)}
     blocks[2] = IntMatrix.from_rows([[3]])
     report = CoalgebraMap(c, c, blocks).validate()
     assert report.violations[0] == "not a chain map in degree 2"

@@ -6,7 +6,7 @@ from itertools import chain, compress
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from checks import assert_smith_diagonal
+from checks import assert_smith_diagonal, identity_matrix
 from test_properties import determinantal_diagonal
 
 from barloop.barcobar import bar
@@ -205,7 +205,7 @@ def test_homology_invariant_under_basis_change():
 
 
 def _random_unimodular(rng, n):
-    m = IntMatrix.identity(n)
+    m = identity_matrix(n)
     rows = m.to_rows()
     for i in range(n):
         if rng.random() < 0.5:
@@ -220,7 +220,7 @@ def _unimodular_inverse(m):
 
 def test_mapping_cone_of_identity_is_acyclic():
     c = two_periodic_complex(5)
-    maps = {n: IntMatrix.identity(c.rank(n)) for n in range(0, 6)}
+    maps = {n: identity_matrix(c.rank(n)) for n in range(0, 6)}
     cone = mapping_cone(maps, c, c)
     cone.validate()
     t = homology_window(cone)
@@ -391,7 +391,7 @@ def test_mapping_cone_errors_match_dense_construction():
     c = two_periodic_complex(3)
     for maps, other, message in [
         ({}, c, "missing map matrix in degree 0"),
-        ({n: IntMatrix.identity(1) for n in range(4)}, two_periodic_complex(4),
+        ({n: identity_matrix(1) for n in range(4)}, two_periodic_complex(4),
          "cone needs matching windows"),
     ]:
         for build in (mapping_cone, dense_mapping_cone):

@@ -228,6 +228,37 @@ def test_localized_nerve_pi1_inverts_the_edge():
     assert comp.order == 1  # b idempotent and invertible forces b = 1
 
 
+def test_both_inverse_adjunctions_keep_labels_and_relation_order():
+    # pi1 of a localized set and group_ring adjoin inverses alike: the
+    # new relations follow the old ones, g.g' = 1 before g'.g = 1
+    k = localized_nerve(nerve(FiniteMonoid.idempotent_pair()), [(1,)])
+    pres = pi1_presentation(k)
+    assert pres.generators == ["(1,)", "(1,)_inv"]
+    assert pres.relations == [
+        (("(1,)",), ("(1,)", "(1,)")),
+        (("(1,)", "(1,)_inv"), ()),
+        (("(1,)_inv", "(1,)"), ()),
+    ]
+    alg, inv = group_ring(pres)
+    assert inv == {"(1,)": "(1,)_inv'", "(1,)_inv": "(1,)_inv_inv"}
+    assert [lbl for lbl, _ in alg.generators] == [
+        "(1,)", "(1,)_inv", "(1,)_inv'", "(1,)_inv_inv"
+    ]
+    labels = [
+        tuple(tuple(alg.gen_label(g) for g in w) for w in (*lhs, *rhs))
+        for lhs, rhs in alg.relations
+    ]
+    assert labels == [
+        (("(1,)",), ("(1,)", "(1,)")),
+        (("(1,)", "(1,)_inv"), ()),
+        (("(1,)_inv", "(1,)"), ()),
+        (("(1,)", "(1,)_inv'"), ()),
+        (("(1,)_inv'", "(1,)"), ()),
+        (("(1,)_inv", "(1,)_inv_inv"), ()),
+        (("(1,)_inv_inv", "(1,)_inv"), ()),
+    ]
+
+
 def test_localizing_a_group_changes_nothing():
     k = localized_nerve(nerve(FiniteMonoid.cyclic(3)), [(1,)])
     comp = group_completion(pi1_presentation(k))
@@ -290,6 +321,16 @@ def test_h0_compare_collapsed_boundary():
 def test_h0_compare_projective_plane():
     cert = h0_compare(rp2_model())
     assert cert.ok
+
+
+def test_ring_iso_checks_list_relations_then_generators():
+    kinds = [c["kind"] for c in h0_compare(rp2_model()).details["checks"]]
+    assert kinds == (
+        ["f(relation of source) = 0"] * 3
+        + ["g(relation of target) = 0"] * 3
+        + ["g(f(e)) = e", "g(f(e_inv)) = e_inv"]
+        + ["f(g(e)) = e", "f(g(e_inv)) = e_inv"]
+    )
 
 
 def test_loop_group_json_round_trip_shape():

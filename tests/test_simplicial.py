@@ -1,9 +1,12 @@
 """Simplicial sets: word calculus, nerves, quotients, localization."""
 
+import itertools
+
 import pytest
+from recursive_units import localized_normalize, nerve_normalize
 
 from barloop.errors import NotASubcomplex, UnboundedDegree
-from barloop.monoids import FiniteMonoid
+from barloop.monoids import FiniteMonoid, random_monoid
 from barloop.simplicial import (
     ExplicitSimplicialSet,
     FormalSimplex,
@@ -18,7 +21,9 @@ from barloop.simplicial import (
     point,
     quotient_by_subcomplex,
     rp2_model,
+    strip_units,
 )
+from barloop.weqcheck import bundled_complexes
 
 
 def test_degeneracy_insert_normal_form():
@@ -38,10 +43,32 @@ def test_face_through_degeneracies():
     assert face_through_degeneracies((3, 0), 5) == ((3, 0), 3)
 
 
-def test_formal_simplex_word_must_decrease():
-    with pytest.raises(ValueError):
-        FormalSimplex("x", (0, 1))
-    FormalSimplex("x", (1, 0))
+def _sphere3_faces(word):
+    faces = {("e", i): FormalSimplex("*", (1, 0)) for i in range(4)}
+    faces[("e", 3)] = FormalSimplex("*", word)
+    return faces
+
+
+def test_explicit_set_rejects_a_face_word_that_does_not_decrease():
+    # minimal_sphere(3) with one face word out of normal form
+    with pytest.raises(ValueError, match=r"face 3 of 'e' has degeneracy "
+                       r"word \(0, 1\), not strictly decreasing"):
+        ExplicitSimplicialSet([("*", 0), ("e", 3)], _sphere3_faces((0, 1)))
+    ExplicitSimplicialSet([("*", 0), ("e", 3)], _sphere3_faces((1, 0)))
+
+
+def test_validate_reports_a_face_word_that_does_not_decrease():
+    class BadWord(ExplicitSimplicialSet):
+        def face(self, sid, i):
+            if (sid, i) == ("e", 3):
+                return FormalSimplex("*", (0, 1))
+            return super().face(sid, i)
+
+    k = BadWord([("*", 0), ("e", 3)], _sphere3_faces((1, 0)))
+    assert k.validate(3).violations[0] == (
+        "face 3 of 'e' has degeneracy word (0, 1), not strictly decreasing"
+    )
+    assert minimal_sphere(3).validate(3).ok
 
 
 def test_minimal_spheres_validate():
@@ -80,14 +107,14 @@ def test_nerve_counts_and_validity():
 
 def test_nerve_idempotent_faces():
     k = nerve(FiniteMonoid.idempotent_pair())
-    b = k.monoid.index("b")
+    b = k.monoid.elements.index("b")
     for i in range(3):
         assert k.face((b, b), i) == FormalSimplex((b,), ())
 
 
 def test_nerve_group_face_degenerates():
     k = nerve(FiniteMonoid.cyclic(2))
-    g = k.monoid.index("g")
+    g = k.monoid.elements.index("g")
     assert k.face((g, g), 1) == FormalSimplex((), (0,))
     assert k.face((g, g), 0) == FormalSimplex((g,), ())
 
@@ -191,7 +218,7 @@ def test_localized_circle_is_integer_nerve():
 def test_localized_nerve_uses_monoid_powers():
     m = FiniteMonoid.idempotent_pair()
     k = nerve(m)
-    b = m.index("b")
+    b = m.elements.index("b")
     loc = localized_nerve(k, [(b,)])
     assert loc.style == "monoid-powers"
     # all-positive tuples are glued onto nerve simplices via powers
@@ -207,7 +234,7 @@ def test_localized_nerve_uses_monoid_powers():
 def test_localized_group_nerve_consistency():
     m = FiniteMonoid.cyclic(2)
     k = nerve(m)
-    g = m.index("g")
+    g = m.elements.index("g")
     loc = localized_nerve(k, [(g,)])
     # powers wrap around: (2,) is glued to g*g = 1, a degenerate point
     assert loc.face(("j", 0, (1, 2)), 2) == FormalSimplex(("k", (g,)), ())
@@ -264,3 +291,73 @@ def test_localized_validation_reports_a_bad_face_like_the_base_class():
     assert "face identity fails on ('j', 0, (-1, -1)): d0 d1 != d0 d0" in (
         report.violations
     )
+
+
+def _strictly_decreasing(word):
+    return all(a > b for a, b in zip(word, word[1:]))
+
+
+def _words_stay_decreasing(k, bases, top):
+    """Build every formal simplex of dimension <= top that
+    degenerate_formal reaches from the nondegenerate simplices
+    bases(n), and check that face_formal and degenerate_formal return a
+    strictly decreasing word on each of them."""
+    level = [FormalSimplex(b) for b in bases(0)]
+    for n in range(top + 1):
+        above = [FormalSimplex(b) for b in bases(n + 1)] if n < top else []
+        for fs in dict.fromkeys(level):
+            for i in range(n + 1):
+                if n:
+                    f = k.face_formal(fs, i)
+                    assert _strictly_decreasing(f.word), (fs, i, f)
+                d = k.degenerate_formal(fs, i)
+                assert _strictly_decreasing(d.word), (fs, i, d)
+                above.append(d)
+        level = above
+
+
+def _localized_sets():
+    idem = FiniteMonoid.idempotent_pair()
+    z3 = FiniteMonoid.cyclic(3)
+    return [
+        localized_nerve(nerve(idem), [(idem.elements.index("b"),)]),
+        localized_nerve(nerve(z3), [(z3.elements.index("g"),)]),
+        localized_nerve(minimal_sphere(1), ["t"]),
+    ]
+
+
+def test_face_and_degeneracy_words_stay_decreasing():
+    for k in bundled_complexes().values():
+        _words_stay_decreasing(k, k.n_simplices, 4)
+    for seed in range(40):
+        k = nerve(random_monoid(seed))
+        _words_stay_decreasing(k, k.n_simplices, 4)
+    for loc in _localized_sets():
+        _words_stay_decreasing(
+            loc, lambda n: loc.n_simplices_bounded(n, 2), 4
+        )
+
+
+def test_strip_units_agrees_with_the_recursions_it_replaced():
+    for m in (
+        FiniteMonoid.cyclic(3),
+        FiniteMonoid.idempotent_pair(),
+        FiniteMonoid.left_zero_with_unit(2),
+    ):
+        k = nerve(m)
+        for n in range(6):
+            for tup in itertools.product(range(m.order()), repeat=n):
+                want = nerve_normalize(k, tup)
+                assert FormalSimplex(*strip_units(tup, m.identity)) == want
+                if m.identity in tup or not n:
+                    continue
+                for i in range(1, n):
+                    p = m.table[tup[i - 1]][tup[i]]
+                    merged = tup[: i - 1] + (p,) + tup[i + 1 :]
+                    assert k.face(tup, i) == nerve_normalize(k, merged)
+    for loc in _localized_sets():
+        for n in range(5):
+            for tup in itertools.product(range(-2, 3), repeat=n):
+                assert loc._znormalize(0, tup) == localized_normalize(
+                    loc, 0, tup
+                ), tup

@@ -3,8 +3,8 @@
 - No module of the package imports a name it never uses, apart from the
   names it re-exports through ``__all__``.
 - Only ``barloop.exactlin`` calls the ``IntMatrix`` constructor directly;
-  everyone else builds matrices with ``from_columns``, ``from_rows``,
-  ``zeros`` or ``identity``.
+  everyone else builds matrices with ``from_columns``, ``from_rows`` or
+  ``zeros``.
 - No module of the package reads a matrix as dense rows (``to_rows``):
   every caller reads sparse columns, and Smith normal form hands the
   dense kernel only the residual block left after unit-pivot
@@ -22,6 +22,12 @@
   ``Load`` context, or a string passed to ``getattr`` or ``hasattr``; in
   the benchmark also any string constant).  ``STORED_UNREAD_ON_PURPOSE``
   lists the exceptions.
+- A method name that a method or stored attribute of a package class in
+  another class hierarchy also uses is listed in ``SHARED_NAMES``, which
+  says whose members of that name the package or the benchmark reads.
+  The two rules above see a shared name as read when any owner's member
+  is read, so each new shared name fails until someone checks every
+  owner.
 """
 
 import ast
@@ -42,6 +48,39 @@ UNREAD_ON_PURPOSE = {
 STORED_UNREAD_ON_PURPOSE = {
     "MismatchAt.element": "the error says where a comparison failed; "
     "test_barcobar.py asserts it",
+}
+
+
+SHARED_NAMES = {
+    "boundary": "ChainComplexWindow and DgCoalgebraWindow: both read by "
+    "the package",
+    "describe": "HomologyEntry (cli, weqcheck, the benchmark's oracles) "
+    "and RewriteSystem (cli): both read",
+    "hi": "ChainComplexWindow, DgCoalgebraWindow and WeqVerdict: all read "
+    "by the package",
+    "identity": "FiniteMonoid's stored identity and the MonoidMap.identity "
+    "constructor: both read by the package",
+    "is_zero": "HomologyEntry (dgcoalg) and IntMatrix "
+    "(ChainComplexWindow.validate): both read",
+    "label": "ChainComplexWindow and DgCoalgebraWindow: both read by the "
+    "package",
+    "level": "AdmissibleFiltration's method and Verdict's stored level: "
+    "both read by the package",
+    "ok": "IsoCertificate's stored flag (loopgroup, the benchmark) and "
+    "ValidationReport's property (barcobar, dgcoalg): both read",
+    "order": "FiniteMonoid's method and GroupCompletion's stored order: "
+    "both read by the package",
+    "rank": "ChainComplexWindow, DgCoalgebraWindow and LoopGroupLevel "
+    "(cli, the benchmark): all read",
+    "to_json_dict": "FiniteMonoid, HomologyTable, LoopGroupLevel, "
+    "MonoidPresentation, PresentedDgAlgebra, SimplicialSet, Verdict and "
+    "WeqVerdict: all read by cli",
+    "validate": "AdmissibleFiltration, ChainComplexWindow, CoalgebraMap "
+    "and MonoidMap: read by the package; DgCoalgebraWindow and "
+    "SimplicialSet (with LocalizedSimplicialSet's override): law checks "
+    "that only tests run, on every bundled complex",
+    "word": "FormalSimplex's stored word and PresentedDgAlgebra.word: both "
+    "read by the package",
 }
 
 
@@ -187,6 +226,47 @@ def unread_attributes(tree, loaded):
     )
 
 
+def shared_member_names(trees):
+    """{method name: sorted owners} for each name that a method of one
+    package class and a method or stored attribute of a class in another
+    hierarchy both use; dunders aside.  A hierarchy is a class with all
+    the package classes below it, so an override does not count."""
+    members, parent = {}, {}
+    for tree in trees:
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            methods = {
+                node.name for node in cls.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (node.name.startswith("__")
+                         and node.name.endswith("__"))
+            }
+            stored = {
+                node.attr for node in ast.walk(cls)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            }
+            members[cls.name] = (methods, stored)
+            parent[cls.name] = [
+                b.id for b in cls.bases if isinstance(b, ast.Name)
+            ]
+
+    def root(name):
+        bases = [b for b in parent[name] if b in members]
+        return root(bases[0]) if bases else name
+
+    shared = {}
+    for a, (methods, _) in members.items():
+        for b, (methods_b, stored_b) in members.items():
+            if root(a) != root(b):
+                for name in methods & (methods_b | stored_b):
+                    shared.setdefault(name, set()).update((a, b))
+    return {name: sorted(owners) for name, owners in shared.items()}
+
+
 def _offenders(paths, rule):
     found = {}
     for path in paths:
@@ -241,6 +321,21 @@ def test_rules_detect_what_they_forbid():
     assert unread_attributes(tree, attributes_loaded(tree, strings=True)) == [
         (3, "A.lost")
     ]
+    tree = ast.parse(
+        "class A:\n"
+        "    def shared(self): pass\n"
+        "    def own(self): pass\n"
+        "    def __len__(self): return 0\n"
+        "class B(A):\n"
+        "    def own(self): pass\n"
+        "class C(B):\n"
+        "    def __init__(self): self.own = 1\n"
+        "class D:\n"
+        "    def __init__(self): self.shared = self.kept = 1\n"
+        "    def __len__(self): return 1\n"
+        "    def kept(self): pass\n"
+    )
+    assert shared_member_names([tree]) == {"shared": ["A", "D"]}
 
 
 def test_no_unused_imports_in_the_package():
@@ -288,3 +383,12 @@ def test_every_stored_attribute_is_loaded():
     for path in BENCH.rglob("*.py"):
         loaded |= attributes_loaded(_parse(path), strings=True)
     assert _offenders(paths, lambda tree: unread_attributes(tree, loaded)) == {}
+
+
+def test_shared_member_names_are_reviewed():
+    trees = [_parse(p) for p in sorted(PACKAGE.rglob("*.py"))]
+    shared = shared_member_names(trees)
+    assert set(shared) == set(SHARED_NAMES), {
+        "new": {n: o for n, o in shared.items() if n not in SHARED_NAMES},
+        "gone": sorted(set(SHARED_NAMES) - set(shared)),
+    }
