@@ -4,8 +4,9 @@ A window holds a chain complex on degrees 0..hi together with a
 coproduct given per basis element as a list of (left degree, left index,
 right index, coefficient) terms, a counit on degree 0, and an optional
 coaugmentation.  Each degree's coproduct is computed on first read, so
-callers that only read the complex never build it.  validate() checks
-coassociativity, the counit laws, the coderivation law with Koszul signs
+callers that only read the complex never build it; deltas() walks a
+degree without keeping it.  validate() checks coassociativity, the
+counit laws, the coderivation law with Koszul signs
 (d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy) and the coaugmentation.
 It is the law check the tests assert, not a step of any command.
 
@@ -44,11 +45,11 @@ __all__ = [
 class DgCoalgebraWindow:
     """Chain complex window plus coproduct, counit, coaugmentation.
 
-    coproduct(n) returns a list with, for each basis element j of degree
-    n in order, the list of its terms (p, i1, i2, coeff): the term
-    coeff * (basis_p[i1] (x) basis_{n-p}[i2]) of Delta applied to it.  It
-    is called at most once per degree, on the first read of that degree,
-    and the window keeps the lists it returns.
+    coproduct(n) yields, for each basis element j of degree n in order,
+    the list of its terms (p, i1, i2, coeff): the term
+    coeff * (basis_p[i1] (x) basis_{n-p}[i2]) of Delta applied to it.
+    delta reads a degree through it once and keeps the lists; deltas(n)
+    calls it on every walk and keeps none.
     counit: list of integers over the degree-0 basis.
     coaugmentation: degree-0 basis index or None.
     """
@@ -74,13 +75,23 @@ class DgCoalgebraWindow:
     def label(self, n, i):
         return self.complex.label(n, i)
 
+    def deltas(self, n):
+        """Coproduct terms of each degree-n element in order, not kept;
+        ValueError when the builder yields more or fewer than the rank."""
+        missing = f"coproduct missing columns in degree {n}"
+        built = iter(self._coproduct_of(n))
+        for _ in range(self.rank(n)):
+            terms = next(built, None)
+            if terms is None:
+                raise ValueError(missing)
+            yield terms
+        if next(built, None) is not None:
+            raise ValueError(missing)
+
     def _degree(self, n):
         terms = self._terms.get(n)
         if terms is None:
-            terms = self._coproduct_of(n)
-            if len(terms) != self.rank(n):
-                raise ValueError(f"coproduct missing columns in degree {n}")
-            self._terms[n] = terms
+            terms = self._terms[n] = list(self.deltas(n))
         return terms
 
     def delta(self, n, j):
@@ -219,7 +230,6 @@ def chains(k, hi):
         # Alexander-Whitney: fronts[p] is the face on vertices 0..p and
         # backs[p] the face on vertices p..n, each peeled off one face at
         # a time from its neighbour.
-        per_degree = []
         for sid in comp.bases[n]:
             fronts = [FormalSimplex(sid, ())]
             for m in range(n, 0, -1):
@@ -228,12 +238,11 @@ def chains(k, hi):
             backs = [FormalSimplex(sid, ())]
             for _ in range(n):
                 backs.append(k.face_formal(backs[-1], 0))
-            per_degree.append([
+            yield [
                 (p, index[p][front.base], index[n - p][back.base], 1)
                 for p, (front, back) in enumerate(zip(fronts, backs))
                 if not (front.word or back.word)
-            ])
-        return per_degree
+            ]
 
     counit = [1] * comp.rank(0)
     coaug = None

@@ -213,6 +213,23 @@ def _validate_group_window(hi, simplices, labels, face_images, degen_images):
             element=lbl,
         )
 
+    # Every degeneracy sends a generator to one generator (its word never
+    # gains a 0th degeneracy), so each map is a relabelling: up[n][j] reads
+    # s_j of a level-n generator as a label.
+    up = {}
+    for n, per_map in degen_images.items():
+        up[n] = []
+        for j, images in enumerate(per_map):
+            relabel = {}
+            for lbl, w in images.items():
+                if len(w) != 1 or w[0][1] != 1:
+                    bad(f"s{j} sending generators to generators", n, lbl)
+                relabel[lbl] = w[0][0]
+            up[n].append(relabel)
+
+    def degenerate(word, relabel):
+        return free_reduce([(relabel[g], e) for g, e in word])
+
     for n in range(hi + 2):
         for fs in simplices[n]:
             lbl = labels[n][fs]
@@ -236,37 +253,27 @@ def _validate_group_window(hi, simplices, labels, face_images, degen_images):
             if n + 2 <= hi + 1:
                 for j in range(n + 1):
                     for i in range(j + 1):
-                        left = _free_apply(
-                            degen_images[n][j][lbl],
-                            degen_images[n + 1][i],
-                        )
-                        right = _free_apply(
-                            degen_images[n][i][lbl],
-                            degen_images[n + 1][j + 1],
-                        )
+                        left = up[n + 1][i][up[n][j][lbl]]
+                        right = up[n + 1][j + 1][up[n][i][lbl]]
                         if left != right:
                             bad(f"s{i} s{j} = s{j + 1} s{i}", n, lbl)
             # d_i s_j: identity when i in {j, j+1}, else commute
             if n + 1 <= hi + 1:
                 for j in range(n + 1):
-                    up = degen_images[n][j][lbl]
+                    sj = up[n][j][lbl]
                     for i in range(n + 2):
-                        got = _free_apply(up, face_images[n + 1][i])
+                        got = face_images[n + 1][i][sj]
                         if i in (j, j + 1):
                             want = word
+                        elif n < 1:
+                            continue
                         elif i < j:
-                            if n < 1:
-                                continue
-                            want = _free_apply(
-                                face_images[n][i][lbl],
-                                degen_images[n - 1][j - 1],
+                            want = degenerate(
+                                face_images[n][i][lbl], up[n - 1][j - 1]
                             )
                         else:
-                            if n < 1:
-                                continue
-                            want = _free_apply(
-                                face_images[n][i - 1][lbl],
-                                degen_images[n - 1][j],
+                            want = degenerate(
+                                face_images[n][i - 1][lbl], up[n - 1][j]
                             )
                         if got != want:
                             bad(f"d{i} s{j}", n, lbl)

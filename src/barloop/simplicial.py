@@ -293,9 +293,7 @@ class NerveSimplicialSet(SimplicialSet):
         ]
 
     def n_simplices(self, n):
-        return [
-            tup for tup in itertools.product(self._nontrivial, repeat=n)
-        ]
+        return list(itertools.product(self._nontrivial, repeat=n))
 
     def dim(self, sid):
         return len(sid)
@@ -306,9 +304,11 @@ class NerveSimplicialSet(SimplicialSet):
             return FormalSimplex(sid[1:], ())
         if i == n:
             return FormalSimplex(sid[:-1], ())
+        # no entry of sid is the identity, so only the product can be
         p = self.monoid.table[sid[i - 1]][sid[i]]
-        merged = sid[: i - 1] + (p,) + sid[i + 1 :]
-        return FormalSimplex(*strip_units(merged, self.monoid.identity))
+        if p == self.monoid.identity:
+            return FormalSimplex(sid[: i - 1] + sid[i + 1 :], (i - 1,))
+        return FormalSimplex(sid[: i - 1] + (p,) + sid[i + 1 :], ())
 
 
 def nerve(m):

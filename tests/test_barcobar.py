@@ -1,6 +1,10 @@
 """Bar/cobar windows, the adjunction maps, and derived localization."""
 
+import tracemalloc
+
 import pytest
+
+import permutation_iso_check as oracle
 
 from barloop import barcobar, rewrite
 from barloop.barcobar import (
@@ -37,7 +41,8 @@ from barloop.simplicial import (
     nerve,
     point,
 )
-from checks import coproduct, poly
+from barloop.weqcheck import bundled_monoids
+from checks import poly
 
 
 def exterior_on_x(degree=1):
@@ -297,14 +302,32 @@ def _corrupt_bar_window(monkeypatch, corrupt):
     monkeypatch.setattr(barcobar, "_bar_data", damaged)
 
 
-def test_nerve_bar_check_reports_disagreeing_differentials(monkeypatch):
-    def corrupt(window):
-        rows = window.complex.boundaries[2].to_rows()
-        window.complex.boundaries[2] = IntMatrix.from_rows(
-            [[x + 1 for x in row] for row in rows]
-        )
+def corrupt_boundary(window):
+    """Add 1 to every entry of the degree-2 boundary matrix."""
+    rows = window.complex.boundaries[2].to_rows()
+    window.complex.boundaries[2] = IntMatrix.from_rows(
+        [[x + 1 for x in row] for row in rows]
+    )
 
-    _corrupt_bar_window(monkeypatch, corrupt)
+
+def corrupt_coproduct(window):
+    """Add 1 to the coefficient of the first coproduct term of every
+    degree-2 element, as the window's builder yields it, so the caching
+    and the streaming readers both see the damage."""
+    build = window._coproduct_of
+
+    def damaged(n):
+        for terms in build(n):
+            if n == 2:
+                p, i1, i2, c = terms[0]
+                terms = [(p, i1, i2, c + 1)] + terms[1:]
+            yield terms
+
+    window._coproduct_of = damaged
+
+
+def test_nerve_bar_check_reports_disagreeing_differentials(monkeypatch):
+    _corrupt_bar_window(monkeypatch, corrupt_boundary)
     m = FiniteMonoid.cyclic(3)
     with pytest.raises(MismatchAt, match="differentials disagree") as e:
         nerve_bar_iso_check(m, 3)
@@ -313,14 +336,114 @@ def test_nerve_bar_check_reports_disagreeing_differentials(monkeypatch):
 
 
 def test_nerve_bar_check_reports_disagreeing_coproducts(monkeypatch):
-    def corrupt(window):
-        for terms in coproduct(window)[2]:
-            p, i1, i2, c = terms[0]
-            terms[0] = (p, i1, i2, c + 1)
-
-    _corrupt_bar_window(monkeypatch, corrupt)
+    _corrupt_bar_window(monkeypatch, corrupt_coproduct)
     m = FiniteMonoid.cyclic(3)
     with pytest.raises(MismatchAt, match="coproducts disagree") as e:
         nerve_bar_iso_check(m, 3)
     assert e.value.degree == 2
     assert e.value.element == chains(nerve(m), 3).label(2, 0)
+
+
+def _certificate(check, m, hi):
+    cert = check(m, hi)
+    return cert.ok, cert.status, cert.details
+
+
+def test_nerve_bar_check_agrees_with_the_permutation_oracle():
+    monoids = list(bundled_monoids().values()) + [
+        FiniteMonoid.chain_of_idempotents(3),
+        FiniteMonoid.left_zero_with_unit(3),
+    ]
+    monoids += [random_monoid(seed) for seed in range(32)]
+    for m in monoids:
+        for hi in (3, 4):
+            want = _certificate(oracle.nerve_bar_iso_check, m, hi)
+            assert want[0]
+            got = _certificate(nerve_bar_iso_check, m, hi)
+            assert got == want, (m.elements, hi)
+
+
+def _first_mismatch(check, m, hi):
+    with pytest.raises(MismatchAt) as e:
+        check(m, hi)
+    return str(e.value), e.value.degree, e.value.element
+
+
+@pytest.mark.parametrize(
+    "corrupt", [corrupt_boundary, corrupt_coproduct],
+    ids=["boundary", "coproduct"],
+)
+@pytest.mark.parametrize(
+    "m", [FiniteMonoid.cyclic(3), FiniteMonoid.left_zero_with_unit(2)],
+    ids=["z3", "left-zero2"],
+)
+def test_nerve_bar_check_fails_where_the_oracle_fails(monkeypatch, corrupt, m):
+    _corrupt_bar_window(monkeypatch, corrupt)
+    want = _first_mismatch(oracle.nerve_bar_iso_check, m, 3)
+    assert _first_mismatch(nerve_bar_iso_check, m, 3) == want
+
+
+def test_nerve_bar_check_rejects_a_bar_basis_in_another_order(monkeypatch):
+    """A bar window whose degree-2 basis lists two words swapped is the
+    same coalgebra in another basis order: the permutation oracle
+    certifies it, the check by position does not."""
+    original = barcobar.basis_window
+
+    def swapped(bases, boundary, label):
+        bases[2][0], bases[2][1] = bases[2][1], bases[2][0]
+        return original(bases, boundary, label)
+
+    monkeypatch.setattr(barcobar, "basis_window", swapped)
+    m = FiniteMonoid.cyclic(3)
+    assert oracle.nerve_bar_iso_check(m, 3).ok
+    with pytest.raises(MismatchAt, match="is not bar word 0") as e:
+        nerve_bar_iso_check(m, 3)
+    assert e.value.degree == 2
+    assert e.value.element == str(chains(nerve(m), 3).complex.bases[2][0])
+
+
+@pytest.mark.parametrize("change", [-1, 1], ids=["fewer", "more"])
+def test_nerve_bar_check_reads_every_coproduct_column(monkeypatch, change):
+    def corrupt(window):
+        build = window._coproduct_of
+
+        def miscounted(n):
+            terms = list(build(n))
+            if n == 2:
+                terms = terms[:-1] if change < 0 else terms + terms[:1]
+            yield from terms
+
+        window._coproduct_of = miscounted
+
+    _corrupt_bar_window(monkeypatch, corrupt)
+    with pytest.raises(ValueError, match="missing columns in degree 2"):
+        nerve_bar_iso_check(FiniteMonoid.cyclic(3), 3)
+
+
+def test_nerve_bar_check_keeps_no_coproduct(monkeypatch):
+    windows = []
+
+    def keep(window):
+        windows.append(window)
+        return window
+
+    for name in ("chains", "bar"):
+        original = getattr(barcobar, name)
+        monkeypatch.setattr(
+            barcobar, name, lambda *a, original=original: keep(original(*a))
+        )
+    assert nerve_bar_iso_check(FiniteMonoid.left_zero_with_unit(3), 4).ok
+    assert len(windows) == 2
+    assert [w._terms for w in windows] == [{}, {}]
+
+
+def test_nerve_bar_check_peak_memory():
+    # 6.92 MB when both windows kept every degree's coproduct lists
+    m = FiniteMonoid.left_zero_with_unit(5)
+    tracemalloc.start()
+    try:
+        assert nerve_bar_iso_check(m, 5).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5e6

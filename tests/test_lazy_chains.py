@@ -265,3 +265,28 @@ def test_short_coproduct_fails_on_first_read():
     assert w.delta(1, 0) == full[1][0]
     with pytest.raises(ValueError, match="missing columns in degree 2"):
         w.delta(2, 0)
+
+
+@pytest.mark.parametrize("change", [-1, 1], ids=["fewer", "more"])
+def test_streamed_coproduct_reads_check_the_rank(change):
+    """deltas() must not end quietly where a builder yields too few or
+    too many term lists; the check reads both windows through it with
+    zip(strict=True)."""
+    c = chains(nerve(FiniteMonoid.cyclic(3)), 3)
+    full = all_degrees(c)
+
+    def miscounted(n):
+        terms = full[n]
+        if n == 2:
+            terms = terms[:-1] if change < 0 else terms + terms[:1]
+        yield from terms
+
+    w = DgCoalgebraWindow(c.complex, miscounted, c.counit, c.coaugmentation)
+    assert list(w.deltas(1)) == full[1]
+    assert w._terms == {}
+    with pytest.raises(ValueError, match="missing columns in degree 2"):
+        list(w.deltas(2))
+    with pytest.raises(ValueError, match="missing columns in degree 2"):
+        w.delta(2, 0)
+    assert w._terms == {}
+

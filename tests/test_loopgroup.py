@@ -183,6 +183,30 @@ def test_a_corrupted_face_breaks_a_group_identity():
         kan_loop_group(bad, 2)
 
 
+@pytest.mark.parametrize(
+    "damage",
+    [lambda w: w + w, free_inverse, lambda w: ()],
+    ids=["two-letters", "inverse", "empty"],
+)
+def test_a_degeneracy_off_the_generators_is_rejected(monkeypatch, damage):
+    """The identity checks read each degeneracy as a relabelling, so the
+    check first requires every degeneracy image to be one generator with
+    exponent +1."""
+    validate = loopgroup._validate_group_window
+
+    def damaged(hi, simplices, labels, face_images, degen_images):
+        images = degen_images[1][0]
+        lbl = next(iter(images))
+        images[lbl] = damage(images[lbl])
+        return validate(hi, simplices, labels, face_images, degen_images)
+
+    monkeypatch.setattr(loopgroup, "_validate_group_window", damaged)
+    with pytest.raises(
+        MismatchAt, match="s0 sending generators to generators at level 1"
+    ):
+        kan_loop_group(minimal_sphere(2), 3)
+
+
 def test_loop_group_requires_reduced():
     with pytest.raises(NotReduced):
         kan_loop_group(boundary_delta3(), 1)
