@@ -230,6 +230,13 @@ def _validate_group_window(hi, simplices, labels, face_images, degen_images):
     def degenerate(word, relabel):
         return free_reduce([(relabel[g], e) for g, e in word])
 
+    def face_of_face(n, j, i, lbl):
+        # images are built reduced: images[g] is the image of ((g, 1),)
+        word, images = face_images[n][j][lbl], face_images[n - 1][i]
+        if len(word) == 1 and word[0][1] == 1:
+            return images[word[0][0]]
+        return _free_apply(word, images)
+
     for n in range(hi + 2):
         for fs in simplices[n]:
             lbl = labels[n][fs]
@@ -239,14 +246,8 @@ def _validate_group_window(hi, simplices, labels, face_images, degen_images):
             if 2 <= n <= hi + 1:
                 for j in range(1, n + 1):
                     for i in range(j):
-                        left = _free_apply(
-                            face_images[n][j][lbl],
-                            face_images[n - 1][i],
-                        )
-                        right = _free_apply(
-                            face_images[n][i][lbl],
-                            face_images[n - 1][j - 1],
-                        )
+                        left = face_of_face(n, j, i, lbl)
+                        right = face_of_face(n, i, j - 1, lbl)
                         if left != right:
                             bad(f"d{i} d{j} = d{j - 1} d{i}", n, lbl)
             # s_i s_j = s_{j+1} s_i for i <= j

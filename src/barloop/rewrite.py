@@ -106,6 +106,7 @@ class PresentedDgAlgebra:
             if deg < 0:
                 raise ValueError(f"generator {lbl} has negative degree")
         self._index = {lbl: i for i, (lbl, _) in enumerate(self.generators)}
+        self._degree_of = [deg for _, deg in self.generators].__getitem__
         self.relations = [(dict(l), dict(r)) for l, r in (relations or [])]
         self.differential = {int(g): dict(p) for g, p in (differential or {}).items()}
         self.augmentation = (
@@ -129,10 +130,10 @@ class PresentedDgAlgebra:
         return self.generators[i][1]
 
     def word_degree(self, word):
-        return sum(self.generators[g][1] for g in word)
+        return sum(map(self._degree_of, word))
 
     def order_key(self, word):
-        return (self.word_degree(word), len(word), word)
+        return (sum(map(self._degree_of, word)), len(word), word)
 
     def _check_homogeneous(self, p):
         degs = {self.word_degree(w) for w in p}
@@ -302,16 +303,16 @@ class RewriteSystem:
 
         One descending sweep: a reduction at w changes the coefficient of
         w and adds only monomials below w, so the monomials are visited
-        largest first (popped off the end of an ascending list, new ones
-        inserted in order), each is reduced until it is irreducible or
-        gone, and none is visited twice."""
+        largest first (popped off the end of an ascending list of order
+        keys, each computed once as its monomial is queued), each is
+        reduced until it is irreducible or gone, and none is visited twice."""
         alg = self.algebra
         m = alg.modulus
         p = {w: c for w, c in p.items() if (c % m if m else c)}
-        todo = sorted(p, key=alg.order_key)
+        todo = sorted(map(alg.order_key, p))
         queued = set(p)
         while todo:
-            w = todo.pop()
+            w = todo.pop()[2]
             while w in p:
                 hit = self._find_reduction(w, p[w])
                 if hit is None:
@@ -327,7 +328,7 @@ class RewriteSystem:
                     poly_iadd_term(p, w3, q * c2, m)
                     if w3 not in queued:
                         queued.add(w3)
-                        bisect.insort(todo, w3, key=alg.order_key)
+                        bisect.insort(todo, alg.order_key(w3))
         return p
 
     def describe(self):
@@ -380,7 +381,10 @@ def complete(algebra, budget=100_000):
     """Knuth-Bendix / Buchberger style completion within a step budget.
 
     Pending polynomials are taken smallest leading monomial first, ties
-    in the order they were queued.  The budget counts steps: one per
+    in the order they were queued, each lead's order key computed once.
+    Rules stay sorted by left-hand side.  A new rule is paired only with,
+    and can retire only, rules whose left-hand side shares a letter with
+    its own (or when either is empty).  The budget counts steps: one per
     polynomial taken from the queue, one per nonzero S-polynomial, and
     one per rule in each round of the final normalization of right-hand
     sides.  Superpositions whose S-polynomial is zero cost no step, so
@@ -388,8 +392,8 @@ def complete(algebra, budget=100_000):
     Z/4 with x0, x1 of degree 0 and the relations x0*x0 = -x1*x0 and
     3*x0*x1*x0 = -3*x0^3 - 2, every budget runs out, with as many rules
     as half the budget and left-hand sides as long as a quarter of it,
-    and budgets 100, 200, 400 and 800 took 0.07, 0.6, 8 and 85 s on one
-    core of a shared x86-64 Xeon: about tenfold per doubling."""
+    and budgets 100, 200, 400 and 800 took 0.1, 0.9, 6-9 and 76-83 s on
+    one core of a shared x86-64 Xeon: about tenfold per doubling."""
     alg = algebra
     pending = []  # heap of (order key of the lead, queue position, poly)
     queued = itertools.count()
@@ -412,39 +416,34 @@ def complete(algebra, budget=100_000):
             continue
         new = _orient(alg, p)
         # retire any existing rule whose lhs the new rule can touch
+        letters = set(new.lhs)
         sys_one = RewriteSystem(alg, [new], False, 0)
         keep = []
         for r in rules:
-            if sys_one._find_reduction(r.lhs, r.coeff):
-                push(poly_add({r.lhs: r.coeff},
-                              poly_scale(r.rhs, -1, alg.modulus),
-                              alg.modulus))
+            touched = not (new.lhs and letters.isdisjoint(r.lhs))
+            if touched and sys_one._find_reduction(r.lhs, r.coeff):
+                push(poly_sub({r.lhs: r.coeff}, r.rhs, alg.modulus))
             else:
                 keep.append(r)
         rules = keep
-        rules.append(new)
-        rules.sort(key=lambda r: alg.order_key(r.lhs))
+        bisect.insort(rules, new, key=lambda r: alg.order_key(r.lhs))
         rsys = RewriteSystem(alg, rules, False, 0)
         # critical pairs of the new rule against everything (incl. itself)
-        for other in list(rules):
-            for a, b in ((new, other), (other, new)):
+        for other in rules:
+            apart = new.lhs and other.lhs and letters.isdisjoint(other.lhs)
+            for a, b in () if apart else ((new, other), (other, new)):
                 for word, pa, pb in _superpositions(a.lhs, b.lhs):
                     if a is b and pa == pb:
                         continue
                     ca, cb = a.coeff, b.coeff
-                    g, _, _ = xgcd(ca, cb)
-                    lcm = ca // g * cb
-                    ta = {}
-                    pre, post = word[:pa], word[pa + len(a.lhs) :]
-                    for w2, c2 in a.rhs.items():
-                        poly_iadd_term(ta, pre + w2 + post,
-                                       (lcm // ca) * c2, alg.modulus)
-                    tb = {}
-                    pre, post = word[:pb], word[pb + len(b.lhs) :]
-                    for w2, c2 in b.rhs.items():
-                        poly_iadd_term(tb, pre + w2 + post,
-                                       (lcm // cb) * c2, alg.modulus)
-                    s = poly_sub(ta, tb, alg.modulus)
+                    lcm = 1 if ca == cb == 1 else ca // xgcd(ca, cb)[0] * cb
+                    s = {}  # lcm/ca times a's rhs minus lcm/cb times b's
+                    for rule, at, f in ((a, pa, lcm // ca),
+                                        (b, pb, -(lcm // cb))):
+                        pre, post = word[:at], word[at + len(rule.lhs) :]
+                        for w2, c2 in rule.rhs.items():
+                            poly_iadd_term(s, pre + w2 + post, f * c2,
+                                           alg.modulus)
                     if s:
                         s = rsys.normal_form(s)
                         steps += 1

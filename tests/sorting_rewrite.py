@@ -2,8 +2,10 @@
 
 ``RewriteSystem`` (its reduction methods) and ``complete`` below are
 copied verbatim from the version that re-sorted the pending list before
-every completion step, tried the rules one by one for each monomial and
-re-sorted every monomial after each single reduction.  The differential
+every completion step, tried the rules one by one for each monomial,
+re-sorted every monomial after each single reduction and paired every
+two rules.  ``_Rule``, ``_orient`` and ``_superpositions`` are copies
+too, so the current code is never checked against itself.  The differential
 tests in test_rewrite_oracle.py require the current code to give the
 same rules, step counts, normal forms and reduction traces.  The old
 normal form loops forever on a coefficient that is a nonzero multiple of
@@ -12,13 +14,56 @@ the modulus, so the tests feed it polynomials reduced mod m.
 
 from barloop.exactlin._kernel_py import xgcd
 from barloop.rewrite import (
-    _orient,
-    _superpositions,
     poly_add,
     poly_iadd_term,
     poly_scale,
     poly_sub,
 )
+
+
+class _Rule:
+    __slots__ = ("coeff", "lhs", "rhs")
+
+    def __init__(self, coeff, lhs, rhs):
+        self.coeff = coeff  # positive leading coefficient
+        self.lhs = lhs      # monomial
+        self.rhs = rhs      # poly with all monomials < lhs
+
+
+def _orient(alg, p):
+    """Turn a nonzero homogeneous polynomial into a rule."""
+    alg._check_homogeneous(p)
+    lead = max(p, key=alg.order_key)
+    c = p[lead]
+    if c < 0:
+        p = poly_scale(p, -1, alg.modulus)
+        c = -c
+    if alg.modulus:
+        g, inv, _ = xgcd(c, alg.modulus)
+        if g == 1:
+            p = poly_scale(p, inv, alg.modulus)
+            c = 1
+    rhs = {w: -x for w, x in p.items() if w != lead}
+    return _Rule(c, lead, rhs)
+
+
+def _superpositions(l1, l2):
+    """Minimal words in which l1 (at position p1) and l2 (at p2) both
+    occur: suffix/prefix overlaps and containments."""
+    out = []
+    n1, n2 = len(l1), len(l2)
+    if n1 == 0 or n2 == 0:
+        # empty lhs overlaps everything trivially; pair it with the other
+        # word itself so coefficient combinations still surface
+        out.append((l1 if n1 else l2, 0, 0))
+        return out
+    for k in range(1, min(n1, n2) + 1):
+        if l1[n1 - k :] == l2[:k]:
+            out.append((l1 + l2[k:], 0, n1 - k))
+    for p in range(0, n1 - n2):
+        if l1[p : p + n2] == l2:
+            out.append((l1, 0, p))
+    return out
 
 
 class RewriteSystem:

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sorting_rewrite as old
+from barloop import rewrite
 from barloop.barcobar import extended_cobar
 from barloop.cli import _algebra_inputs
 from barloop.loopgroup import pi1_presentation
@@ -291,3 +292,59 @@ def test_normal_form_drops_coefficients_that_vanish_mod_m():
     trace = _BoundedTrace()
     assert rsys.normal_form({xx: 5}, trace=trace) == {x: 1}
     assert trace == [(0, 0, xx)]
+
+
+@pytest.mark.parametrize("budget", [100_000, 7, 39])
+def test_normal_form_keys_each_queued_monomial_once(monkeypatch, budget):
+    """One normal_form call computes the order key of each monomial it
+    queues once: the input's monomials and every monomial a reduction
+    adds, read off the trace."""
+    alg = monoid_algebra(FiniteMonoid.cyclic(12))
+    rsys = complete(alg, budget)
+    rng = random.Random(budget)
+    p = {}
+    for _ in range(8):
+        word = tuple(rng.randrange(len(alg.generators)) for _ in range(5))
+        poly_iadd_term(p, word, rng.randint(1, 9))
+    keyed = []
+    order_key = PresentedDgAlgebra.order_key
+
+    def spy(self, word):
+        keyed.append(word)
+        return order_key(self, word)
+
+    monkeypatch.setattr(PresentedDgAlgebra, "order_key", spy)
+    trace = []
+    rsys.normal_form(p, trace=trace)
+    queued = set(p)
+    for ri, pos, w in trace:
+        rule = rsys.rules[ri]
+        queued.update(
+            w[:pos] + w2 + w[pos + len(rule.lhs):] for w2 in rule.rhs
+        )
+    assert trace
+    assert sorted(keyed) == sorted(queued)
+
+
+@pytest.mark.parametrize("budget", [100_000, 7, 39])
+def test_completion_pairs_only_rules_that_share_a_letter(monkeypatch, budget):
+    """Two nonempty left-hand sides with no letter in common neither
+    overlap nor contain one another, so completion never asks for their
+    superpositions; the rules and steps stay those of the sorting code.
+    At budget 39 the budget runs out with the first kept rule sharing no
+    letter with the new one, which still ends the pairing after it."""
+    alg = monoid_algebra(FiniteMonoid.cyclic(12))
+    pairs = []
+    superpositions = rewrite._superpositions
+
+    def spy(l1, l2):
+        pairs.append((l1, l2))
+        return superpositions(l1, l2)
+
+    monkeypatch.setattr(rewrite, "_superpositions", spy)
+    rsys = complete(alg, budget)
+    assert pairs
+    assert all(set(l1) & set(l2) for l1, l2 in pairs if l1 and l2)
+    ref = old.complete(alg, budget)
+    assert _rules(rsys) == _rules(ref)
+    assert (rsys.steps_used, rsys.complete) == (ref.steps_used, ref.complete)
