@@ -45,6 +45,7 @@ from .rewrite import (
     adjoin_inverses,
     algebra_window,
     basis_in_degree,
+    complex_window,
     poly_iadd_term,
     poly_mul,
     require_complete,
@@ -108,12 +109,6 @@ class _IdealBasis:
         self._products = {}
         self._differentials = {}
 
-    def _eps(self, word):
-        v = 1
-        for g in word:
-            v *= self.alg.augmentation.get(g, 0)
-        return v
-
     def _ideal_coords(self, p):
         nf = self.rsys.normal_form(p)
         return {w: c for w, c in nf.items() if w}
@@ -122,7 +117,7 @@ class _IdealBasis:
         """Coordinates of the ideal product of two basis elements."""
         coords = self._products.get((w1, w2))
         if coords is None:
-            e1, e2 = self._eps(w1), self._eps(w2)
+            e1, e2 = self.alg.augment({w1: 1}), self.alg.augment({w2: 1})
             p = {}
             poly_iadd_term(p, w1 + w2, 1, self.alg.modulus)
             if e2:
@@ -340,7 +335,6 @@ def counit_check(algebra, hi, budget=100_000, cap=10_000):
     ib = _IdealBasis(algebra, rsys_a, hi, cap, [degree0])
     bw = _bar_data(ib, hi + 1, cap)
     om, gen_of = _cobar_with_gens(bw)
-    rsys_om = require_complete(om, budget)
 
     images = {}
     for (n, i), g in gen_of.items():
@@ -348,9 +342,7 @@ def counit_check(algebra, hi, budget=100_000, cap=10_000):
         images[g] = {tup[0]: 1} if len(tup) == 1 else {}
 
     aw = algebra_window(rsys_a, ib.words)
-    ow = algebra_window(
-        rsys_om, [basis_in_degree(rsys_om, n, cap) for n in range(hi + 1)]
-    )
+    ow = complex_window(om, hi, budget, cap)
 
     def column(n, word):
         acc = {(): 1}

@@ -106,7 +106,7 @@ class PresentedDgAlgebra:
             if deg < 0:
                 raise ValueError(f"generator {lbl} has negative degree")
         self._index = {lbl: i for i, (lbl, _) in enumerate(self.generators)}
-        self._degree_of = [deg for _, deg in self.generators].__getitem__
+        self.gen_degree = [deg for _, deg in self.generators].__getitem__
         self.relations = [(dict(l), dict(r)) for l, r in (relations or [])]
         self.differential = {int(g): dict(p) for g, p in (differential or {}).items()}
         self.augmentation = (
@@ -126,14 +126,11 @@ class PresentedDgAlgebra:
     def gen_label(self, i):
         return self.generators[i][0]
 
-    def gen_degree(self, i):
-        return self.generators[i][1]
-
     def word_degree(self, word):
-        return sum(map(self._degree_of, word))
+        return sum(map(self.gen_degree, word))
 
     def order_key(self, word):
-        return (sum(map(self._degree_of, word)), len(word), word)
+        return (sum(map(self.gen_degree, word)), len(word), word)
 
     def _check_homogeneous(self, p):
         degs = {self.word_degree(w) for w in p}
@@ -183,7 +180,7 @@ class PresentedDgAlgebra:
                             sign * coeff * c2,
                             self.modulus,
                         )
-                sign_deg += self.generators[g][1]
+                sign_deg += self.gen_degree(g)
         return out
 
     def augment(self, p):
@@ -237,51 +234,64 @@ class PresentedDgAlgebra:
 
 
 class _Rule:
-    __slots__ = ("coeff", "lhs", "rhs")
+    __slots__ = ("coeff", "lhs", "rhs", "key")
 
-    def __init__(self, coeff, lhs, rhs):
+    def __init__(self, coeff, lhs, rhs, key):
         self.coeff = coeff  # positive leading coefficient
         self.lhs = lhs      # monomial
         self.rhs = rhs      # poly with all monomials < lhs
+        self.key = key      # order key of lhs
 
 
 class RewriteSystem:
-    """Oriented rules plus reduction.  ``complete`` means the critical
-    pair saturation finished inside its budget; otherwise equality checks
-    are sound but may be inconclusive."""
+    """Oriented rules plus reduction, in one rule table that completion
+    updates in place as rules are added and retired.  ``complete`` means
+    the critical pair saturation finished inside its budget; otherwise
+    equality checks are sound but may be inconclusive."""
 
-    def __init__(self, algebra, rules, complete, steps_used):
+    def __init__(self, algebra):
         self.algebra = algebra
-        self.rules = rules
-        self.complete = complete
-        self.steps_used = steps_used
-        # left-hand side -> indices of the rules with it, ascending
-        self._by_lhs = {}
-        for ri, rule in enumerate(rules):
-            self._by_lhs.setdefault(rule.lhs, []).append(ri)
-        self._lhs_lengths = sorted({len(lhs) for lhs in self._by_lhs})
+        self.rules = []  # by order key of the lhs, ties in insertion order
+        self.complete = False
+        self.steps_used = 0
+        self._by_lhs = {}  # lhs -> its rules in rule order ([] once retired)
+        self._lhs_lengths = {}  # length -> number of rules with lhs that long
+
+    def _insert(self, rule):
+        bisect.insort(self.rules, rule, key=lambda r: r.key)
+        self._by_lhs.setdefault(rule.lhs, []).append(rule)
+        n = len(rule.lhs)
+        self._lhs_lengths[n] = self._lhs_lengths.get(n, 0) + 1
+
+    def _retire(self, rule):
+        self.rules.remove(rule)
+        self._by_lhs[rule.lhs].remove(rule)
+        n = len(rule.lhs)
+        self._lhs_lengths[n] -= 1
+        if not self._lhs_lengths[n]:
+            del self._lhs_lengths[n]
 
     @property
     def has_nonunit_leads(self):
         return any(r.coeff != 1 for r in self.rules)
 
     def _find_reduction(self, word, coeff):
-        """(rule index, start, quotient) of the lowest-index rule whose
+        """(rule, start, quotient) of the first rule, in rule order, whose
         left-hand side occurs in word and divides coeff with a nonzero
         quotient, at its leftmost occurrence; None when no rule applies."""
         by_lhs = self._by_lhs
         n = len(word)
-        leftmost = {}
+        leftmost = {}  # order key of each occurring lhs -> its first start
         for k in self._lhs_lengths:
-            if k > n:
-                break
-            for i in range(n - k + 1):
-                for ri in by_lhs.get(word[i : i + k], ()):
-                    leftmost.setdefault(ri, i)
-        for ri in sorted(leftmost):
-            q = self._quotient(coeff, self.rules[ri].coeff)
-            if q:
-                return ri, leftmost[ri], q
+            for i in range(n - k + 1):  # none when k > n
+                same = by_lhs.get(word[i : i + k])
+                if same:
+                    leftmost.setdefault(same[0].key, i)
+        for key in sorted(leftmost):
+            for rule in by_lhs[key[2]]:
+                q = self._quotient(coeff, rule.coeff)
+                if q:
+                    return rule, leftmost[key], q
         return None
 
     def _quotient(self, coeff, lead):
@@ -317,10 +327,9 @@ class RewriteSystem:
                 hit = self._find_reduction(w, p[w])
                 if hit is None:
                     break
-                ri, pos, q = hit
-                rule = self.rules[ri]
+                rule, pos, q = hit
                 if trace is not None:
-                    trace.append((ri, pos, w))
+                    trace.append((self.rules.index(rule), pos, w))
                 poly_iadd_term(p, w, -q * rule.coeff, m)
                 pre, post = w[:pos], w[pos + len(rule.lhs) :]
                 for w2, c2 in rule.rhs.items():
@@ -344,7 +353,8 @@ class RewriteSystem:
 def _orient(alg, p):
     """Turn a nonzero homogeneous polynomial into a rule."""
     alg._check_homogeneous(p)
-    lead = max(p, key=alg.order_key)
+    key = max(map(alg.order_key, p))
+    lead = key[2]
     c = p[lead]
     if c < 0:
         p = poly_scale(p, -1, alg.modulus)
@@ -355,7 +365,7 @@ def _orient(alg, p):
             p = poly_scale(p, inv, alg.modulus)
             c = 1
     rhs = {w: -x for w, x in p.items() if w != lead}
-    return _Rule(c, lead, rhs)
+    return _Rule(c, lead, rhs, key)
 
 
 def _superpositions(l1, l2):
@@ -382,14 +392,15 @@ def complete(algebra, budget=100_000):
 
     Pending polynomials are taken smallest leading monomial first, ties
     in the order they were queued, each lead's order key computed once.
-    Rules stay sorted by left-hand side.  A new rule is paired only with,
-    and can retire only, rules whose left-hand side shares a letter with
-    its own (or when either is empty).  The budget counts steps: one per
-    polynomial taken from the queue, one per nonzero S-polynomial, and
-    one per rule in each round of the final normalization of right-hand
-    sides.  Superpositions whose S-polynomial is zero cost no step, so
-    the work can grow much faster than the budget.  For example, over
-    Z/4 with x0, x1 of degree 0 and the relations x0*x0 = -x1*x0 and
+    One system is built and its rule table updated as rules are added
+    and retired.  A new rule is paired only with, and can retire only,
+    rules whose left-hand side shares a letter with its own (or when
+    either is empty).  The budget counts steps: one per polynomial taken
+    from the queue, one per nonzero S-polynomial, and one per rule in
+    each round of the final normalization of right-hand sides.
+    Superpositions whose S-polynomial is zero cost no step, so the work
+    can grow much faster than the budget.  For example, over Z/4 with
+    x0, x1 of degree 0 and the relations x0*x0 = -x1*x0 and
     3*x0*x1*x0 = -3*x0^3 - 2, every budget runs out, with as many rules
     as half the budget and left-hand sides as long as a quarter of it,
     and budgets 100, 200, 400 and 800 took 0.1, 0.9, 6-9 and 76-83 s on
@@ -405,8 +416,7 @@ def complete(algebra, budget=100_000):
         p = poly_sub(l, r, alg.modulus)
         if p:
             push(p)
-    rules = []
-    rsys = RewriteSystem(alg, rules, False, 0)
+    rsys = RewriteSystem(alg)
     steps = 0
 
     while pending and steps < budget:
@@ -415,21 +425,18 @@ def complete(algebra, budget=100_000):
         if not p:
             continue
         new = _orient(alg, p)
-        # retire any existing rule whose lhs the new rule can touch
-        letters = set(new.lhs)
-        sys_one = RewriteSystem(alg, [new], False, 0)
-        keep = []
-        for r in rules:
-            touched = not (new.lhs and letters.isdisjoint(r.lhs))
-            if touched and sys_one._find_reduction(r.lhs, r.coeff):
+        # retire any existing rule that the new rule reduces
+        letters, k = set(new.lhs), len(new.lhs)
+        for r in list(rsys.rules):
+            if (not (k and letters.isdisjoint(r.lhs))
+                    and new.lhs in {r.lhs[i : i + k]
+                                    for i in range(len(r.lhs) - k + 1)}
+                    and rsys._quotient(r.coeff, new.coeff)):
+                rsys._retire(r)
                 push(poly_sub({r.lhs: r.coeff}, r.rhs, alg.modulus))
-            else:
-                keep.append(r)
-        rules = keep
-        bisect.insort(rules, new, key=lambda r: alg.order_key(r.lhs))
-        rsys = RewriteSystem(alg, rules, False, 0)
+        rsys._insert(new)
         # critical pairs of the new rule against everything (incl. itself)
-        for other in rules:
+        for other in rsys.rules:
             apart = new.lhs and other.lhs and letters.isdisjoint(other.lhs)
             for a, b in () if apart else ((new, other), (other, new)):
                 for word, pa, pb in _superpositions(a.lhs, b.lhs):
@@ -458,14 +465,15 @@ def complete(algebra, budget=100_000):
         stable = False
         while not stable and steps < budget:
             stable = True
-            for r in rules:
+            for r in rsys.rules:
                 red = rsys.normal_form(dict(r.rhs))
                 steps += 1
                 if red != r.rhs:
                     r.rhs = red
                     stable = False
         finished = steps < budget
-    return RewriteSystem(alg, rules, finished, steps)
+    rsys.complete, rsys.steps_used = finished, steps
+    return rsys
 
 
 def _live_transitions(lhss, ngens):
@@ -526,8 +534,8 @@ def _basis_paths(rsys, degree):
     lhss = [r.lhs for r in rsys.rules]
     if not all(lhss):
         return {}, 0
-    gdeg = [d for _, d in alg.generators]
-    live = _live_transitions(lhss, len(gdeg))
+    gdeg = alg.gen_degree
+    live = _live_transitions(lhss, len(alg.generators))
 
     # product graph of (live state, degree so far), degrees <= degree
     start = (0, 0)
@@ -539,7 +547,7 @@ def _basis_paths(rsys, degree):
             continue
         s, e = node
         succ[node] = out = [
-            (g, (t, e + gdeg[g])) for g, t in live[s] if e + gdeg[g] <= degree
+            (g, (t, e + gdeg(g))) for g, t in live[s] if e + gdeg(g) <= degree
         ]
         stack.extend(v for _, v in out)
 

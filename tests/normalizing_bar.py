@@ -3,6 +3,7 @@
 ``IdealBasis.mult`` and ``IdealBasis.diff`` below are copied verbatim
 from the version that normalized a product of two ideal basis words, or
 a differential, on every request: once per bar word that contains it.
+``_eps`` is a copy of the augmentation of a word that version read.
 The differential tests in test_bar_product_table.py require bar windows
 built on the current ``_IdealBasis``, which normalizes each structure
 constant once, to equal bar windows built on this one.
@@ -14,6 +15,12 @@ from barloop.rewrite import poly_iadd_term
 
 class IdealBasis(_IdealBasis):
     """The current bases and checks with the per-request structure maps."""
+
+    def _eps(self, word):
+        v = 1
+        for g in word:
+            v *= self.alg.augmentation.get(g, 0)
+        return v
 
     def _ideal_coords(self, p):
         nf = self.rsys.normal_form(p)

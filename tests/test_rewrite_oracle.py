@@ -170,6 +170,47 @@ def test_bundled_algebras_match_sorting_completion(name):
         _assert_same(alg, budget, seed=budget)
 
 
+def _three_letters(modulus, relations):
+    """Degree-0 generators x0, x1, x2 with relations {word: coeff} = 0."""
+    alg = PresentedDgAlgebra(
+        [("x0", 0), ("x1", 0), ("x2", 0)], modulus=modulus
+    )
+    alg.relations = [(poly(alg, terms), {}) for terms in relations]
+    return alg
+
+
+def test_retired_left_hand_sides_leave_the_probed_lengths():
+    """Over Z with x1*x0*x1 = 0 and x1*x1 = -1, x0*x1 -> 0 retires the
+    only length-3 left-hand side and x0 -> 0 retires x0*x1; the finished
+    system probes exactly the lengths its rules have."""
+    alg = _three_letters(None, [
+        {("x1", "x0", "x1"): 1},
+        {("x1", "x1"): 1, (): 1},
+    ])
+    _assert_same(alg, 100_000, seed=3)
+    rsys = complete(alg)
+    assert rsys.describe() == ["x0 -> 0", "x1*x1 -> -1"]
+    assert set(rsys._lhs_lengths) == {len(r.lhs) for r in rsys.rules}
+    assert set(rsys._lhs_lengths) == {1, 2}
+
+
+def test_many_rules_with_one_left_hand_side_match_sorting_completion():
+    """Over Z/9 with 3*x2 = 0 and 2*x2*x0*x1 + 5 = 0, completion keeps
+    adding the constant rules 3 -> 0 and 6 -> 0: budget 200 ends with 68
+    rules of only 4 distinct forms, 66 of them with the empty left-hand
+    side."""
+    alg = _three_letters(9, [{("x2",): 3}, {("x2", "x0", "x1"): 2, (): 5}])
+    _assert_same(alg, 200, seed=9)
+    rsys = complete(alg, 200)
+    assert not rsys.complete
+    assert len(rsys.rules) == 68
+    forms = {(r.coeff, r.lhs, tuple(r.rhs.items())) for r in rsys.rules}
+    assert len(forms) == 4
+    empty = [r for r in rsys.rules if not r.lhs]
+    assert len(empty) == 66
+    assert rsys._by_lhs[()] == empty  # in rule order
+
+
 def _sizes_and_listings(rsys):
     """Per degree 0..3, basis_size and the length of basis_in_degree at
     a cap of 10**12 (None when it raises CapExceeded)."""
@@ -324,6 +365,22 @@ def test_normal_form_keys_each_queued_monomial_once(monkeypatch, budget):
         )
     assert trace
     assert sorted(keyed) == sorted(queued)
+
+
+@pytest.mark.parametrize("budget", [100_000, 7, 39])
+def test_completion_builds_one_rewrite_system(monkeypatch, budget):
+    """complete grows a single RewriteSystem in place: no system per new
+    rule, none to test one rule, none rebuilt at the end."""
+    built = []
+    init = rewrite.RewriteSystem.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(rewrite.RewriteSystem, "__init__", spy)
+    rsys = complete(monoid_algebra(FiniteMonoid.cyclic(12)), budget)
+    assert built == [rsys]
 
 
 @pytest.mark.parametrize("budget", [100_000, 7, 39])
