@@ -5,7 +5,6 @@ from .core import (
     HomologyEntry,
     HomologyTable,
     IntMatrix,
-    SnfResult,
     backend_name,
     basis_window,
     homology_window,
@@ -18,7 +17,6 @@ __all__ = [
     "HomologyEntry",
     "HomologyTable",
     "IntMatrix",
-    "SnfResult",
     "backend_name",
     "basis_window",
     "homology_window",

@@ -3,15 +3,15 @@
 A chain complex is only ever known on a degree window 0..hi; nothing
 lives in negative degrees.  Homology in degrees 0..hi-1 is exact; in the
 top degree the missing differential d_{hi+1} is treated as zero and the
-result is flagged as partial.
+result is flagged as partial.  Smith normal form is computed on the
+sparse columns by the one elimination in ``_kernel_py``.
 """
 
 from ..errors import MismatchAt, WindowTooSmall
-from ._kernel_py import unit_pivot_smith
+from ._kernel_py import invariant_factors
 
 __all__ = [
     "IntMatrix",
-    "SnfResult",
     "smith_normal_form",
     "ChainComplexWindow",
     "HomologyEntry",
@@ -134,20 +134,11 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols})"
 
 
-class SnfResult:
-    """Smith normal form of a matrix: the diagonal ``d`` of length
-    min(rows, cols), nonnegative, with each entry dividing the next."""
-
-    __slots__ = ("d",)
-
-    def __init__(self, d):
-        self.d = tuple(d)
-
-
 def smith_normal_form(m):
-    """Compute the Smith normal form of an IntMatrix by sparse unit-pivot
-    elimination, then the dense kernel on the residual block."""
-    return SnfResult(unit_pivot_smith(m.rows, m.cols, m.column))
+    """The Smith normal form of an IntMatrix as its diagonal: a tuple of
+    min(rows, cols) nonnegative ints, each dividing the next, computed by
+    one sparse elimination that never densifies the matrix."""
+    return tuple(invariant_factors(m.rows, m.cols, m.column))
 
 
 class ChainComplexWindow:
@@ -287,7 +278,7 @@ def homology_window(c):
     c.validate()
     factors = {}
     for n in range(1, c.hi + 1):
-        factors[n] = [x for x in smith_normal_form(c.boundary(n)).d if x]
+        factors[n] = [x for x in smith_normal_form(c.boundary(n)) if x]
     entries = {}
     for n in range(c.hi + 1):
         below = factors.get(n, [])

@@ -17,6 +17,7 @@ elements they invert and unit relations orient the useful way.
 import bisect
 import heapq
 import itertools
+import math
 
 from .errors import (
     BarloopError,
@@ -25,7 +26,6 @@ from .errors import (
     Unorientable,
 )
 from .exactlin import basis_window
-from .exactlin._kernel_py import xgcd
 
 __all__ = [
     "PresentedDgAlgebra",
@@ -299,10 +299,9 @@ class RewriteSystem:
         if lead == 1:
             return coeff
         if m:
-            g, inv, _ = xgcd(lead, m)
-            if g != 1:
+            if math.gcd(lead, m) != 1:
                 return None  # lead not invertible: leave the term alone
-            return (coeff * inv) % m
+            return coeff * pow(lead, -1, m) % m
         return coeff // lead
 
     def normal_form(self, p, trace=None):
@@ -359,11 +358,9 @@ def _orient(alg, p):
     if c < 0:
         p = poly_scale(p, -1, alg.modulus)
         c = -c
-    if alg.modulus:
-        g, inv, _ = xgcd(c, alg.modulus)
-        if g == 1:
-            p = poly_scale(p, inv, alg.modulus)
-            c = 1
+    if alg.modulus and math.gcd(c, alg.modulus) == 1:
+        p = poly_scale(p, pow(c, -1, alg.modulus), alg.modulus)
+        c = 1
     rhs = {w: -x for w, x in p.items() if w != lead}
     return _Rule(c, lead, rhs, key)
 
@@ -443,7 +440,7 @@ def complete(algebra, budget=100_000):
                     if a is b and pa == pb:
                         continue
                     ca, cb = a.coeff, b.coeff
-                    lcm = 1 if ca == cb == 1 else ca // xgcd(ca, cb)[0] * cb
+                    lcm = math.lcm(ca, cb)
                     s = {}  # lcm/ca times a's rhs minus lcm/cb times b's
                     for rule, at, f in ((a, pa, lcm // ca),
                                         (b, pb, -(lcm // cb))):

@@ -109,11 +109,10 @@ def isomorphic_as_tables(a, b):
     return extend(0)
 
 
-def assert_smith_diagonal(m, s):
-    """The diagonal of s, the SnfResult of the matrix m, has length
+def assert_smith_diagonal(m, d):
+    """The Smith normal form diagonal d of the matrix m has length
     min(rows, cols), is nonnegative, has its zeros last, and each entry
     divides the next."""
-    d = s.d
     assert len(d) == min(m.rows, m.cols), "diagonal length is not min(rows, cols)"
     for i, x in enumerate(d):
         assert x >= 0, f"negative entry at position {i}"

@@ -12,7 +12,8 @@ normal form loops forever on a coefficient that is a nonzero multiple of
 the modulus, so the tests feed it polynomials reduced mod m.
 """
 
-from barloop.exactlin._kernel_py import xgcd
+from dense_smith import xgcd
+
 from barloop.rewrite import (
     poly_add,
     poly_iadd_term,

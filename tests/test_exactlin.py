@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from checks import assert_smith_diagonal, identity_matrix
+from dense_smith import smith_kernel
 from test_properties import determinantal_diagonal
 
 from barloop.barcobar import bar
@@ -21,7 +22,6 @@ from barloop.exactlin import (
     mapping_cone,
     smith_normal_form,
 )
-from barloop.exactlin._kernel_py import smith_kernel
 from barloop.monoids import (
     FiniteMonoid,
     MonoidMap,
@@ -34,52 +34,46 @@ from barloop.weqcheck import bundled_monoids
 
 
 def snf_of(rows):
-    """Smith normal form of the matrix with these rows, its diagonal
-    checked by assert_smith_diagonal."""
+    """Smith normal form of the matrix with these rows, checked by
+    assert_smith_diagonal."""
     m = IntMatrix.from_rows(rows)
-    s = smith_normal_form(m)
-    assert_smith_diagonal(m, s)
-    return s
+    d = smith_normal_form(m)
+    assert_smith_diagonal(m, d)
+    return d
 
 
 def test_snf_frozen_small_matrix():
     # d1 = gcd of entries = 2; d1*d2 = |det| = |12 - 16| = 4, so d = (2, 2).
-    s = snf_of([[2, 4], [4, 6]])
-    assert s.d == (2, 2)
+    assert snf_of([[2, 4], [4, 6]]) == (2, 2)
 
 
 def test_snf_diagonal_passthrough():
-    s = snf_of([[1, 0], [0, 3]])
-    assert s.d == (1, 3)
+    assert snf_of([[1, 0], [0, 3]]) == (1, 3)
 
 
 def test_snf_divisibility_is_enforced():
     # diag(2, 3) is not in normal form; SNF is diag(1, 6).
-    s = snf_of([[2, 0], [0, 3]])
-    assert s.d == (1, 6)
+    assert snf_of([[2, 0], [0, 3]]) == (1, 6)
+    # No unit pivot: d1 = gcd = 2, d1*d2 = gcd of 2x2 minors (24, 40, 60)
+    # = 4 and d1*d2*d3 = det = 240, so SNF is diag(2, 2, 60).
+    assert snf_of([[4, 0, 0], [0, 6, 0], [0, 0, 10]]) == (2, 2, 60)
 
 
 def test_snf_zero_and_empty():
-    s = snf_of([[0, 0], [0, 0]])
-    assert s.d == (0, 0)
-    s = smith_normal_form(IntMatrix.zeros(0, 3))
-    assert s.d == ()
-    s = smith_normal_form(IntMatrix.zeros(3, 0))
-    assert s.d == ()
+    assert snf_of([[0, 0], [0, 0]]) == (0, 0)
+    assert smith_normal_form(IntMatrix.zeros(0, 3)) == ()
+    assert smith_normal_form(IntMatrix.zeros(3, 0)) == ()
 
 
 def test_snf_rectangular():
-    s = snf_of([[6, 10, 15]])
-    assert s.d == (1,)
-    s = snf_of([[6], [10], [15]])
-    assert s.d == (1,)
+    assert snf_of([[6, 10, 15]]) == (1,)
+    assert snf_of([[6], [10], [15]]) == (1,)
 
 
 def test_snf_big_entries_stay_exact():
     n = 10**30
-    s = snf_of([[n, n + 2], [n + 4, n + 6]])
     # det = n(n+6) - (n+2)(n+4) = -8; gcd of entries is 2.
-    assert s.d == (2, 4)
+    assert snf_of([[n, n + 2], [n + 4, n + 6]]) == (2, 4)
 
 
 def test_snf_random_properties_seeded():
@@ -90,12 +84,12 @@ def test_snf_random_properties_seeded():
         m = IntMatrix.from_rows(
             [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
         )
-        s = smith_normal_form(m)
-        assert_smith_diagonal(m, s)
-        assert s.d == determinantal_diagonal(m)
-        for i in range(len(s.d) - 1):
-            if s.d[i]:
-                assert s.d[i + 1] % s.d[i] == 0
+        d = smith_normal_form(m)
+        assert_smith_diagonal(m, d)
+        assert d == determinantal_diagonal(m)
+        for i in range(len(d) - 1):
+            if d[i]:
+                assert d[i + 1] % d[i] == 0
 
 
 def two_periodic_complex(hi):
@@ -587,7 +581,7 @@ def test_sparse_storage_matches_dense_oracle(case):
     assert a.is_zero() == da.is_zero()
     if rows:
         assert IntMatrix.from_rows(da.to_rows()) == a
-    assert smith_normal_form(a).d == smith_normal_form(da).d
+    assert smith_normal_form(a) == smith_normal_form(da)
 
 
 def test_nerve_boundaries_match_dense_oracle(monkeypatch):
@@ -625,7 +619,7 @@ def test_malformed_shapes_raise_value_error():
         IntMatrix.zeros(2, 3) * IntMatrix.zeros(2, 3)
 
 
-# -- sparse unit-pivot elimination against the dense kernel alone ----------
+# -- the sparse elimination against the dense kernel it replaced ----------
 
 def dense_factors(m):
     return tuple(smith_kernel(m.to_rows(), m.rows, m.cols))
@@ -659,8 +653,8 @@ def snf_inputs(draw):
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(snf_inputs())
-def test_unit_pivot_smith_matches_dense_kernel(m):
-    assert smith_normal_form(m).d == dense_factors(m)
+def test_sparse_smith_matches_dense_kernel(m):
+    assert smith_normal_form(m) == dense_factors(m)
 
 
 def free_t():
@@ -684,12 +678,12 @@ def boundary_shaped_windows():
     yield bar(free_t(), 6).complex
 
 
-def test_unit_pivot_smith_matches_dense_kernel_on_boundaries():
+def test_sparse_smith_matches_dense_kernel_on_boundaries():
     checked = 0
     for c in boundary_shaped_windows():
         for n in range(1, c.hi + 1):
             m = c.boundary(n)
-            assert smith_normal_form(m).d == dense_factors(m)
+            assert smith_normal_form(m) == dense_factors(m)
             checked += 1
     assert checked == 40 * 4 + 4 + 5 + 5 + 4 + 6
 
@@ -747,7 +741,7 @@ def test_nerve_homology_at_scale_matches_closed_form_and_ranks_mod_p(m, hi):
     for p in (2, 3, 5):
         rank_p = {0: 0, hi + 1: 0}
         for n in range(1, hi + 1):
-            d = smith_normal_form(c.boundary(n)).d
+            d = smith_normal_form(c.boundary(n))
             rank_p[n] = rank_mod_p(c.boundary(n), p)
             assert rank_p[n] == sum(1 for x in d if x and x % p)
         # Universal coefficients: dim H_n(C; F_p) = free_n plus the
@@ -759,6 +753,26 @@ def test_nerve_homology_at_scale_matches_closed_form_and_ranks_mod_p(m, hi):
             assert c.rank(n) - rank_p[n] - rank_p[n + 1] == (
                 table[n].free_rank + sum(1 for t in torsion if t % p == 0)
             )
+
+
+@pytest.mark.parametrize("m, n", [(3, 8), (4, 5)])
+def test_snf_of_twice_a_nerve_boundary_is_twice_its_closed_form(m, n):
+    # 2·d_n has no unit entry, so every pivot takes a Euclidean step.
+    # SNF(d_n) follows from H_*(BZ/m) = Z, Z/m, 0, Z/m, ...: rk d_1 = 0,
+    # rk d_k = rank C_{k-1} - rk d_{k-1}, and for even k the last nonzero
+    # factor of d_k is m, the torsion of H_{k-1}.
+    b = chains(nerve(FiniteMonoid.cyclic(m)), n).complex.boundary(n)
+    assert (b.rows, b.cols) == ((m - 1) ** (n - 1), (m - 1) ** n)
+    rk = 0
+    for k in range(2, n + 1):
+        rk = (m - 1) ** (k - 1) - rk
+    want = (1,) * (rk - 1) + ((m,) if n % 2 == 0 else (1,))
+    want += (0,) * (b.rows - rk)
+    twice = IntMatrix.from_columns(
+        b.rows, ([(i, 2 * c) for i, c in b.column(j)] for j in range(b.cols))
+    )
+    assert smith_normal_form(b) == want
+    assert smith_normal_form(twice) == tuple(2 * x for x in want)
 
 
 def assert_euler_characteristic(c):

@@ -108,16 +108,16 @@ def run_snf_properties(seeds):
             [rng.randrange(-9, 10) for _ in range(cols)]
             for _ in range(rows)
         ])
-        s = smith_normal_form(m)
+        d = smith_normal_form(m)
         try:
-            assert_smith_diagonal(m, s)
+            assert_smith_diagonal(m, d)
         except AssertionError as e:
             failures.append((seed, "verify", str(e)))
             continue
         want = determinantal_diagonal(m)
-        if s.d != want:
-            failures.append((seed, "determinantal divisors", (s.d, want)))
-        diag = [x for x in s.d if x]
+        if d != want:
+            failures.append((seed, "determinantal divisors", (d, want)))
+        diag = [x for x in d if x]
         if any(diag[i + 1] % diag[i] for i in range(len(diag) - 1)):
             failures.append((seed, "divisibility", diag))
     return failures

@@ -6,10 +6,9 @@
   everyone else builds matrices with ``from_columns``, ``from_rows`` or
   ``zeros``.
 - No module of the package reads a matrix as dense rows (``to_rows``):
-  every caller reads sparse columns, and Smith normal form hands the
-  dense kernel only the residual block left after unit-pivot
-  elimination, never a densified matrix.  Tests and the benchmark may
-  still call ``to_rows``.
+  every caller reads sparse columns, and Smith normal form eliminates
+  on sparse rows, never on a densified matrix.  Tests and the
+  benchmark may still call ``to_rows``.
 - Every function and method the package defines, dunders aside, is read
   by name somewhere in the package or the benchmark: a function as an
   ``ast.Name`` or an ``ast.Attribute``, a method (a function defined in
