@@ -216,10 +216,8 @@ def chains(k, hi):
     from .simplicial import FormalSimplex
 
     def boundary(n, sid):
-        for i in range(n + 1):
-            f = k.face(sid, i)
-            if not f.word:
-                yield f.base, (-1 if i % 2 else 1)
+        faces = k.nondegenerate_faces(sid)
+        return [(b, -1 if i % 2 else 1) for i, b in faces]
 
     comp = basis_window(
         [k.n_simplices(n) for n in range(hi + 1)], boundary, str

@@ -1,8 +1,9 @@
 """Smith normal form over the integers by one sparse elimination.
 
-All coefficients are Python ints, so nothing can overflow.  The kernel
-returns the invariant factors only: homology needs ranks and invariant
-factors, never the unimodular transforms, so none are accumulated.
+All coefficients are Python ints, so nothing can overflow.  Homology
+needs ranks and invariant factors, never the unimodular transforms, so
+none are accumulated; the kernel reports only which columns its unit
+pivots paired before the first Euclidean step (see ``homology_window``).
 
 The matrix lives as one dict per row and, per column, the set of rows
 where it is nonzero; it is never densified.  Sweeps first remove every
@@ -21,9 +22,10 @@ __all__ = ["invariant_factors"]
 
 
 def invariant_factors(rows, cols, column):
-    """Invariant factors of the rows x cols integer matrix whose column j
-    has the nonzero (row, coeff) pairs ``column(j)``: min(rows, cols)
-    nonnegative integers, each dividing the next.
+    """(factors, paired) of the rows x cols integer matrix whose column j
+    has the nonzero (row, coeff) pairs ``column(j)``: its min(rows, cols)
+    invariant factors, nonnegative, each dividing the next, and the
+    columns of the unit pivots found before the first Euclidean step.
 
     Each sweep visits the live columns in ascending order of their
     live-row count and pivots on the +-1 entry of the shortest row, the
@@ -65,7 +67,8 @@ def invariant_factors(rows, cols, column):
         row[p] = {}
         live[j] = set()
 
-    units = 0
+    pivots = []
+    paired = None  # unit pivots found before the first Euclidean step
     factors = []
     while True:
         found = True
@@ -89,10 +92,12 @@ def invariant_factors(rows, cols, column):
                     if r != p:
                         subtract(r, row[r].pop(j) * u, pivot)
                 retire(p, j)
-                units += 1
+                pivots.append(j)
                 found = True
         if not left:
             break
+        if paired is None:
+            paired = len(pivots)
         _, p, j = min((abs(row[i][j]), i, j) for j in left for i in live[j])
         a = row[p][j]
         pivot = [(k, v) for k, v in row[p].items() if k != j]
@@ -124,5 +129,6 @@ def invariant_factors(rows, cols, column):
         for k in range(i + 1, len(factors)):
             g = gcd(factors[i], factors[k])
             factors[i], factors[k] = g, factors[i] // g * factors[k]
-    d = [1] * units + factors
-    return d + [0] * (min(rows, cols) - len(d))
+    d = [1] * len(pivots) + factors
+    d += [0] * (min(rows, cols) - len(d))
+    return tuple(d), tuple(pivots[:paired])

@@ -108,9 +108,6 @@ class IntMatrix:
                 out[i][j] = c
         return out
 
-    def is_zero(self):
-        return not any(self._c)
-
     def __eq__(self, other):
         return (
             isinstance(other, IntMatrix)
@@ -135,10 +132,11 @@ class IntMatrix:
 
 
 def smith_normal_form(m):
-    """The Smith normal form of an IntMatrix as its diagonal: a tuple of
-    min(rows, cols) nonnegative ints, each dividing the next, computed by
-    one sparse elimination that never densifies the matrix."""
-    return tuple(invariant_factors(m.rows, m.cols, m.column))
+    """The Smith normal form of an IntMatrix as its diagonal, a tuple of
+    min(rows, cols) nonnegative ints each dividing the next, and the
+    tuple of columns paired with a unit pivot before the first Euclidean
+    step, both from one sparse elimination that never densifies."""
+    return invariant_factors(m.rows, m.cols, m.column)
 
 
 class ChainComplexWindow:
@@ -183,11 +181,16 @@ class ChainComplexWindow:
         return IntMatrix.zeros(self.rank(n - 1), self.rank(n))
 
     def validate(self):
-        """Check d∘d == 0 on all composable pairs in the window."""
+        """Check d∘d == 0 on all composable pairs, one column at a time."""
         for n in range(2, self.hi + 1):
-            prod = self.boundary(n - 1) * self.boundary(n)
-            if not prod.is_zero():
-                raise MismatchAt(f"d∘d != 0 from degree {n}", degree=n)
+            below = self.boundaries[n - 1]._c
+            for col in self.boundaries[n]._c:
+                acc = {}
+                for t, b in col:
+                    for i, x in below[t]:
+                        acc[i] = acc.get(i, 0) + b * x
+                if any(acc.values()):
+                    raise MismatchAt(f"d∘d != 0 from degree {n}", degree=n)
         return True
 
     def label(self, n, i):
@@ -274,11 +277,29 @@ def homology_window(c):
     the invariant factors >= 2 of d_{n+1}.  Raises MismatchAt when some
     d∘d != 0.  Degrees 0..hi-1 are exact; degree hi treats the
     out-of-window d_{hi+1} as zero and is flagged partial.
+
+    Each d_n is eliminated with the rows zeroed that d_{n-1} paired.
+    The unit sweeps of d_{n-1} give d_{n-1} V = U^-1 (±I ⊕ R), the ±I
+    block at the paired columns, where V holds only column operations
+    whose source is a paired column.  As a row operation on d_n, V^-1
+    changes only paired rows, and d_{n-1} d_n = 0 forces them to vanish
+    in V^-1 d_n.  So V^-1 d_n is d_n with the paired rows zeroed: same
+    rank, same invariant factors, and still zero before d_{n+1}.  A
+    Euclidean step's column operations have an unpaired source and
+    rewrite rows that stay, so no pivot found after one is paired.
     """
     c.validate()
     factors = {}
+    paired = ()
     for n in range(1, c.hi + 1):
-        factors[n] = [x for x in smith_normal_form(c.boundary(n)) if x]
+        d = c.boundary(n)
+        if paired:
+            skip = set(paired)
+            d = IntMatrix(d.rows, tuple(
+                tuple(p for p in col if p[0] not in skip) for col in d._c
+            ))
+        diagonal, paired = smith_normal_form(d)
+        factors[n] = [x for x in diagonal if x]
     entries = {}
     for n in range(c.hi + 1):
         below = factors.get(n, [])

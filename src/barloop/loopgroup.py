@@ -322,7 +322,7 @@ def abelianization(pres):
         [(idx[g], 1) for g in u] + [(idx[g], -1) for g in v]
         for u, v in pres.relations
     )
-    d = smith_normal_form(IntMatrix.from_columns(len(idx), relations))
+    d, _ = smith_normal_form(IntMatrix.from_columns(len(idx), relations))
     nonzero = [x for x in d if x]
     return HomologyEntry(len(idx) - len(nonzero), nonzero, exact=True)
 

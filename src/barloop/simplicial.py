@@ -145,6 +145,12 @@ class SimplicialSet:
     def face(self, sid, i):
         raise NotImplementedError
 
+    def nondegenerate_faces(self, sid):
+        """(i, base) for each nondegenerate face i of a simplex of positive
+        dimension, i ascending: what its chain boundary reads."""
+        faces = (self.face(sid, i) for i in range(self.dim(sid) + 1))
+        return [(i, f.base) for i, f in enumerate(faces) if not f.word]
+
     # -- derived operators on formal simplices ------------------------------
 
     def formal_dim(self, fs):
@@ -309,6 +315,17 @@ class NerveSimplicialSet(SimplicialSet):
         if p == self.monoid.identity:
             return FormalSimplex(sid[: i - 1] + sid[i + 1 :], (i - 1,))
         return FormalSimplex(sid[: i - 1] + (p,) + sid[i + 1 :], ())
+
+    def nondegenerate_faces(self, sid):
+        # face() without a FormalSimplex: degenerate iff the product is 1
+        table, unit = self.monoid.table, self.monoid.identity
+        out = [(0, sid[1:])]
+        for i in range(1, len(sid)):
+            p = table[sid[i - 1]][sid[i]]
+            if p != unit:
+                out.append((i, sid[: i - 1] + (p,) + sid[i + 1 :]))
+        out.append((len(sid), sid[:-1]))
+        return out
 
 
 def nerve(m):

@@ -64,7 +64,7 @@ def test_bar_of_exterior_generator_has_rank_one_in_even_degrees():
     b = bar(exterior_on_x(1), 6)
     assert [b.rank(n) for n in range(7)] == [1, 0, 1, 0, 1, 0, 1]
     for n in range(1, 7):
-        assert b.complex.boundary(n).is_zero()
+        assert b.complex.boundary(n) == IntMatrix.zeros(b.rank(n - 1), b.rank(n))
     assert b.validate().ok
 
 

@@ -105,9 +105,14 @@ def test_chains_match_eager_oracle_on_random_nerves(seed, hi):
         rp2_model(),
         collapsed_boundary_delta3(),
         LocalizedSimplicialSet(nerve(FiniteMonoid.cyclic(3)), []),
+        # nerves whose faces repeat and cancel in the boundary
+        nerve(FiniteMonoid.left_zero_with_unit(3)),
+        nerve(FiniteMonoid.chain_of_idempotents(4)),
+        nerve(FiniteMonoid.idempotent_pair()),
     ],
     ids=["sphere1", "sphere2", "sphere3", "rp2", "delta3-collapsed",
-         "localized-no-edges"],
+         "localized-no-edges", "nerve-left-zero3", "nerve-idempotents4",
+         "nerve-idempotent-pair"],
 )
 def test_chains_match_eager_oracle_on_fixed_sets(k):
     assert_matches_eager(k, 5)

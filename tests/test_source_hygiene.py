@@ -59,8 +59,6 @@ SHARED_NAMES = {
     "by the package",
     "identity": "FiniteMonoid's stored identity and the MonoidMap.identity "
     "constructor: both read by the package",
-    "is_zero": "HomologyEntry (dgcoalg) and IntMatrix "
-    "(ChainComplexWindow.validate): both read",
     "label": "ChainComplexWindow and DgCoalgebraWindow: both read by the "
     "package",
     "level": "AdmissibleFiltration's method and Verdict's stored level: "
