@@ -19,14 +19,12 @@ simplicial set.
 """
 
 from .dgcoalg import (
-    AdmissibleFiltration,
     CoalgebraMap,
     DgCoalgebraWindow,
     Verdict,
     chains,
     cone_quasi_iso_window,
     filtered_quasi_iso_window,
-    skeletal_filtration,
 )
 from .errors import (
     BarloopError,
@@ -411,12 +409,14 @@ def unit_check(c, budget=100_000, cap=10_000):
             "unit map fails structure validation: " + report.violations[0]
         )
 
-    fc = skeletal_filtration(c)
+    # skeletal levels on C: level = degree, 0 only on the coaugmentation
+    levels = {
+        (n, j): n for n in range(c.hi + 1) for j in range(c.rank(n))
+    }
     weights = {}
     for n in range(c.hi + 1):
         for idx, tup in enumerate(bar_basis[n]):
             weights[(n, idx)] = sum(
                 om.gen_degree(g) + 1 for w in tup for g in w
             )
-    fd = AdmissibleFiltration(weights)
-    return filtered_quasi_iso_window(f, fc, fd)
+    return filtered_quasi_iso_window(f, levels, weights)

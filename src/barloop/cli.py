@@ -33,7 +33,6 @@ from .errors import (
     MalformedTable,
     NotACycle,
     NotAHomomorphism,
-    NotASubcomplex,
     NotCoaugmented,
     NotConnected,
     NotReduced,
@@ -68,7 +67,6 @@ _INVALID_INPUT = (
     MalformedTable,
     NotACycle,
     NotAHomomorphism,
-    NotASubcomplex,
     NotCoaugmented,
     NotConnected,
     NotReduced,

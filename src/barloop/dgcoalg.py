@@ -33,8 +33,6 @@ __all__ = [
     "DgCoalgebraWindow",
     "chains",
     "nerve_chains_map",
-    "AdmissibleFiltration",
-    "skeletal_filtration",
     "CoalgebraMap",
     "Verdict",
     "filtered_quasi_iso_window",
@@ -279,72 +277,6 @@ def nerve_chains_map(mmap, src_c, dst_c):
     return CoalgebraMap(src_c, dst_c, blocks)
 
 
-class AdmissibleFiltration:
-    """Filtration level per basis element: level[(degree, index)] >= 0.
-
-    Level 0 must be exactly the coaugmentation; levels must be compatible
-    with the differential (non-increasing) and the coproduct
-    (sub-additive across tensor factors).
-    """
-
-    def __init__(self, levels):
-        self.levels = {k: int(v) for k, v in levels.items()}
-        if any(v < 0 for v in self.levels.values()):
-            raise ValueError("filtration levels must be >= 0")
-
-    def level(self, n, i):
-        return self.levels[(n, i)]
-
-    def max_level(self):
-        return max(self.levels.values(), default=0)
-
-    def validate(self, c):
-        bad = []
-        for n in range(c.hi + 1):
-            for j in range(c.rank(n)):
-                if (n, j) not in self.levels:
-                    bad.append(f"no level for degree {n} element {j}")
-        if bad:
-            return ValidationReport(bad)
-        if c.coaugmentation is None:
-            raise NotCoaugmented("admissible filtrations need a coaugmentation")
-        for (n, j), l in self.levels.items():
-            is_coaug = (n, j) == (0, c.coaugmentation)
-            if (l == 0) != is_coaug:
-                bad.append(
-                    f"level 0 must be exactly the coaugmentation; "
-                    f"degree {n} element {c.label(n, j)} has level {l}"
-                )
-        for n in range(1, c.hi + 1):
-            for j in range(c.rank(n)):
-                l = self.level(n, j)
-                for i, coef in c._d_of(n, j):
-                    if self.level(n - 1, i) > l:
-                        bad.append(
-                            f"differential raises the level on degree {n} "
-                            f"element {c.label(n, j)}"
-                        )
-                for p, i1, i2, coef in c.delta(n, j):
-                    if self.level(p, i1) + self.level(n - p, i2) > l:
-                        bad.append(
-                            f"coproduct is not sub-additive on degree {n} "
-                            f"element {c.label(n, j)}"
-                        )
-        return ValidationReport(bad)
-
-
-def skeletal_filtration(c):
-    """Level = homological degree (0 on the coaugmentation).  Levels
-    only: the caller validates them (filtered_quasi_iso_window does)."""
-    if c.coaugmentation is None:
-        raise NotCoaugmented("skeletal filtration needs a coaugmentation")
-    levels = {}
-    for n in range(c.hi + 1):
-        for j in range(c.rank(n)):
-            levels[(n, j)] = n
-    return AdmissibleFiltration(levels)
-
-
 class CoalgebraMap:
     """Degreewise matrices dst <- src forming a map of dg coalgebras."""
 
@@ -465,58 +397,106 @@ def cone_quasi_iso_window(blocks, src, dst):
     return True, None
 
 
-def filtered_quasi_iso_window(f, fc, fd):
+def _filtration_fault(c, levels):
+    """The first way ``levels``, a {(degree, index): level} dict, fails to
+    be an admissible filtration of the window c, or None.
+
+    Level 0 must be exactly the coaugmentation; levels must be compatible
+    with the differential (non-increasing) and the coproduct
+    (sub-additive across tensor factors).  Raises NotCoaugmented when c
+    has no coaugmentation.
+    """
+    for n in range(c.hi + 1):
+        for j in range(c.rank(n)):
+            if (n, j) not in levels:
+                return f"no level for degree {n} element {j}"
+    if c.coaugmentation is None:
+        raise NotCoaugmented("admissible filtrations need a coaugmentation")
+    for (n, j), l in levels.items():
+        if (l == 0) != ((n, j) == (0, c.coaugmentation)):
+            return (
+                f"level 0 must be exactly the coaugmentation; "
+                f"degree {n} element {c.label(n, j)} has level {l}"
+            )
+    for n in range(1, c.hi + 1):
+        for j in range(c.rank(n)):
+            l = levels[(n, j)]
+            if any(levels[(n - 1, i)] > l for i, _ in c._d_of(n, j)):
+                return (
+                    f"differential raises the level on degree {n} "
+                    f"element {c.label(n, j)}"
+                )
+            if any(
+                levels[(p, i1)] + levels[(n - p, i2)] > l
+                for p, i1, i2, _ in c.delta(n, j)
+            ):
+                return (
+                    f"coproduct is not sub-additive on degree {n} "
+                    f"element {c.label(n, j)}"
+                )
+    return None
+
+
+def filtered_quasi_iso_window(f, src_levels, dst_levels):
     """Associated-graded quasi-isomorphism check for a filtered map.
 
-    f: CoalgebraMap; fc, fd: AdmissibleFiltrations of f.src and f.dst,
-    each validated first (FiltrationNotRespected if one fails).  Per
-    level, extracts the graded pieces of source, target and map and
-    certifies the graded map by cone acyclicity in interior degrees.
+    f: CoalgebraMap; src_levels, dst_levels: {(degree, index): level}
+    dicts on f.src and f.dst.  Levels must be >= 0 (ValueError), and
+    each side must be an admissible filtration and the map must not
+    raise levels (FiltrationNotRespected with the first fault).  Per
+    level 0..top, extracts the graded pieces of source, target and map
+    and certifies the graded map by cone acyclicity in interior degrees.
     """
     src, dst = f.src, f.dst
-    for filt, c in ((fc, src), (fd, dst)):
-        report = filt.validate(c)
-        if not report.ok:
-            raise FiltrationNotRespected(report.violations[0])
+    if any(v < 0 for d in (src_levels, dst_levels) for v in d.values()):
+        raise ValueError("filtration levels must be >= 0")
+    for levels, c in ((src_levels, src), (dst_levels, dst)):
+        fault = _filtration_fault(c, levels)
+        if fault is not None:
+            raise FiltrationNotRespected(fault)
     # the map must not raise filtration levels
     for n in range(src.hi + 1):
         b = f.block(n)
         for j in range(src.rank(n)):
-            lj = fc.level(n, j)
+            lj = src_levels[(n, j)]
             for i, _ in b.column(j):
-                if fd.level(n, i) > lj:
+                if dst_levels[(n, i)] > lj:
                     raise FiltrationNotRespected(
                         f"map raises filtration level on degree {n} element "
                         f"{src.label(n, j)}"
                     )
 
     hi = min(src.hi, dst.hi)
-    top = max(fc.max_level(), fd.max_level())
+    top = max((*src_levels.values(), *dst_levels.values()), default=0)
+
+    def by_level(c, levels):
+        # cells[(level, n)]: the degree-n elements at that level, in order
+        cells = {}
+        for n in range(hi + 1):
+            for j in range(c.rank(n)):
+                cells.setdefault((levels[(n, j)], n), []).append(j)
+        return cells
+
+    def graded_complex(c, idx):
+        ranks = {n: len(idx[n]) for n in range(hi + 1)}
+        bounds = {
+            n: c.boundary(n).submatrix(idx[n - 1], idx[n])
+            for n in range(1, hi + 1)
+        }
+        return ChainComplexWindow(hi, ranks, bounds)
+
+    src_cells = by_level(src, src_levels)
+    dst_cells = by_level(dst, dst_levels)
     for level in range(top + 1):
-        src_idx = {
-            n: [j for j in range(src.rank(n)) if fc.level(n, j) == level]
-            for n in range(hi + 1)
-        }
-        dst_idx = {
-            n: [i for i in range(dst.rank(n)) if fd.level(n, i) == level]
-            for n in range(hi + 1)
-        }
-
-        def graded_complex(c, idx):
-            ranks = {n: len(idx[n]) for n in range(hi + 1)}
-            bounds = {
-                n: c.boundary(n).submatrix(idx[n - 1], idx[n])
-                for n in range(1, hi + 1)
-            }
-            return ChainComplexWindow(hi, ranks, bounds)
-
-        gs = graded_complex(src, src_idx)
-        gd = graded_complex(dst, dst_idx)
+        src_idx = {n: src_cells.get((level, n), []) for n in range(hi + 1)}
+        dst_idx = {n: dst_cells.get((level, n), []) for n in range(hi + 1)}
         gblocks = {
             n: f.block(n).submatrix(dst_idx[n], src_idx[n])
             for n in range(hi + 1)
         }
-        ok, degree = cone_quasi_iso_window(gblocks, gs, gd)
+        ok, degree = cone_quasi_iso_window(
+            gblocks, graded_complex(src, src_idx), graded_complex(dst, dst_idx)
+        )
         if not ok:
             return Verdict.fails(level, degree)
     return Verdict.quasi_iso(

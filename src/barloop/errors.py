@@ -10,7 +10,6 @@ __all__ = [
     "WindowTooSmall",
     "MalformedTable",
     "UnboundedDegree",
-    "NotASubcomplex",
     "NotReduced",
     "NotCoaugmented",
     "FiltrationNotRespected",
@@ -57,10 +56,6 @@ class MalformedTable(BarloopError):
 class UnboundedDegree(BarloopError):
     """An operation needs a full basis in a degree where the simplicial
     set cannot enumerate one."""
-
-
-class NotASubcomplex(BarloopError):
-    """The supplied simplex set is not closed under faces."""
 
 
 class NotReduced(BarloopError):

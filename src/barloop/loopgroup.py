@@ -28,7 +28,11 @@ from .errors import BarloopError, MismatchAt
 from .exactlin import HomologyEntry, IntMatrix, smith_normal_form
 from .monoids import MonoidPresentation, group_ring, with_inverses
 from .rewrite import IsoCertificate, h0_ring, ring_iso_certify
-from .simplicial import FormalSimplex, LocalizedSimplicialSet
+from .simplicial import (
+    FormalSimplex,
+    LocalizedSimplicialSet,
+    degeneracy_insert,
+)
 
 __all__ = [
     "LoopGroupLevel",
@@ -162,7 +166,9 @@ def kan_loop_group(k, hi):
         return bracket(n - 1, k.face_formal(fs, i + 1))
 
     def degeneracy_word(n, fs, i):
-        return bracket(n + 1, k.degenerate_formal(fs, i + 1))
+        return bracket(
+            n + 1, FormalSimplex(fs.base, degeneracy_insert(fs.word, i + 1))
+        )
 
     face_images = {}
     degen_images = {}

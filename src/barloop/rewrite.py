@@ -740,8 +740,8 @@ def ring_iso_certify(a, b, f_images, g_images):
     to zero after applying f (and symmetrically for b), and both
     composites must fix every generator.  Both presentations are
     completed at complete's default budget.  Returns an IsoCertificate
-    that records every check; ok is False when one fails to reduce to
-    zero.
+    that records the kind and normal form of every check; ok is False
+    when one fails to reduce to zero.
     """
     ra = complete(a)
     rb = complete(b)
@@ -774,19 +774,9 @@ def ring_iso_certify(a, b, f_images, g_images):
 
     ok = True
     for kind, poly, rsys, alg in checks:
-        trace = []
-        red = rsys.normal_form(poly, trace=trace)
+        red = rsys.normal_form(poly)
         details["checks"].append(
-            {
-                "kind": kind,
-                "input": alg.poly_str(poly),
-                "normal_form": alg.poly_str(red),
-                "steps": [
-                    {"rule": ri, "position": pos,
-                     "monomial": alg.poly_str({w: 1})}
-                    for ri, pos, w in trace[:200]
-                ],
-            }
+            {"kind": kind, "normal_form": alg.poly_str(red)}
         )
         ok = ok and not red
 

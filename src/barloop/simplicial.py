@@ -6,16 +6,16 @@ degeneracy word (the Eilenberg-Zilber normal form).  The face and
 degeneracy operators act on formal simplices by pushing indices through
 the word with the simplicial identities.
 
-Constructors: nerves of finite monoids, minimal spheres, quotients by a
-subcomplex, and the localization of a reduced simplicial set at a set of
-1-simplices (a lazily enumerated pushout gluing in one copy of the nerve
-of the integers per chosen edge).
+Constructors: nerves of finite monoids, minimal spheres, the boundary
+of the 3-simplex and its collapse to a reduced 2-sphere, a model of the
+real projective plane, and the localization of a reduced simplicial set
+at a set of 1-simplices (a lazily enumerated pushout gluing in one copy
+of the nerve of the integers per chosen edge).
 """
 
 import itertools
 
 from .errors import (
-    NotASubcomplex,
     NotReduced,
     UnboundedDegree,
     ValidationReport,
@@ -26,7 +26,6 @@ __all__ = [
     "SimplicialSet",
     "ExplicitSimplicialSet",
     "NerveSimplicialSet",
-    "QuotientSimplicialSet",
     "LocalizedSimplicialSet",
     "nerve",
     "minimal_sphere",
@@ -34,7 +33,6 @@ __all__ = [
     "boundary_delta3",
     "collapsed_boundary_delta3",
     "rp2_model",
-    "quotient_by_subcomplex",
     "localized_nerve",
     "degeneracy_insert",
     "face_through_degeneracies",
@@ -167,9 +165,6 @@ class SimplicialSet:
             inner.base, compose_degeneracies(word, inner.word)
         )
 
-    def degenerate_formal(self, fs, i):
-        return FormalSimplex(fs.base, degeneracy_insert(fs.word, i))
-
     def basepoint(self):
         verts = self.n_simplices(0)
         if len(verts) != 1:
@@ -259,7 +254,6 @@ class ExplicitSimplicialSet(SimplicialSet):
             self._dim[sid] = n
             self._by_dim.setdefault(n, []).append(sid)
         self._faces = dict(faces)
-        self.max_dim = max(self._dim.values(), default=0)
         for sid, n in self._dim.items():
             for i in range(n + 1):
                 if n == 0:
@@ -380,68 +374,25 @@ def boundary_delta3():
     return ExplicitSimplicialSet(simplices, faces)
 
 
-class QuotientSimplicialSet(SimplicialSet):
-    """Collapse a face-closed set of simplices to a single basepoint."""
-
-    def __init__(self, base, sub):
-        self.base_set = base
-        self.sub = frozenset(sub)
-        if not self.sub:
-            raise ValueError("subcomplex must contain at least one simplex")
-        for sid in self.sub:
-            try:
-                d = base.dim(sid)
-            except KeyError:
-                raise NotASubcomplex(f"unknown simplex {sid!r}") from None
-            if sid not in base.n_simplices(d):
-                raise NotASubcomplex(f"unknown simplex {sid!r}")
-            for i in range(d + 1):
-                if d == 0:
-                    break
-                f = base.face(sid, i)
-                if f.base not in self.sub:
-                    raise NotASubcomplex(
-                        f"face {i} of {sid!r} leaves the subcomplex"
-                    )
-        self.star = "*"
-        while any(
-            self.star in base.n_simplices(n)
-            for n in range(getattr(base, "max_dim", 0) + 1)
-        ):
-            self.star += "*"
-
-    def n_simplices(self, n):
-        out = [self.star] if n == 0 else []
-        out.extend(
-            sid for sid in self.base_set.n_simplices(n) if sid not in self.sub
-        )
-        return out
-
-    def dim(self, sid):
-        if sid == self.star:
-            return 0
-        return self.base_set.dim(sid)
-
-    def face(self, sid, i):
-        f = self.base_set.face(sid, i)
-        if f.base in self.sub:
-            # everything beneath the subcomplex lands on the basepoint
-            m = self.dim(sid) - 1
-            return FormalSimplex(self.star, tuple(range(m - 1, -1, -1)))
-        return f
-
-
-def quotient_by_subcomplex(k, sub):
-    return QuotientSimplicialSet(k, sub)
-
-
 def collapsed_boundary_delta3():
     """Boundary of the 3-simplex with the edges out of vertex 0 collapsed:
-    a reduced model of the 2-sphere with 3 edges and 4 triangles."""
+    a reduced model of the 2-sphere with 3 edges and 4 triangles.  A face
+    whose base was collapsed lands on the basepoint "*"."""
     k = boundary_delta3()
-    return quotient_by_subcomplex(
-        k, {"0", "1", "2", "3", "01", "02", "03"}
-    )
+    collapsed = {"0", "1", "2", "3", "01", "02", "03"}
+    simplices = [("*", 0)]
+    faces = {}
+    for n in (1, 2):
+        for sid in k.n_simplices(n):
+            if sid in collapsed:
+                continue
+            simplices.append((sid, n))
+            for i in range(n + 1):
+                f = k.face(sid, i)
+                if f.base in collapsed:
+                    f = FormalSimplex("*", tuple(range(n - 2, -1, -1)))
+                faces[(sid, i)] = f
+    return ExplicitSimplicialSet(simplices, faces)
 
 
 class LocalizedSimplicialSet(SimplicialSet):

@@ -4,14 +4,12 @@
 import pytest
 
 from barloop.dgcoalg import (
-    AdmissibleFiltration,
     CoalgebraMap,
     DgCoalgebraWindow,
     chains,
     cone_quasi_iso_window,
     filtered_quasi_iso_window,
     nerve_chains_map,
-    skeletal_filtration,
 )
 from barloop.errors import (
     FiltrationNotRespected,
@@ -152,35 +150,9 @@ def test_missing_counit_term_is_detected():
     assert any("Delta != id" in v for v in report.violations)
 
 
-def test_skeletal_filtration_levels():
-    c2 = chains(minimal_sphere(2), 3)
-    f = skeletal_filtration(c2)
-    assert f.level(0, 0) == 0 and f.level(2, 0) == 2
-    cz = chains(nerve(FiniteMonoid.cyclic(2)), 4)
-    g = skeletal_filtration(cz)
-    assert all(g.level(n, 0) == n for n in range(5))
-    assert g.validate(cz).ok
-
-
-def test_skeletal_filtration_needs_coaugmentation():
-    c = chains(boundary_delta3(), 2)
-    assert c.coaugmentation is None
-    with pytest.raises(NotCoaugmented):
-        skeletal_filtration(c)
-
-
-def test_admissible_filtration_violations_are_reported():
-    c = chains(nerve(FiniteMonoid.cyclic(2)), 3)
-    levels = {(n, 0): n for n in range(4)}
-    levels[(1, 0)] = 0
-    report = AdmissibleFiltration(levels).validate(c)
-    assert any("level 0" in v for v in report.violations)
-    levels = {(n, 0): n for n in range(4)}
-    levels[(1, 0)] = 3
-    report = AdmissibleFiltration(levels).validate(c)
-    # d(g,g) = 2g now raises the level, and g x g oversubscribes (g,g)
-    assert any("differential" in v for v in report.violations)
-    assert any("sub-additive" in v for v in report.violations)
+def skeletal(c):
+    """Skeletal levels: each element at its degree."""
+    return {(n, j): n for n in range(c.hi + 1) for j in range(c.rank(n))}
 
 
 def identity_map(c):
@@ -190,12 +162,69 @@ def identity_map(c):
     return CoalgebraMap(c, c, blocks)
 
 
+def test_skeletal_filtration_levels():
+    # one level per degree up to the top nonempty one: S^2 has no
+    # 3-simplex, the nerve of Z/2 one simplex in every degree
+    for c, checked in ((chains(minimal_sphere(2), 3), 3),
+                       (chains(nerve(FiniteMonoid.cyclic(2)), 4), 5)):
+        levels = skeletal(c)
+        assert levels[(0, c.coaugmentation)] == 0
+        verdict = filtered_quasi_iso_window(identity_map(c), levels, levels)
+        assert verdict.detail == {"levels_checked": checked, "window_hi": c.hi}
+
+
+def test_skeletal_filtration_needs_coaugmentation():
+    c = chains(boundary_delta3(), 2)
+    assert c.coaugmentation is None
+    with pytest.raises(NotCoaugmented):
+        filtered_quasi_iso_window(identity_map(c), skeletal(c), skeletal(c))
+
+
+def _first_fault(c, levels):
+    with pytest.raises(FiltrationNotRespected) as e:
+        filtered_quasi_iso_window(identity_map(c), levels, skeletal(c))
+    return str(e.value)
+
+
+def test_admissible_filtration_violations_are_reported():
+    # one input per fault kind; the check reports the first fault only
+    c = chains(nerve(FiniteMonoid.cyclic(2)), 3)
+    levels = skeletal(c)
+    levels[(1, 0)] = 0
+    assert _first_fault(c, levels) == (
+        "level 0 must be exactly the coaugmentation; degree 1 element "
+        f"{c.label(1, 0)} has level 0"
+    )
+    # d(g,g) = 2g
+    levels = skeletal(c)
+    levels[(1, 0)] = 3
+    assert _first_fault(c, levels) == (
+        f"differential raises the level on degree 2 element {c.label(2, 0)}"
+    )
+    # d(g,g,g) = 0, but (g) x (g,g) is a term of its coproduct
+    levels = skeletal(c)
+    levels[(3, 0)] = 2
+    assert _first_fault(c, levels) == (
+        f"coproduct is not sub-additive on degree 3 element {c.label(3, 0)}"
+    )
+
+
+def test_filtration_levels_are_complete_and_nonnegative():
+    c = chains(nerve(FiniteMonoid.cyclic(2)), 3)
+    levels = skeletal(c)
+    del levels[(2, 0)]
+    assert _first_fault(c, levels) == "no level for degree 2 element 0"
+    levels = skeletal(c)
+    levels[(2, 0)] = -1
+    with pytest.raises(ValueError, match="filtration levels must be >= 0"):
+        filtered_quasi_iso_window(identity_map(c), skeletal(c), levels)
+
+
 def test_identity_map_is_filtered_quasi_iso():
     c = chains(nerve(FiniteMonoid.cyclic(2)), 4)
     f = identity_map(c)
     assert f.validate().ok
-    filt = skeletal_filtration(c)
-    verdict = filtered_quasi_iso_window(f, filt, filt)
+    verdict = filtered_quasi_iso_window(f, skeletal(c), skeletal(c))
     assert verdict.kind == "quasi-iso"
     assert bool(verdict)
 
@@ -206,9 +235,7 @@ def test_sphere_to_point_fails_at_level_two():
     blocks = {0: IntMatrix.from_rows([[1]])}
     f = CoalgebraMap(src, dst, blocks)
     assert f.validate().ok
-    verdict = filtered_quasi_iso_window(
-        f, skeletal_filtration(src), skeletal_filtration(dst)
-    )
+    verdict = filtered_quasi_iso_window(f, skeletal(src), skeletal(dst))
     assert verdict.kind == "fails"
     assert verdict.level == 2
     assert verdict.degree == 2
@@ -218,8 +245,8 @@ def test_sphere_to_point_fails_at_level_two():
 def test_map_raising_levels_is_rejected():
     c = chains(minimal_sphere(2), 3)
     f = identity_map(c)
-    lo = AdmissibleFiltration({(0, 0): 0, (2, 0): 2})
-    high = AdmissibleFiltration({(0, 0): 0, (2, 0): 3})
+    lo = {(0, 0): 0, (2, 0): 2}
+    high = {(0, 0): 0, (2, 0): 3}
     with pytest.raises(FiltrationNotRespected):
         filtered_quasi_iso_window(f, lo, high)
     # lowering levels is admissible, but the graded pieces then differ
@@ -244,9 +271,7 @@ def test_collapse_of_idempotent_pair_is_quasi_iso_by_cone():
     ok, degree = cone_quasi_iso_window(blocks, f.src.complex, f.dst.complex)
     assert ok and degree is None
     # but the skeletal associated graded distinguishes them
-    verdict = filtered_quasi_iso_window(
-        f, skeletal_filtration(f.src), skeletal_filtration(f.dst)
-    )
+    verdict = filtered_quasi_iso_window(f, skeletal(f.src), skeletal(f.dst))
     assert verdict.kind == "fails"
 
 

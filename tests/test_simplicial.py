@@ -1,11 +1,13 @@
-"""Simplicial sets: word calculus, nerves, quotients, localization."""
+"""Simplicial sets: word calculus, nerves, the collapsed boundary of the
+3-simplex, localization."""
 
 import itertools
 
 import pytest
+from quotient_oracle import QuotientSimplicialSet
 from recursive_units import localized_normalize, nerve_normalize
 
-from barloop.errors import NotASubcomplex, UnboundedDegree
+from barloop.errors import UnboundedDegree
 from barloop.monoids import FiniteMonoid, random_monoid
 from barloop.simplicial import (
     ExplicitSimplicialSet,
@@ -19,7 +21,6 @@ from barloop.simplicial import (
     minimal_sphere,
     nerve,
     point,
-    quotient_by_subcomplex,
     rp2_model,
     strip_units,
 )
@@ -142,45 +143,26 @@ def test_boundary_delta3_validates():
     assert [len(k.n_simplices(n)) for n in range(3)] == [4, 6, 4]
 
 
-def test_quotient_rejects_non_subcomplex():
-    k = boundary_delta3()
-    with pytest.raises(NotASubcomplex):
-        quotient_by_subcomplex(k, {"01"})
-    with pytest.raises(NotASubcomplex):
-        quotient_by_subcomplex(k, {"0", "zzz"})
-
-
-def test_quotient_by_basepoint_is_identity_on_counts():
-    k = rp2_model()
-    q = quotient_by_subcomplex(k, {"*"})
-    for n in range(3):
-        assert len(q.n_simplices(n)) == len(k.n_simplices(n))
-    assert q.validate(2).ok
-
-
-def test_quotient_interval_by_endpoints_is_circle():
-    interval = ExplicitSimplicialSet(
-        [("a", 0), ("b", 0), ("ab", 1)],
-        {
-            ("ab", 0): FormalSimplex("b", ()),
-            ("ab", 1): FormalSimplex("a", ()),
-        },
-    )
-    q = quotient_by_subcomplex(interval, {"a", "b"})
-    assert q.reduced
-    assert len(q.n_simplices(1)) == 1
-    (edge,) = q.n_simplices(1)
-    star = q.n_simplices(0)[0]
-    assert q.face(edge, 0) == FormalSimplex(star, ())
-    assert q.face(edge, 1) == FormalSimplex(star, ())
-
-
 def test_collapsed_boundary_delta3_shape():
     q = collapsed_boundary_delta3()
     assert q.reduced
     assert [len(q.n_simplices(n)) for n in range(3)] == [1, 3, 4]
     report = q.validate(2)
     assert report.ok, report.violations
+
+
+def test_collapsed_boundary_delta3_matches_the_quotient_oracle():
+    got = collapsed_boundary_delta3()
+    want = QuotientSimplicialSet(
+        boundary_delta3(), {"0", "1", "2", "3", "01", "02", "03"}
+    )
+    for n in range(5):
+        assert got.n_simplices(n) == want.n_simplices(n)
+        for sid in got.n_simplices(n):
+            assert got.dim(sid) == want.dim(sid) == n
+            for i in range(n + 1 if n else 0):
+                assert got.face(sid, i) == want.face(sid, i)
+        assert got.to_json_dict(n) == want.to_json_dict(n)
 
 
 def test_rp2_model_validates():
@@ -298,10 +280,10 @@ def _strictly_decreasing(word):
 
 
 def _words_stay_decreasing(k, bases, top):
-    """Build every formal simplex of dimension <= top that
-    degenerate_formal reaches from the nondegenerate simplices
-    bases(n), and check that face_formal and degenerate_formal return a
-    strictly decreasing word on each of them."""
+    """Build every formal simplex of dimension <= top that the
+    degeneracies reach from the nondegenerate simplices bases(n), and
+    check that face_formal and degeneracy_insert give a strictly
+    decreasing word on each of them."""
     level = [FormalSimplex(b) for b in bases(0)]
     for n in range(top + 1):
         above = [FormalSimplex(b) for b in bases(n + 1)] if n < top else []
@@ -310,7 +292,7 @@ def _words_stay_decreasing(k, bases, top):
                 if n:
                     f = k.face_formal(fs, i)
                     assert _strictly_decreasing(f.word), (fs, i, f)
-                d = k.degenerate_formal(fs, i)
+                d = FormalSimplex(fs.base, degeneracy_insert(fs.word, i))
                 assert _strictly_decreasing(d.word), (fs, i, d)
                 above.append(d)
         level = above

@@ -27,6 +27,9 @@
   The two rules above see a shared name as read when any owner's member
   is read, so each new shared name fails until someone checks every
   owner.
+- Every exception class that ``errors.py`` defines is raised by name
+  (``raise X(...)`` or ``raise X``) somewhere in the package, so no
+  error type outlives the code that raised it.
 """
 
 import ast
@@ -34,6 +37,7 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "barloop"
+ERRORS = PACKAGE / "errors.py"
 EXACTLIN = PACKAGE / "exactlin"
 BENCH = ROOT / "perfbench"
 
@@ -61,8 +65,6 @@ SHARED_NAMES = {
     "constructor: both read by the package",
     "label": "ChainComplexWindow and DgCoalgebraWindow: both read by the "
     "package",
-    "level": "AdmissibleFiltration's method and Verdict's stored level: "
-    "both read by the package",
     "ok": "IsoCertificate's stored flag (loopgroup, the benchmark) and "
     "ValidationReport's property (barcobar, dgcoalg): both read",
     "order": "FiniteMonoid's method and GroupCompletion's stored order: "
@@ -72,10 +74,10 @@ SHARED_NAMES = {
     "to_json_dict": "FiniteMonoid, HomologyTable, LoopGroupLevel, "
     "MonoidPresentation, PresentedDgAlgebra, SimplicialSet, Verdict and "
     "WeqVerdict: all read by cli",
-    "validate": "AdmissibleFiltration, ChainComplexWindow, CoalgebraMap "
-    "and MonoidMap: read by the package; DgCoalgebraWindow and "
-    "SimplicialSet (with LocalizedSimplicialSet's override): law checks "
-    "that only tests run, on every bundled complex",
+    "validate": "ChainComplexWindow, CoalgebraMap and MonoidMap: read by "
+    "the package; DgCoalgebraWindow and SimplicialSet (with "
+    "LocalizedSimplicialSet's override): law checks that only tests run, "
+    "on every bundled complex",
     "word": "FormalSimplex's stored word and PresentedDgAlgebra.word: both "
     "read by the package",
 }
@@ -264,6 +266,33 @@ def shared_member_names(trees):
     return {name: sorted(owners) for name, owners in shared.items()}
 
 
+def exception_classes(tree):
+    """(line, name) of each top-level class derived from Exception,
+    directly or through classes defined before it in the same tree."""
+    derived, found = {"Exception"}, []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(b, ast.Name) and b.id in derived for b in node.bases
+        ):
+            derived.add(node.name)
+            found.append((node.lineno, node.name))
+    return found
+
+
+def names_raised(tree):
+    """Names raised directly: ``X`` in ``raise X(...)`` and ``raise X``,
+    also as the last part of a dotted name."""
+    raised = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                raised.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                raised.add(exc.attr)
+    return raised
+
+
 def _offenders(paths, rule):
     found = {}
     for path in paths:
@@ -333,6 +362,30 @@ def test_rules_detect_what_they_forbid():
         "    def kept(self): pass\n"
     )
     assert shared_member_names([tree]) == {"shared": ["A", "D"]}
+    tree = ast.parse(
+        "class Report: pass\n"
+        "class Base(Exception): pass\n"
+        "class Raised(Base): pass\n"
+        "class Dotted(Raised): pass\n"
+        "class Bare(Base): pass\n"
+        "class Built(Base): pass\n"
+        "class Stale(Base): pass\n"
+        "def f(errors):\n"
+        "    if errors: raise Base('x')\n"
+        "    if f: raise errors.Dotted('y') from None\n"
+        "    if errors: raise Bare\n"
+        "    try: pass\n"
+        "    except Stale: raise\n"
+        "    raise Raised(Built())\n"
+    )
+    assert exception_classes(tree) == [
+        (2, "Base"), (3, "Raised"), (4, "Dotted"), (5, "Bare"),
+        (6, "Built"), (7, "Stale"),
+    ]
+    raised = names_raised(tree)
+    assert [c for c in exception_classes(tree) if c[1] not in raised] == [
+        (6, "Built"), (7, "Stale")
+    ]
 
 
 def test_no_unused_imports_in_the_package():
@@ -389,3 +442,12 @@ def test_shared_member_names_are_reviewed():
         "new": {n: o for n, o in shared.items() if n not in SHARED_NAMES},
         "gone": sorted(set(SHARED_NAMES) - set(shared)),
     }
+
+
+def test_every_exception_class_is_raised():
+    raised = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        raised |= names_raised(_parse(path))
+    classes = exception_classes(_parse(ERRORS))
+    assert classes[0][1] == "BarloopError" and len(classes) > 1
+    assert [c for c in classes if c[1] not in raised] == []
