@@ -387,8 +387,11 @@ def cone_quasi_iso_window(blocks, src, dst):
     Returns (ok, degree): on failure the degree is where the homology
     comparison breaks (the cone has homology one degree above it, linking
     H_degree of source and target through the long exact sequence).
+    Raises MismatchAt when the cone's d∘d != 0: between chain complexes,
+    exactly when some block the cone reads does not commute with d.
     """
     cone = mapping_cone(blocks, src, dst)
+    cone.validate()
     table = homology_window(cone)
     for n in sorted(table.entries):
         e = table.entries[n]

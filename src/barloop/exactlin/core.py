@@ -398,9 +398,18 @@ def homology_window(c):
 
     Only ranks and invariant factors are needed:
     free_n = rank C_n - rk d_n - rk d_{n+1}, and the torsion of H_n is
-    the invariant factors >= 2 of d_{n+1}.  Raises MismatchAt when some
-    d∘d != 0.  Degrees 0..hi-1 are exact; degree hi treats the
-    out-of-window d_{hi+1} as zero and is flagged partial.
+    the invariant factors >= 2 of d_{n+1}.  Degrees 0..hi-1 are exact;
+    degree hi treats the out-of-window d_{hi+1} as zero and is flagged
+    partial.
+
+    c must be a chain complex (d∘d = 0); this function does not check
+    it.  Chain windows of simplicial sets are one by theorem: normalized
+    chains satisfy d∘d = 0 by the simplicial identities, which a nerve
+    gets from FiniteMonoid's checked associativity and unit law and an
+    ExplicitSimplicialSet checks when it is built.  For a mapping cone
+    d∘d = 0 is the chain-map property itself, so cone_quasi_iso_window
+    calls c.validate() first; so do the bar and cobar commands, whose
+    presented algebras are not checked for d² = 0 when built.
 
     Each d_n is eliminated with the rows zeroed that d_{n-1} paired.
     The unit sweeps of d_{n-1} give d_{n-1} V = U^-1 (±I ⊕ R), the ±I
@@ -412,7 +421,6 @@ def homology_window(c):
     Euclidean step's column operations have an unpaired source and
     rewrite rows that stay, so no pivot found after one is paired.
     """
-    c.validate()
     factors = {}
     paired = ()
     for n in range(1, c.hi + 1):

@@ -92,17 +92,6 @@ def strip_units(tup, unit):
     return tuple(rest), tuple(reversed(word))
 
 
-def _word_fault(sid, i, f):
-    """Why face i of sid is not in normal form, or None."""
-    w = f.word
-    if any(w[k] <= w[k + 1] for k in range(len(w) - 1)):
-        return (
-            f"face {i} of {sid!r} has degeneracy word {w}, "
-            "not strictly decreasing"
-        )
-    return None
-
-
 class FormalSimplex:
     """Nondegenerate base plus EZ-normal degeneracy word, stored as given:
     the word operators above build normal forms, and simplicial sets
@@ -191,21 +180,32 @@ class SimplicialSet:
 
     def _simplex_violations(self, sid, n):
         """Dimension, face-word, face-dimension and face-identity failures
-        of one nondegenerate n-simplex."""
+        of one nondegenerate n-simplex.  The face identities are checked
+        only when every face has a normal-form word and dimension n-1,
+        since a face operator cannot act on any other."""
         if self.dim(sid) != n:
             return [f"simplex {sid!r} listed in wrong dimension"]
         bad = []
         faces = [self.face(sid, i) for i in range(n + 1)] if n else []
         for i, f in enumerate(faces):
-            fault = _word_fault(sid, i, f)
-            if fault:
-                bad.append(fault)
-            if self.formal_dim(f) != n - 1:
+            w, fdim = f.word, self.formal_dim(f)
+            if any(w[k] <= w[k + 1] for k in range(len(w) - 1)):
                 bad.append(
-                    f"face {i} of {sid!r} has dimension "
-                    f"{self.formal_dim(f)}, expected {n - 1}"
+                    f"face {i} of {sid!r} has degeneracy word {w}, "
+                    "not strictly decreasing"
                 )
-        if n < 2:
+            elif w and w[0] >= fdim:
+                # s_j acts on a p-simplex only for j <= p
+                bad.append(
+                    f"face {i} of {sid!r} has degeneracy word {w}, "
+                    f"out of range in dimension {fdim}"
+                )
+            if fdim != n - 1:
+                bad.append(
+                    f"face {i} of {sid!r} has dimension {fdim}, "
+                    f"expected {n - 1}"
+                )
+        if n < 2 or bad:
             return bad
         for j in range(1, n + 1):
             for i in range(j):
@@ -265,11 +265,12 @@ class ExplicitSimplicialSet(SimplicialSet):
                     raise ValueError(
                         f"face of {sid!r} uses unknown base {f.base!r}"
                     )
-                if self._dim[f.base] + len(f.word) != n - 1:
-                    raise ValueError(f"face {i} of {sid!r} has wrong dimension")
-                fault = _word_fault(sid, i, f)
-                if fault:
-                    raise ValueError(fault)
+        # The simplicial identities, lowest dimension first, so that every
+        # face a check reads has passed its own.
+        for sid, n in sorted(self._dim.items(), key=lambda item: item[1]):
+            bad = self._simplex_violations(sid, n)
+            if bad:
+                raise ValueError(bad[0])
 
     def n_simplices(self, n):
         return list(self._by_dim.get(n, ()))

@@ -115,8 +115,9 @@ def weq_verdict(f, hi=6):
             "target_order": cd.order,
         })
 
-    # The cone reads the blocks f_0..f_{hi-1}, and its d∘d = 0 check in
-    # homology_window holds exactly when they commute with d.
+    # The cone reads the blocks f_0..f_{hi-1}, and the d∘d = 0 check that
+    # cone_quasi_iso_window runs on it holds exactly when they commute
+    # with d.
     fmap = nerve_chains_map(f, src_b.chains, dst_b.chains)
     cone_ok, degree = cone_quasi_iso_window(
         fmap.blocks, fmap.src.complex, fmap.dst.complex

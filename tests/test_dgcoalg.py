@@ -11,8 +11,10 @@ from barloop.dgcoalg import (
     filtered_quasi_iso_window,
     nerve_chains_map,
 )
+from barloop.cli import main
 from barloop.errors import (
     FiltrationNotRespected,
+    MismatchAt,
     NotCoaugmented,
     UnboundedDegree,
 )
@@ -25,7 +27,12 @@ from barloop.simplicial import (
     nerve,
     point,
 )
-from barloop.weqcheck import bundled_complexes, bundled_monoids
+from barloop.weqcheck import (
+    bundled_complexes,
+    bundled_monoids,
+    invariants,
+    weq_verdict,
+)
 from checks import coproduct, identity_matrix
 
 
@@ -97,8 +104,10 @@ def test_nerve_z3_homology():
 
 
 def test_every_constructed_window_validates():
-    """The coalgebra laws, which no command re-checks, hold on every
-    bundled complex; window 4 reaches each finite one's top dimension."""
+    """d∘d = 0 and the coalgebra laws, which no command re-checks on a
+    simplicial set's chains, hold on every bundled complex (window 4
+    reaches each finite one's top dimension) and on the nerve of every
+    bundled monoid at window 5."""
     sets = bundled_complexes()
     assert len(sets) == 12
     sets["boundary-delta3"] = boundary_delta3()
@@ -106,6 +115,57 @@ def test_every_constructed_window_validates():
         c = chains(k, 4)
         c.complex.validate()
         assert c.validate().ok, name
+    for name, m in bundled_monoids().items():
+        c = chains(nerve(m), 5)
+        c.complex.validate()
+        assert c.validate().ok, name
+
+
+def test_the_cone_check_rejects_blocks_that_do_not_commute_with_d():
+    # In the chains of BZ/2, d_2 = 2 and d_3 = 0, so f_1 d_2 = d_2 f_2
+    # fails for f_2 = 3 f_1; the cone's d∘d breaks on src_2 = cone_3.
+    c = chains(nerve(FiniteMonoid.cyclic(2)), 4).complex
+    blocks = {n: identity_matrix(1) for n in range(5)}
+    blocks[2] = IntMatrix.from_rows([[3]])
+    with pytest.raises(MismatchAt, match="^d∘d != 0 from degree 3$"):
+        cone_quasi_iso_window(blocks, c, c)
+
+
+def test_only_cones_and_presented_algebras_are_checked_for_d_squared(
+    monkeypatch, capsys
+):
+    """Chain windows of simplicial sets are complexes by theorem; a cone's
+    d∘d = 0 is its chain-map check, and a presented algebra is not
+    checked for d² = 0 when built."""
+    calls = []
+    validate = ChainComplexWindow.validate
+
+    def counting(self):
+        calls.append(self.hi)
+        return validate(self)
+
+    monkeypatch.setattr(ChainComplexWindow, "validate", counting)
+
+    def count(run):
+        calls.clear()
+        run()
+        capsys.readouterr()
+        return len(calls)
+
+    z4 = FiniteMonoid.cyclic(4)
+    assert count(lambda: invariants(z4, 4)) == 0
+    assert count(lambda: weq_verdict(MonoidMap.identity(z4), 4)) == 1
+    # distinguished by nerve homology, before any cone is built
+    collapse = MonoidMap.collapse(FiniteMonoid.cyclic(2))
+    assert weq_verdict(collapse, 4).kind == "distinguished"
+    assert count(lambda: weq_verdict(collapse, 4)) == 0
+    for argv, want in (
+        (["homology", "z3", "--window", "0..4"], 0),
+        (["weq", "z4", "z4", "--window", "0..3"], 1),
+        (["bar", "z4", "--window", "0..3"], 1),
+        (["cobar", "sphere2", "--window", "0..3"], 1),
+    ):
+        assert count(lambda: main(argv)) == want, argv
 
 
 @pytest.mark.parametrize("kind", ["identity", "collapse"])

@@ -4,6 +4,7 @@ ring comparison."""
 import itertools
 
 import pytest
+from loop_group_oracle import check_group_identities
 
 from barloop import loopgroup
 from barloop.dgcoalg import chains
@@ -30,6 +31,7 @@ from barloop.simplicial import (
     point,
     rp2_model,
 )
+from barloop.weqcheck import bundled_complexes
 
 
 def test_free_words_reduce():
@@ -129,30 +131,31 @@ def test_levels_list_no_more_degeneracy_words_than_their_rank(monkeypatch, k):
         assert all(words <= rank for _, words, rank in calls), calls
 
 
+@pytest.mark.parametrize("name", sorted(bundled_complexes()))
+def test_bundled_loop_groups_satisfy_the_group_identities(name):
+    """kan_loop_group checks none of the simplicial group identities; the
+    oracle checks them here on every bundled complex, which includes the
+    nerve of every bundled monoid, with level 4's d_i s_j included."""
+    check_group_identities(kan_loop_group(bundled_complexes()[name], 5))
+
+
 @pytest.mark.parametrize(
     "k",
     [minimal_sphere(2), rp2_model(), collapsed_boundary_delta3()],
     ids=["sphere2", "rp2", "delta3-collapsed"],
 )
-def test_one_letter_images_are_read_directly(monkeypatch, k):
-    """The group-identity check reads images[lbl] as the image of the
-    one-letter word ((lbl, 1),); that holds because every face and
-    degeneracy image is built reduced."""
-    maps = []
-    validate = loopgroup._validate_group_window
-
-    def recording(hi, simplices, labels, face_images, degen_images):
-        for per_level in (face_images, degen_images):
-            for images in per_level.values():
-                maps.extend(images)
-        return validate(hi, simplices, labels, face_images, degen_images)
-
-    monkeypatch.setattr(loopgroup, "_validate_group_window", recording)
-    kan_loop_group(k, 4)
-    assert maps
-    for images in maps:
-        for lbl, word in images.items():
-            assert loopgroup._free_apply(((lbl, 1),), images) == word
+def test_one_letter_images_are_read_directly(k):
+    """Every face and degeneracy word in the levels is reduced, so the
+    image of a one-letter word is the word listed for its generator: the
+    oracle reads it straight off the level."""
+    words = [
+        w
+        for level in kan_loop_group(k, 4)
+        for per_gen in (*level.faces, *level.degeneracies)
+        for w in per_gen
+    ]
+    assert words
+    assert all(free_reduce(w) == w for w in words)
 
 
 class OneBadFace(SimplicialSet):
@@ -178,9 +181,10 @@ def test_a_corrupted_face_breaks_a_group_identity():
     assert k.face((1, 1, 1), 0) == FormalSimplex((1, 1), ())
     bad = OneBadFace(k, (1, 1, 1), 0, FormalSimplex((1, 2), ()))
     assert not bad.validate(3).ok
+    levels = kan_loop_group(bad, 2)
     with pytest.raises(MismatchAt, match=r"d0 d1 = d0 d0 at level 2 on "
                        r"\(1, 1, 1\)"):
-        kan_loop_group(bad, 2)
+        check_group_identities(levels)
 
 
 @pytest.mark.parametrize(
@@ -188,23 +192,15 @@ def test_a_corrupted_face_breaks_a_group_identity():
     [lambda w: w + w, free_inverse, lambda w: ()],
     ids=["two-letters", "inverse", "empty"],
 )
-def test_a_degeneracy_off_the_generators_is_rejected(monkeypatch, damage):
-    """The identity checks read each degeneracy as a relabelling, so the
-    check first requires every degeneracy image to be one generator with
-    exponent +1."""
-    validate = loopgroup._validate_group_window
-
-    def damaged(hi, simplices, labels, face_images, degen_images):
-        images = degen_images[1][0]
-        lbl = next(iter(images))
-        images[lbl] = damage(images[lbl])
-        return validate(hi, simplices, labels, face_images, degen_images)
-
-    monkeypatch.setattr(loopgroup, "_validate_group_window", damaged)
-    with pytest.raises(
-        MismatchAt, match="s0 sending generators to generators at level 1"
-    ):
-        kan_loop_group(minimal_sphere(2), 3)
+def test_a_degeneracy_off_the_generators_is_rejected(damage):
+    """Every degeneracy sends a generator to a generator; one sent to any
+    other word breaks s_i s_j = s_{j+1} s_i."""
+    levels = kan_loop_group(minimal_sphere(2), 3)
+    check_group_identities(levels)
+    degeneracies = levels[1].degeneracies[0]
+    degeneracies[0] = damage(degeneracies[0])
+    with pytest.raises(MismatchAt, match="s0 s1 = s2 s0 at level 1 on e$"):
+        check_group_identities(levels)
 
 
 def test_loop_group_requires_reduced():

@@ -13,6 +13,7 @@ from barloop.simplicial import (
     ExplicitSimplicialSet,
     FormalSimplex,
     LocalizedSimplicialSet,
+    SimplicialSet,
     boundary_delta3,
     collapsed_boundary_delta3,
     degeneracy_insert,
@@ -59,13 +60,24 @@ def test_explicit_set_rejects_a_face_word_that_does_not_decrease():
 
 
 def test_validate_reports_a_face_word_that_does_not_decrease():
-    class BadWord(ExplicitSimplicialSet):
+    # Wraps rather than subclasses an ExplicitSimplicialSet, whose
+    # constructor would reject the overridden face.
+    class BadWord(SimplicialSet):
+        def __init__(self, base):
+            self.base = base
+
+        def n_simplices(self, n):
+            return self.base.n_simplices(n)
+
+        def dim(self, sid):
+            return self.base.dim(sid)
+
         def face(self, sid, i):
             if (sid, i) == ("e", 3):
                 return FormalSimplex("*", (0, 1))
-            return super().face(sid, i)
+            return self.base.face(sid, i)
 
-    k = BadWord([("*", 0), ("e", 3)], _sphere3_faces((1, 0)))
+    k = BadWord(minimal_sphere(3))
     assert k.validate(3).violations[0] == (
         "face 3 of 'e' has degeneracy word (0, 1), not strictly decreasing"
     )
@@ -129,10 +141,32 @@ def test_corrupted_face_map_caught():
         for i in range(n + 1)
     }
     faces[("012", 0)] = FormalSimplex("13", ())
-    bad = ExplicitSimplicialSet(simplices, faces)
-    report = bad.validate(2)
-    assert not report.ok
-    assert any("face identity fails" in v for v in report.violations)
+    with pytest.raises(
+        ValueError, match=r"^face identity fails on '012': d0 d1 != d0 d0$"
+    ):
+        ExplicitSimplicialSet(simplices, faces)
+
+
+def test_explicit_set_rejects_a_face_of_the_wrong_dimension():
+    faces = _sphere3_faces((1, 0))
+    faces[("e", 2)] = FormalSimplex("*", (0,))
+    with pytest.raises(
+        ValueError, match=r"^face 2 of 'e' has dimension 1, expected 2$"
+    ):
+        ExplicitSimplicialSet([("*", 0), ("e", 3)], faces)
+
+
+def test_explicit_set_rejects_a_degeneracy_past_its_dimension():
+    # s_2 s_1 of a vertex: neither acts; d_0 would push through both
+    # and look for a face of the vertex
+    faces = _sphere3_faces((1, 0))
+    faces[("e", 1)] = FormalSimplex("*", (2, 1))
+    with pytest.raises(
+        ValueError,
+        match=r"^face 1 of 'e' has degeneracy word \(2, 1\), out of range "
+        r"in dimension 2$",
+    ):
+        ExplicitSimplicialSet([("*", 0), ("e", 3)], faces)
 
 
 def test_boundary_delta3_validates():

@@ -74,10 +74,10 @@ SHARED_NAMES = {
     "to_json_dict": "FiniteMonoid, HomologyTable, LoopGroupLevel, "
     "MonoidPresentation, PresentedDgAlgebra, SimplicialSet, Verdict and "
     "WeqVerdict: all read by cli",
-    "validate": "ChainComplexWindow, CoalgebraMap and MonoidMap: read by "
-    "the package; DgCoalgebraWindow and SimplicialSet (with "
-    "LocalizedSimplicialSet's override): law checks that only tests run, "
-    "on every bundled complex",
+    "validate": "ChainComplexWindow (on cones and on bar and cobar "
+    "windows), CoalgebraMap and MonoidMap: read by the package; "
+    "DgCoalgebraWindow and SimplicialSet (with LocalizedSimplicialSet's "
+    "override): law checks that only tests run, on every bundled complex",
     "word": "FormalSimplex's stored word and PresentedDgAlgebra.word: both "
     "read by the package",
 }
