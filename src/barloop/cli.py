@@ -13,7 +13,6 @@ invalid.
 import argparse
 import csv
 import hashlib
-import io
 import json
 import sys
 import time
@@ -429,16 +428,17 @@ def _flatten(prefix, value, rows):
         rows.append((prefix, "" if value is None else value))
 
 
-def _render(report, fmt):
+def _write(report, fmt, fh):
+    # json.dump streams its chunks to fh; dumps would join them first
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+        return
     rows = []
     _flatten("", report, rows)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(fh)
     writer.writerow(["key", "value"])
     writer.writerows(rows)
-    return buf.getvalue()
 
 
 _DEFAULTS = {
@@ -549,7 +549,7 @@ def run(argv):
         error = {"kind": "invalid-input", "message": str(e)}
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
         report = _report(None, None, {}, {}, [], 2, error, elapsed_ms)
-        sys.stdout.write(_render(report, "json"))
+        _write(report, "json", sys.stdout)
         return 2
     for key, value in _DEFAULTS.items():
         if not hasattr(args, key):
@@ -580,7 +580,7 @@ def run(argv):
         # An unwritable --out is invalid input; the report goes to stdout.
         try:
             with open(args.out, "w") as fh:
-                fh.write(_render(report, args.format))
+                _write(report, args.format, fh)
         except OSError as e:
             code = report["exit_code"] = 2
             report["error"] = {
@@ -590,7 +590,7 @@ def run(argv):
             }
         else:
             return code
-    sys.stdout.write(_render(report, args.format))
+    _write(report, args.format, sys.stdout)
     return code
 
 

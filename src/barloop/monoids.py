@@ -8,10 +8,8 @@ presented monoid.  A finite monoid's completion is read off its table:
 the quotient by the congruence that identifies every idempotent with
 the identity.  A presentation gets a formal inverse per generator and
 goes through rewriting completion; the order is the count of
-irreducible degree-0 words.  When completion runs out of budget, coset
-enumeration over the trivial subgroup proves finiteness instead, and
-its coset table is the only completion table built.  Both are budgeted
-and report honestly when the budget runs out.
+irreducible degree-0 words.  Completion is budgeted, and a budget that
+runs out is reported as Exhausted.
 """
 
 import random
@@ -338,46 +336,35 @@ def group_completion(p, budget=100_000):
     rewriting system is completed, generators that rewrite to words are
     Tietze-eliminated, and the order is the count of irreducible
     degree-0 words (basis_size), None when they are infinitely many.
-    When completion runs out of budget, coset enumeration proves the
-    group finite and its table gives the presentation.  Returns a
-    GroupCompletion, or Exhausted when the budget ran out before
-    completion and before coset enumeration closed.
+    Returns a GroupCompletion, or Exhausted when the budget ran out
+    before completion finished.
     """
     if isinstance(p, FiniteMonoid):
         return _table_completion(p)
-    alg, inv = group_ring(p, "'")
+    alg, _ = group_ring(p, "'")
     rsys = complete(alg, budget)
-
-    if rsys.complete:
-        relations = []
-        for r in rsys.rules:
-            lhs_word = tuple(alg.gen_label(g) for g in r.lhs)
-            if r.coeff != 1 or len(r.rhs) > 1:
-                # cannot happen for string systems, guard anyway
+    if not rsys.complete:
+        return Exhausted("completion budget exhausted")
+    relations = []
+    for r in rsys.rules:
+        lhs_word = tuple(alg.gen_label(g) for g in r.lhs)
+        if r.coeff != 1 or len(r.rhs) > 1:
+            # cannot happen for string systems, guard anyway
+            return Exhausted("completion produced non-monomial rules")
+        if r.rhs:
+            (w2, c2), = r.rhs.items()
+            if c2 != 1:
                 return Exhausted("completion produced non-monomial rules")
-            if r.rhs:
-                (w2, c2), = r.rhs.items()
-                if c2 != 1:
-                    return Exhausted("completion produced non-monomial rules")
-                rhs_word = tuple(alg.gen_label(g) for g in w2)
-            else:
-                return Exhausted("completion produced a zero rule")
-            relations.append((lhs_word, rhs_word))
-        gens = [lbl for lbl, _ in alg.generators]
-        gens, relations = _tietze_simplify(gens, relations)
-        return GroupCompletion(
-            basis_size(rsys, 0),
-            presentation=MonoidPresentation(gens, relations),
-        )
-
-    # completion budget hit: fall back to coset enumeration for finiteness
-    tc = _coset_enumeration(p, inv, budget)
-    if tc is not None:
-        monoid = FiniteMonoid(*tc)
-        return GroupCompletion(
-            monoid.order(), presentation=MonoidPresentation.from_monoid(monoid)
-        )
-    return Exhausted("completion and coset enumeration budgets exhausted")
+            rhs_word = tuple(alg.gen_label(g) for g in w2)
+        else:
+            return Exhausted("completion produced a zero rule")
+        relations.append((lhs_word, rhs_word))
+    gens = [lbl for lbl, _ in alg.generators]
+    gens, relations = _tietze_simplify(gens, relations)
+    return GroupCompletion(
+        basis_size(rsys, 0),
+        presentation=MonoidPresentation(gens, relations),
+    )
 
 
 def _table_completion(m):
@@ -453,148 +440,6 @@ def _tietze_simplify(gens, relations):
                 out.append(r)
         relations = out
     return gens, relations
-
-
-def _coset_enumeration(p, inv, budget):
-    """Enumerate cosets of the trivial subgroup (HLT with coincidences).
-
-    Returns (labels, identity index, table) when the enumeration closes
-    within budget, else None.  Closing proves the group finite and the
-    coset action on its own underlying set is the multiplication table.
-    """
-    letters = []
-    for g in p.generators:
-        letters.append(g)
-        letters.append(inv[g])
-    lidx = {g: i for i, g in enumerate(letters)}
-    pair = {}
-    for g in p.generators:
-        pair[lidx[g]] = lidx[inv[g]]
-        pair[lidx[inv[g]]] = lidx[g]
-    relators = []
-    for u, v in p.relations:
-        # u v^{-1} as letter indices
-        relators.append(
-            tuple(lidx[g] for g in u)
-            + tuple(pair[lidx[g]] for g in reversed(v))
-        )
-    for g in p.generators:
-        relators.append((lidx[g], lidx[inv[g]]))
-
-    nl = len(letters)
-    table = [[None] * nl]  # table[coset][letter]
-    rep = [0]              # union-find over cosets
-
-    pending = []
-
-    def merge(a, b):
-        a, b = _find(rep, a), _find(rep, b)
-        if a != b:
-            if a > b:
-                a, b = b, a
-            rep[b] = a
-            pending.append(b)
-
-    def deduce(c, l, d):
-        c, d = _find(rep, c), _find(rep, d)
-        cur = table[c][l]
-        if cur is not None and _find(rep, cur) != d:
-            merge(cur, d)
-        table[c][l] = d
-        cur2 = table[d][pair[l]]
-        if cur2 is not None and _find(rep, cur2) != c:
-            merge(cur2, c)
-        table[d][pair[l]] = c
-
-    defined = 1
-    steps = 0
-    queue = [0]
-    qi = 0
-    while qi < len(queue):
-        c = queue[qi]
-        qi += 1
-        if _find(rep, c) != c:
-            continue
-        for rel in relators:
-            # scan the relator cycle from coset c, defining as needed
-            cur = _find(rep, c)
-            for pos, l in enumerate(rel):
-                steps += 1
-                if steps > budget:
-                    return None
-                nxt = table[cur][l]
-                if nxt is None:
-                    if pos == len(rel) - 1:
-                        deduce(cur, l, _find(rep, c))
-                        nxt = _find(rep, c)
-                    else:
-                        table.append([None] * nl)
-                        rep.append(len(rep))
-                        nxt = len(rep) - 1
-                        defined += 1
-                        if defined > budget:
-                            return None
-                        deduce(cur, l, nxt)
-                        queue.append(nxt)
-                else:
-                    nxt = _find(rep, nxt)
-                    if pos == len(rel) - 1 and nxt != _find(rep, c):
-                        merge(nxt, _find(rep, c))
-                        nxt = _find(rep, c)
-                cur = nxt
-            # process coincidences eagerly
-            while pending:
-                dead = pending.pop()
-                row = table[dead]
-                for l, d in enumerate(row):
-                    if d is not None:
-                        a = _find(rep, dead)
-                        deduce(a, l, _find(rep, d))
-        # all relators traced from c without budget blowup
-
-    # compact the live cosets
-    live = sorted({_find(rep, c) for c in range(len(rep))})
-    # every entry must be filled for the enumeration to have closed
-    comp = {c: i for i, c in enumerate(live)}
-    out = []
-    for c in live:
-        row = table[c]
-        new_row = []
-        for l in range(nl):
-            if row[l] is None:
-                return None
-            new_row.append(comp[_find(rep, row[l])])
-        out.append(new_row)
-
-    # coset-by-letter action -> full multiplication table: represent
-    # each coset by a shortest word reaching it from the trivial coset
-    words = {comp[_find(rep, 0)]: ()}
-    frontier = [comp[_find(rep, 0)]]
-    while frontier:
-        nxt_frontier = []
-        for c in frontier:
-            for l in range(nl):
-                d = out[c][l]
-                if d not in words:
-                    words[d] = words[c] + (l,)
-                    nxt_frontier.append(d)
-        frontier = nxt_frontier
-    n = len(live)
-    if len(words) != n:
-        return None
-
-    def act(c, word):
-        for l in word:
-            c = out[c][l]
-        return c
-
-    table2 = [[act(i, words[j]) for j in range(n)] for i in range(n)]
-    one = inverse_label("1", set(letters), "")
-    labels = []
-    for i in range(n):
-        w = words[i]
-        labels.append("*".join(letters[l] for l in w) if w else one)
-    return labels, comp[_find(rep, 0)], table2
 
 
 def random_monoid(seed):

@@ -89,7 +89,7 @@ def _induced_completion_bijective(f, cs, cd):
     """Whether the map induced on group completion tables is a bijection.
 
     Returns True/False, or None when the tables cannot be decoded (e.g.
-    a completion came from coset enumeration and carries no rules).
+    a completion carries no rules).
     """
     if cs.rules is None or cd.rules is None:
         return None

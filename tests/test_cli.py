@@ -107,6 +107,14 @@ def test_pi1_of_projective_plane(capsys):
     assert r["outputs"]["completion"]["order"] == 2
 
 
+def test_pi1_reports_a_spent_budget_as_exhausted(capsys):
+    code, r = run_json(capsys, ["pi1", "point", "--budget", "0"])
+    assert code == 0
+    assert r["outputs"]["completion"] == {
+        "status": "exhausted", "reason": "completion budget exhausted",
+    }
+
+
 def test_weq_exit_codes(capsys):
     code, r = run_json(capsys, ["weq", "z2", "trivial", "--window", "0..4"])
     assert code == 1
@@ -317,11 +325,38 @@ def test_out_file_and_csv(tmp_path, capsys):
     assert any("outputs.homology.2,Z" in line for line in lines)
 
 
+# one cheap command for each of the eight subcommands
+JSON_TEXT_CASES = {
+    "homology": ["homology", "z2", "--window", "0..3"],
+    "bar": ["bar", "free-t", "--window", "0..3"],
+    "cobar": ["cobar", "sphere2", "--window", "0..3"],
+    "extended-cobar": ["extended-cobar", "sphere1", "--window", "0..3"],
+    "loopgroup": ["loopgroup", "sphere1", "--window", "0..2"],
+    "pi1": ["pi1", "rp2"],
+    "weq": ["weq", "z2", "trivial", "--window", "0..3"],
+    "paper-suite": ["paper-suite", "--case", "ex43"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv", JSON_TEXT_CASES.values(), ids=JSON_TEXT_CASES.keys()
+)
+def test_json_report_text_is_indented_sorted_and_ends_in_a_newline(
+    capsys, argv
+):
+    # the golden tests compare parsed reports; this pins the bytes
+    main(argv)
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 def test_json_out_file_parses(tmp_path):
     target = tmp_path / "report.json"
     code = main(["pi1", "sphere1", "--out", str(target)])
     assert code == 0
-    r = json.loads(target.read_text())
+    text = target.read_text()
+    r = json.loads(text)
+    assert text == json.dumps(r, indent=2, sort_keys=True) + "\n"
     assert r["outputs"]["presentation"]["gens"] == ["t"]
     assert r["outputs"]["completion"]["status"] == "completed"
 

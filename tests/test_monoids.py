@@ -14,14 +14,16 @@ from barloop.monoids import (
     GroupCompletion,
     MonoidMap,
     MonoidPresentation,
-    _coset_enumeration,
     group_completion,
     group_ring,
     monoid_algebra,
     random_monoid,
 )
+from barloop.loopgroup import pi1_presentation
 from barloop.rewrite import complete
+from barloop.weqcheck import bundled_complexes, bundled_monoids
 from checks import is_group, isomorphic_as_tables, quotient_table
+from coset_oracle import _coset_enumeration
 
 
 def test_builtin_monoids_are_valid():
@@ -154,17 +156,19 @@ def test_coset_enumeration_primes_an_identity_label_a_letter_took():
     assert is_group(FiniteMonoid(labels, identity, table))
 
 
+SYMMETRIC_GROUP = MonoidPresentation(
+    ["a", "b"],
+    [
+        (("a", "a"), ()),
+        (("b", "b"), ()),
+        (("a", "b", "a"), ("b", "a", "b")),
+    ],
+)
+
+
 def test_coset_enumeration_symmetric_group():
-    p = MonoidPresentation(
-        ["a", "b"],
-        [
-            (("a", "a"), ()),
-            (("b", "b"), ()),
-            (("a", "b", "a"), ("b", "a", "b")),
-        ],
-    )
     inv = {"a": "a'", "b": "b'"}
-    got = _coset_enumeration(p, inv, budget=50_000)
+    got = _coset_enumeration(SYMMETRIC_GROUP, inv, budget=50_000)
     assert got is not None
     labels, identity, table = got
     assert len(labels) == 6
@@ -172,6 +176,35 @@ def test_coset_enumeration_symmetric_group():
     assert any(
         table[i][j] != table[j][i] for i in range(6) for j in range(6)
     )
+
+
+# every presentation whose completion order the coset oracle checks
+ORACLE_PRESENTATIONS = {
+    **{
+        f"pi1-{name}": pi1_presentation(k)
+        for name, k in bundled_complexes().items()
+    },
+    **{
+        f"monoid-{name}": MonoidPresentation.from_monoid(m)
+        for name, m in bundled_monoids().items()
+    },
+    "s3": SYMMETRIC_GROUP,
+}
+
+
+@pytest.mark.parametrize(
+    "p", ORACLE_PRESENTATIONS.values(), ids=ORACLE_PRESENTATIONS.keys()
+)
+def test_coset_enumeration_finds_the_order_rewriting_counts(p):
+    comp = group_completion(p)
+    assert isinstance(comp, GroupCompletion)
+    got = _coset_enumeration(p, group_ring(p, "'")[1], budget=100_000)
+    # the enumeration closes on every finite group here, never on Z
+    if got is None:
+        assert comp.order is None
+    else:
+        assert is_group(FiniteMonoid(*got))
+        assert len(got[0]) == comp.order
 
 
 def test_group_completion_budget_exhaustion():

@@ -12,7 +12,6 @@ from barloop.monoids import (
     FiniteMonoid,
     MonoidMap,
     MonoidPresentation,
-    _coset_enumeration,
     group_completion,
     group_ring,
     random_monoid,
@@ -24,6 +23,7 @@ from barloop.weqcheck import (
     weq_verdict,
 )
 from checks import isomorphic_as_tables, quotient_table
+from coset_oracle import _coset_enumeration
 
 
 def test_invariant_bundle_of_idempotent_pair():
@@ -164,7 +164,7 @@ def test_numeric_labels_do_not_clash_with_the_completion_identity(m, order):
     p = MonoidPresentation.from_monoid(m)
     comp = group_completion(p)
     assert comp.order == order
-    # coset enumeration is the one path that labels a completion table
+    # the coset oracle names each group element by a word in the letters
     labels, identity, _ = _coset_enumeration(
         p, group_ring(p, "'")[1], budget=10_000
     )
@@ -281,13 +281,14 @@ def test_table_completion_matches_the_rewriting_completion(m):
     assert set(table.classes) == set(range(table.order))
 
 
-def test_a_coset_enumerated_source_completion_is_certified():
+def test_a_coset_enumerated_source_completion_is_exhausted():
     # at budget 5 rewriting completion of the idempotent pair's group
-    # ring stops early and coset enumeration proves the group trivial
+    # ring stops early, and nothing else completes the presentation
     p = MonoidPresentation.from_monoid(FiniteMonoid.idempotent_pair())
     assert not rewrite.complete(group_ring(p, "'")[0], 5).complete
     cs = group_completion(p, budget=5)
-    assert cs.order == 1 and cs.presentation.generators == []
+    assert isinstance(cs, Exhausted)
+    assert cs.reason == "completion budget exhausted"
 
 
 def test_weq_builds_no_rewriting_system(monkeypatch):
@@ -311,3 +312,8 @@ def test_weq_builds_no_rewriting_system(monkeypatch):
     # the spies see the rewriting completion of a presentation
     group_completion(MonoidPresentation.from_monoid(FiniteMonoid.cyclic(4)))
     assert calls == ["complete", "basis_size"]
+    # an exhausted completion stops at complete
+    calls.clear()
+    p = MonoidPresentation.from_monoid(FiniteMonoid.idempotent_pair())
+    assert isinstance(group_completion(p, budget=5), Exhausted)
+    assert calls == ["complete"]
