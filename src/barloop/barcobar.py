@@ -157,20 +157,31 @@ def _bar_data(ib, hi, cap):
                         )
         bar_basis.append(out)
 
+    modulus = alg.modulus
+
     def boundary(n, tup):
+        # Terms add up in one dict and reduce mod the modulus once;
+        # basis_window drops the zeros.
         col = {}
         prefix = 0
+        last = len(tup) - 1
         for i, w in enumerate(tup):
-            sign_before = -1 if prefix % 2 else 1
-            for w2, c in ib.diff(w).items():
-                t2 = tup[:i] + (w2,) + tup[i + 1 :]
-                poly_iadd_term(col, t2, -sign_before * c, alg.modulus)
+            d = ib.diff(w)
+            if d:
+                sign = 1 if prefix % 2 else -1
+                head, tail = tup[:i], tup[i + 1 :]
+                for w2, c in d.items():
+                    t2 = head + (w2,) + tail
+                    col[t2] = col.get(t2, 0) + sign * c
             prefix += sdeg[w]
-            sign_through = -1 if prefix % 2 else 1
-            if i + 1 < len(tup):
+            if i < last:
+                sign = -1 if prefix % 2 else 1
+                head, tail = tup[:i], tup[i + 2 :]
                 for w2, c in ib.mult(w, tup[i + 1]).items():
-                    t2 = tup[:i] + (w2,) + tup[i + 2 :]
-                    poly_iadd_term(col, t2, sign_through * c, alg.modulus)
+                    t2 = head + (w2,) + tail
+                    col[t2] = col.get(t2, 0) + sign * c
+        if modulus:
+            return [(t2, c % modulus) for t2, c in col.items()]
         return col.items()
 
     comp = basis_window(
@@ -181,15 +192,21 @@ def _bar_data(ib, hi, cap):
     bar_index = comp.index
 
     def coproduct(n):
-        # deconcatenation: one term per cut of the bar word
-        for tup in bar_basis[n]:
-            cuts = [0]
-            for w in tup:
-                cuts.append(cuts[-1] + sdeg[w])
-            yield [
-                (p, bar_index[p][tup[:k]], bar_index[n - p][tup[k:]], 1)
-                for k, p in enumerate(cuts)
-            ]
+        # deconcatenation: one term per cut of the bar word; the two end
+        # cuts pair the word, at its own index j, with the empty word
+        if n == 0:
+            yield [(0, 0, 0, 1)]
+            return
+        for j, tup in enumerate(bar_basis[n]):
+            terms = [(0, 0, j, 1)]
+            p = 0
+            for k in range(1, len(tup)):
+                p += sdeg[tup[k - 1]]
+                terms.append(
+                    (p, bar_index[p][tup[:k]], bar_index[n - p][tup[k:]], 1)
+                )
+            terms.append((n, j, 0, 1))
+            yield terms
 
     return DgCoalgebraWindow(comp, coproduct, [1], 0)
 

@@ -13,7 +13,9 @@ It is the law check the tests assert, not a step of any command.
 chains() builds the normalized chain coalgebra of a simplicial set:
 basis the nondegenerate simplices, differential the alternating face sum
 with degenerate faces dropped, coproduct the front-face/back-face
-(Alexander-Whitney) formula with degenerate factors dropped.
+(Alexander-Whitney) formula with degenerate factors dropped.  Both read
+one call per simplex: nondegenerate_faces and front_back_faces, which a
+nerve answers by tuple slices and table lookups.
 """
 
 from .errors import (
@@ -211,7 +213,6 @@ class DgCoalgebraWindow:
 
 def chains(k, hi):
     """Normalized chain coalgebra of a simplicial set on degrees 0..hi."""
-    from .simplicial import FormalSimplex
 
     def boundary(n, sid):
         faces = k.nondegenerate_faces(sid)
@@ -223,21 +224,11 @@ def chains(k, hi):
     index = comp.index
 
     def coproduct(n):
-        # Alexander-Whitney: fronts[p] is the face on vertices 0..p and
-        # backs[p] the face on vertices p..n, each peeled off one face at
-        # a time from its neighbour.
+        # Alexander-Whitney: one term per nondegenerate front/back pair
         for sid in comp.bases[n]:
-            fronts = [FormalSimplex(sid, ())]
-            for m in range(n, 0, -1):
-                fronts.append(k.face_formal(fronts[-1], m))
-            fronts.reverse()
-            backs = [FormalSimplex(sid, ())]
-            for _ in range(n):
-                backs.append(k.face_formal(backs[-1], 0))
             yield [
-                (p, index[p][front.base], index[n - p][back.base], 1)
-                for p, (front, back) in enumerate(zip(fronts, backs))
-                if not (front.word or back.word)
+                (p, index[p][front], index[n - p][back], 1)
+                for p, front, back in k.front_back_faces(sid)
             ]
 
     counit = [1] * comp.rank(0)

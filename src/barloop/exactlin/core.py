@@ -66,10 +66,14 @@ class IntMatrix:
         for col in columns:
             acc = {}
             for i, c in col:
-                if not 0 <= i < rows:
-                    raise IndexError(f"row {i} out of range")
                 acc[i] = acc.get(i, 0) + c
-            out.append(tuple(sorted(p for p in acc.items() if p[1])))
+            # one range check per column, on its lowest and highest row,
+            # cancelled rows included
+            pairs = sorted(acc.items())
+            if pairs and (pairs[0][0] < 0 or pairs[-1][0] >= rows):
+                bad = pairs[0][0] if pairs[0][0] < 0 else pairs[-1][0]
+                raise IndexError(f"row {bad} out of range")
+            out.append(tuple(p for p in pairs if p[1]))
         return cls(rows, tuple(out))
 
     @classmethod
@@ -151,7 +155,8 @@ def smith_normal_form(m):
     +-1 entry of the shortest row, the lowest row index breaking ties;
     sweeps repeat until one finds no unit pivot.  Then one Euclidean step
     runs at the smallest |entry| a, the lowest row and then the lowest
-    column breaking ties, and the sweeps start over.  The step either
+    column breaking ties, and the sweeps start over when the step wrote a
+    +-1 entry; otherwise the next Euclidean step follows.  The step either
     shrinks the smallest entry or leaves a alone in its row and column, a
     diagonal entry.  A pivot alone in its column can clear its row by
     column operations that touch that row alone, so the matrix is
@@ -199,8 +204,11 @@ def smith_normal_form(m):
     pivots = []
     paired = None  # unit pivots found before the first Euclidean step
     factors = []
+    unit = True  # whether the matrix may hold a +-1 entry
     while True:
-        found = True
+        found = unit
+        if not unit:
+            left = [j for j in left if live[j]]
         while found:
             found = False
             left = [j for j in left if live[j]]
@@ -230,7 +238,8 @@ def smith_normal_form(m):
         _, p, j = min((abs(row[i][j]), i, j) for j in left for i in live[j])
         a = row[p][j]
         pivot = [(k, v) for k, v in row[p].items() if k != j]
-        for r in list(live[j]):
+        touched = list(live[j])
+        for r in touched:
             if r != p:
                 q, rest = divmod(row[r][j], a)
                 if rest:
@@ -252,6 +261,11 @@ def smith_normal_form(m):
             if len(row[p]) == 1:
                 retire(p, j)
                 factors.append(abs(a))
+        # The sweeps left no +-1 entry, so only the rows this step wrote
+        # can hold one; without one the next sweep would find no pivot.
+        unit = any(
+            v == 1 or v == -1 for r in touched for v in row[r].values()
+        )
     # diag(a, b) ~ diag(gcd, lcm): afterwards factors[i] divides every
     # later entry.
     for i in range(len(factors)):

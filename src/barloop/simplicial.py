@@ -138,6 +138,26 @@ class SimplicialSet:
         faces = (self.face(sid, i) for i in range(self.dim(sid) + 1))
         return [(i, f.base) for i, f in enumerate(faces) if not f.word]
 
+    def front_back_faces(self, sid):
+        """(p, front, back) for each p = 0..n, ascending, whose front
+        p-face (vertices 0..p) and back (n-p)-face (vertices p..n) of an
+        n-simplex are both nondegenerate, given by their bases: what its
+        Alexander-Whitney coproduct reads.  Each face is peeled off its
+        neighbour one face_formal at a time."""
+        n = self.dim(sid)
+        fronts = [FormalSimplex(sid)]
+        for m in range(n, 0, -1):
+            fronts.append(self.face_formal(fronts[-1], m))
+        fronts.reverse()
+        backs = [FormalSimplex(sid)]
+        for _ in range(n):
+            backs.append(self.face_formal(backs[-1], 0))
+        return [
+            (p, front.base, back.base)
+            for p, (front, back) in enumerate(zip(fronts, backs))
+            if not (front.word or back.word)
+        ]
+
     # -- derived operators on formal simplices ------------------------------
 
     def formal_dim(self, fs):
@@ -321,6 +341,13 @@ class NerveSimplicialSet(SimplicialSet):
                 out.append((i, sid[: i - 1] + (p,) + sid[i + 1 :]))
         out.append((len(sid), sid[:-1]))
         return out
+
+    def front_back_faces(self, sid):
+        """Every p: the front and back faces are the slices sid[:p] and
+        sid[p:].  Outer faces drop end entries and multiply none, and a
+        nerve simplex is degenerate only where an entry is the identity,
+        which no slice of a nondegenerate simplex holds."""
+        return [(p, sid[:p], sid[p:]) for p in range(len(sid) + 1)]
 
 
 def nerve(m):

@@ -7,9 +7,18 @@ a differential, on every request: once per bar word that contains it.
 The differential tests in test_bar_product_table.py require bar windows
 built on the current ``_IdealBasis``, which normalizes each structure
 constant once, to equal bar windows built on this one.
+
+``_bar_data`` below is copied verbatim from the version that added each
+boundary term with ``poly_iadd_term`` and looked up every cut of a bar
+word, the two ends included, in the coproduct.  The same tests require
+the current ``barcobar._bar_data`` to build the same window from the
+same ideal basis.
 """
 
 from barloop.barcobar import _IdealBasis
+from barloop.dgcoalg import DgCoalgebraWindow
+from barloop.errors import InfiniteRank
+from barloop.exactlin import basis_window
 from barloop.rewrite import poly_iadd_term
 
 
@@ -39,3 +48,63 @@ class IdealBasis(_IdealBasis):
 
     def diff(self, w):
         return self._ideal_coords(self.alg.differentiate({w: 1}))
+
+
+def _bar_data(ib, hi, cap):
+    """Bar coalgebra window on degrees 0..hi over an ideal basis listed
+    up to degree hi - 1; its complex keeps the basis tuples and their
+    index maps."""
+    alg = ib.alg
+    sdeg = {}
+    for n, words in ib.basis.items():
+        for w in words:
+            sdeg[w] = n + 1
+
+    bar_basis = [[()]]
+    for n in range(1, hi + 1):
+        out = []
+        for sd in range(1, n + 1):
+            for w in ib.basis.get(sd - 1, ()):
+                for rest in bar_basis[n - sd]:
+                    out.append((w,) + rest)
+                    if len(out) > cap:
+                        raise InfiniteRank(
+                            f"more than {cap} bar words in degree {n}"
+                        )
+        bar_basis.append(out)
+
+    def boundary(n, tup):
+        col = {}
+        prefix = 0
+        for i, w in enumerate(tup):
+            sign_before = -1 if prefix % 2 else 1
+            for w2, c in ib.diff(w).items():
+                t2 = tup[:i] + (w2,) + tup[i + 1 :]
+                poly_iadd_term(col, t2, -sign_before * c, alg.modulus)
+            prefix += sdeg[w]
+            sign_through = -1 if prefix % 2 else 1
+            if i + 1 < len(tup):
+                for w2, c in ib.mult(w, tup[i + 1]).items():
+                    t2 = tup[:i] + (w2,) + tup[i + 2 :]
+                    poly_iadd_term(col, t2, sign_through * c, alg.modulus)
+        return col.items()
+
+    comp = basis_window(
+        bar_basis,
+        boundary,
+        lambda t: "[" + "|".join(alg.word_str(w) for w in t) + "]",
+    )
+    bar_index = comp.index
+
+    def coproduct(n):
+        # deconcatenation: one term per cut of the bar word
+        for tup in bar_basis[n]:
+            cuts = [0]
+            for w in tup:
+                cuts.append(cuts[-1] + sdeg[w])
+            yield [
+                (p, bar_index[p][tup[:k]], bar_index[n - p][tup[k:]], 1)
+                for k, p in enumerate(cuts)
+            ]
+
+    return DgCoalgebraWindow(comp, coproduct, [1], 0)

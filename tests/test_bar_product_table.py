@@ -5,7 +5,10 @@ verbatim: they normalized a product or a differential once per bar word
 that contained it.  The current ones fill a table on first request.  Bar
 windows built on either must have the same bases, labels, boundaries and
 coproducts, and both maps must give the same coordinates, in the same
-order, on every pair of ideal basis words.
+order, on every pair of ideal basis words.  ``normalizing_bar`` also
+keeps the previous ``_bar_data``, which added each boundary term on its
+own and looked up every cut of a bar word; the current one must build
+the same window from the same ideal basis.
 
 Also here: the number of normal forms a nerve/bar certification takes,
 which no longer grows with the window.
@@ -33,6 +36,19 @@ def _exterior():
     return PresentedDgAlgebra([("x", 1)], [({(0, 0): 1}, {})], {}, {0: 0})
 
 
+def _free_dg(modulus=None):
+    # free on x, y, z of degrees 1, 3, 5 with d y = 3 x x and
+    # d z = x y + y x, so that d∘d = 0 and bar boundaries have
+    # differential terms
+    return PresentedDgAlgebra(
+        [("x", 1), ("y", 3), ("z", 5)],
+        [],
+        {1: {(0, 0): 3}, 2: {(0, 1): 1, (1, 0): 1}},
+        {0: 0, 1: 0, 2: 0},
+        modulus,
+    )
+
+
 def assert_same_bar(algebra, hi, cap=10_000):
     rsys = require_complete(algebra, 100_000)
     new_ib = _IdealBasis(algebra, rsys, hi - 1, cap)
@@ -48,12 +64,14 @@ def assert_same_bar(algebra, hi, cap=10_000):
     new = _bar_data(new_ib, hi, cap)
     reference = _bar_data(old_ib, hi, cap)
     assert_same_coalgebra_window(new, reference)
+    # the window builder against its per-term predecessor
+    assert_same_coalgebra_window(new, old._bar_data(new_ib, hi, cap))
 
 
 @SETTINGS
 @given(
     st.integers(0, 10**6),
-    st.sampled_from([None, 2, 3]),
+    st.sampled_from([None, 2, 3, 4]),
     st.integers(1, 4),
 )
 def test_monoid_algebra_bars_match_the_normalizing_oracle(seed, modulus, hi):
@@ -82,6 +100,11 @@ def test_fixed_monoid_algebra_bars_match(monoid, modulus):
 )
 def test_named_algebra_bars_match(name, algebra, hi):
     assert_same_bar(algebra, hi)
+
+
+@pytest.mark.parametrize("modulus", [None, 2, 3, 4])
+def test_free_dg_algebra_bars_match(modulus):
+    assert_same_bar(_free_dg(modulus), 7)
 
 
 def test_bar_of_the_sphere_cobar_matches():

@@ -265,6 +265,10 @@ def test_from_columns_edge_shapes():
     for row in (2, -1):
         with pytest.raises(IndexError):
             IntMatrix.from_columns(2, [[(row, 1)]])
+    # a row out of range raises even when its entries cancel
+    for col in ([(5, 1), (5, -1)], [(-1, 2), (-1, -2)]):
+        with pytest.raises(IndexError):
+            IntMatrix.from_columns(2, [col])
 
 
 def test_column_lists_nonzero_entries_in_row_order():

@@ -6,6 +6,11 @@ the previous body, which pushed the face through the (empty) degeneracy
 word and rebuilt the simplex from the composed word; both must agree on
 every nondegenerate simplex up to dimension 4 and every face index, and
 on the one-letter degeneracies of those up to dimension 3.
+
+A nerve answers ``nondegenerate_faces`` and ``front_back_faces`` by tuple
+slices and table lookups; both must equal the ``SimplicialSet`` methods
+they override, which walk ``face`` and ``face_formal``, on the nerve of
+every bundled monoid and of 40 random monoids up to dimension 4.
 """
 
 import pytest
@@ -15,6 +20,8 @@ from barloop.monoids import random_monoid
 from barloop.simplicial import (
     FormalSimplex,
     LocalizedSimplicialSet,
+    NerveSimplicialSet,
+    SimplicialSet,
     boundary_delta3,
     compose_degeneracies,
     face_through_degeneracies,
@@ -22,7 +29,7 @@ from barloop.simplicial import (
     minimal_sphere,
     nerve,
 )
-from barloop.weqcheck import bundled_complexes
+from barloop.weqcheck import bundled_complexes, bundled_monoids
 
 TOP = 4
 
@@ -95,3 +102,27 @@ def test_localized_sets(base, edges):
     k = localized_nerve(base, edges)
     assert isinstance(k, LocalizedSimplicialSet)
     assert assert_faces_agree(k, lambda n: k.n_simplices_bounded(n, 2))
+
+
+def assert_nerve_shortcuts_agree(m):
+    k = nerve(m)
+    assert isinstance(k, NerveSimplicialSet)
+    for n in range(TOP + 1):
+        for sid in k.n_simplices(n):
+            if n:
+                assert k.nondegenerate_faces(sid) == (
+                    SimplicialSet.nondegenerate_faces(k, sid)
+                )
+            assert k.front_back_faces(sid) == (
+                SimplicialSet.front_back_faces(k, sid)
+            )
+
+
+@pytest.mark.parametrize("name", sorted(bundled_monoids()))
+def test_nerve_shortcuts_on_bundled_monoids(name):
+    assert_nerve_shortcuts_agree(bundled_monoids()[name])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_nerve_shortcuts_on_random_monoids(seed):
+    assert_nerve_shortcuts_agree(random_monoid(seed))

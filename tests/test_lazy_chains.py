@@ -27,7 +27,8 @@ from barloop.monoids import (
 from barloop.simplicial import (
     FormalSimplex,
     LocalizedSimplicialSet,
-    SimplicialSet,
+    NerveSimplicialSet,
+    boundary_delta3,
     collapsed_boundary_delta3,
     minimal_sphere,
     nerve,
@@ -35,6 +36,7 @@ from barloop.simplicial import (
 )
 from barloop.weqcheck import weq_verdict
 from checks import coproduct as all_degrees
+from quotient_oracle import QuotientSimplicialSet
 
 
 def eager_chains(k, hi):
@@ -109,10 +111,14 @@ def test_chains_match_eager_oracle_on_random_nerves(seed, hi):
         nerve(FiniteMonoid.left_zero_with_unit(3)),
         nerve(FiniteMonoid.chain_of_idempotents(4)),
         nerve(FiniteMonoid.idempotent_pair()),
+        # a front face nondegenerate where its back face is not
+        QuotientSimplicialSet(
+            boundary_delta3(), {"0", "1", "2", "3", "03", "13", "23"}
+        ),
     ],
     ids=["sphere1", "sphere2", "sphere3", "rp2", "delta3-collapsed",
          "localized-no-edges", "nerve-left-zero3", "nerve-idempotents4",
-         "nerve-idempotent-pair"],
+         "nerve-idempotent-pair", "delta3-collapsed-into-3"],
 )
 def test_chains_match_eager_oracle_on_fixed_sets(k):
     assert_matches_eager(k, 5)
@@ -136,24 +142,24 @@ def _record_coproduct_calls(monkeypatch, module):
 
 
 def test_homology_of_chains_builds_no_coproduct(monkeypatch):
-    faces = []
-    face_formal = SimplicialSet.face_formal
+    walked = []
+    front_back_faces = NerveSimplicialSet.front_back_faces
 
-    def counted(self, fs, i):
-        faces.append(i)
-        return face_formal(self, fs, i)
+    def counted(self, sid):
+        walked.append(sid)
+        return front_back_faces(self, sid)
 
-    monkeypatch.setattr(SimplicialSet, "face_formal", counted)
+    monkeypatch.setattr(NerveSimplicialSet, "front_back_faces", counted)
     calls = _record_coproduct_calls(monkeypatch, dgcoalg)
     c = chains(nerve(FiniteMonoid.cyclic(3)), 6)
     homology_window(c.complex)
-    assert faces == [] and calls == []
-    # a later validate reads every degree once; each simplex of degree n
-    # costs n face_formal calls for its fronts and n for its backs
+    assert walked == [] and calls == []
+    # a later validate reads every degree once, with one front_back_faces
+    # call per simplex
     assert c.validate().ok
     assert c.validate().ok
     assert calls == list(range(7))
-    assert len(faces) == sum(2 * n * c.rank(n) for n in range(7))
+    assert walked == [sid for n in range(7) for sid in c.complex.bases[n]]
 
 
 def test_homology_of_bar_builds_no_coproduct(monkeypatch):
