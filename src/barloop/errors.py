@@ -12,7 +12,6 @@ __all__ = [
     "UnboundedDegree",
     "NotReduced",
     "NotCoaugmented",
-    "FiltrationNotRespected",
     "InfiniteRank",
     "NotConnected",
     "NotSimplyConnected",
@@ -64,10 +63,6 @@ class NotReduced(BarloopError):
 
 class NotCoaugmented(BarloopError):
     """No group-like coaugmentation element is available in degree 0."""
-
-
-class FiltrationNotRespected(BarloopError):
-    """A map sends filtration level p into a strictly higher level."""
 
 
 class InfiniteRank(BarloopError):

@@ -420,10 +420,11 @@ def homology_window(c):
     it.  Chain windows of simplicial sets are one by theorem: normalized
     chains satisfy d∘d = 0 by the simplicial identities, which a nerve
     gets from FiniteMonoid's checked associativity and unit law and an
-    ExplicitSimplicialSet checks when it is built.  For a mapping cone
-    d∘d = 0 is the chain-map property itself, so cone_quasi_iso_window
-    calls c.validate() first; so do the bar and cobar commands, whose
-    presented algebras are not checked for d² = 0 when built.
+    ExplicitSimplicialSet checks when it is built.  Windows of presented
+    dg algebras (bar, complex_window) are one because require_complete
+    checks d² = 0 on the quotient where the algebra enters.  A mapping
+    cone is one exactly when its map is a chain map, which each caller
+    of cone_quasi_iso_window has by theorem.
 
     Each d_n is eliminated with the rows zeroed that d_{n-1} paired.
     The unit sweeps of d_{n-1} give d_{n-1} V = U^-1 (±I ⊕ R), the ±I

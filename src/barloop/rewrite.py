@@ -117,6 +117,16 @@ class PresentedDgAlgebra:
         self.provenance = dict(provenance or {})
         for l, r in self.relations:
             self._check_homogeneous(poly_sub(l, r, self.modulus))
+        for g, p in self.differential.items():
+            for w in p:
+                if not all(0 <= h < len(self.generators) for h in (g, *w)):
+                    raise ValueError(f"d of generator {g} uses an unknown one")
+                if (e := self.word_degree(w)) != self.gen_degree(g) - 1:
+                    raise ValueError(
+                        f"d({self.gen_label(g)}) has a term "
+                        f"{self.word_str(w)} of degree {e}, not "
+                        f"{self.gen_degree(g) - 1}"
+                    )
 
     # -- basic queries ------------------------------------------------------
 
@@ -786,13 +796,41 @@ def ring_iso_certify(a, b, f_images, g_images):
 
 
 def require_complete(algebra, budget):
-    """Complete rewriting system of an algebra, or BarloopError when the
-    budget runs out first."""
+    """Complete rewriting system of an algebra that enters a chain window
+    (bar, counit_check, complex_window), where it is checked once.
+
+    Windows are over Z, so a modulus is refused (BarloopError), as is a
+    spent budget.  With a differential and unit leads, d(l - r) must
+    reduce to 0 for every relation and d(d g) for every generator g
+    (NotACycle names the first that does not): as d and d∘d are
+    derivations, d then descends to the quotient and squares to zero, so
+    every window built on it is a chain complex.  Zero polynomials are
+    not reduced.  Non-unit leads skip the check: basis_in_degree then
+    refuses to build a window."""
+    if algebra.modulus:
+        raise BarloopError(
+            f"chain windows are over Z; the algebra has modulus "
+            f"{algebra.modulus}"
+        )
     rsys = complete(algebra, budget)
     if not rsys.complete:
         raise BarloopError(
             "completion budget exhausted; no canonical monomial basis"
         )
+    alg = algebra
+    if alg.differential and not rsys.has_nonunit_leads:
+        for l, r in alg.relations:
+            dp = alg.differentiate(poly_sub(l, r))
+            if dp and (nf := rsys.normal_form(dp)):
+                raise NotACycle(
+                    f"relation {alg.poly_str(l)} = {alg.poly_str(r)}: "
+                    f"d(lhs - rhs) = {alg.poly_str(nf)}, not 0"
+                )
+        for g, p in alg.differential.items():
+            ddg = alg.differentiate(p)
+            if ddg and (nf := rsys.normal_form(ddg)):
+                nf = alg.poly_str(nf)
+                raise NotACycle(f"d(d {alg.gen_label(g)}) = {nf}, not 0")
     return rsys
 
 

@@ -115,9 +115,8 @@ def weq_verdict(f, hi=6):
             "target_order": cd.order,
         })
 
-    # The cone reads the blocks f_0..f_{hi-1}, and the d∘d = 0 check that
-    # cone_quasi_iso_window runs on it holds exactly when they commute
-    # with d.
+    # f.validate() above makes N(f) a simplicial map, so the chain map
+    # is one by theorem and its cone needs no d∘d = 0 check.
     fmap = nerve_chains_map(f, src_b.chains, dst_b.chains)
     cone_ok, degree = cone_quasi_iso_window(
         fmap.blocks, fmap.src.complex, fmap.dst.complex

@@ -11,7 +11,9 @@ own and looked up every cut of a bar word; the current one must build
 the same window from the same ideal basis.
 
 Also here: the number of normal forms a nerve/bar certification takes,
-which no longer grows with the window.
+which no longer grows with the window, and the check an algebra gets
+where it enters a window: it must have no modulus, since windows and
+homology are over Z, and d must square to zero on the quotient.
 """
 
 import pytest
@@ -20,11 +22,24 @@ from hypothesis import strategies as st
 
 import normalizing_bar as old
 from checks import assert_same_coalgebra_window
-from barloop.barcobar import _bar_data, _IdealBasis, cobar, nerve_bar_iso_check
+from barloop.barcobar import (
+    _bar_data,
+    _IdealBasis,
+    bar,
+    cobar,
+    counit_check,
+    nerve_bar_iso_check,
+)
 from barloop.cli import _algebra_inputs
 from barloop.dgcoalg import chains
+from barloop.errors import BarloopError, NotACycle
 from barloop.monoids import FiniteMonoid, monoid_algebra, random_monoid
-from barloop.rewrite import PresentedDgAlgebra, RewriteSystem, require_complete
+from barloop.rewrite import (
+    PresentedDgAlgebra,
+    RewriteSystem,
+    complex_window,
+    require_complete,
+)
 from barloop.simplicial import minimal_sphere
 
 SETTINGS = settings(
@@ -32,8 +47,10 @@ SETTINGS = settings(
 )
 
 
-def _exterior():
-    return PresentedDgAlgebra([("x", 1)], [({(0, 0): 1}, {})], {}, {0: 0})
+def _exterior(modulus=None):
+    return PresentedDgAlgebra(
+        [("x", 1)], [({(0, 0): 1}, {})], {}, {0: 0}, modulus
+    )
 
 
 def _free_dg(modulus=None):
@@ -69,16 +86,11 @@ def assert_same_bar(algebra, hi, cap=10_000):
 
 
 @SETTINGS
-@given(
-    st.integers(0, 10**6),
-    st.sampled_from([None, 2, 3, 4]),
-    st.integers(1, 4),
-)
-def test_monoid_algebra_bars_match_the_normalizing_oracle(seed, modulus, hi):
-    assert_same_bar(monoid_algebra(random_monoid(seed), modulus), hi)
+@given(st.integers(0, 10**6), st.integers(1, 4))
+def test_monoid_algebra_bars_match_the_normalizing_oracle(seed, hi):
+    assert_same_bar(monoid_algebra(random_monoid(seed)), hi)
 
 
-@pytest.mark.parametrize("modulus", [None, 2, 3])
 @pytest.mark.parametrize(
     "monoid",
     [
@@ -88,8 +100,8 @@ def test_monoid_algebra_bars_match_the_normalizing_oracle(seed, modulus, hi):
     ],
     ids=["z5", "left-zero3", "chain4"],
 )
-def test_fixed_monoid_algebra_bars_match(monoid, modulus):
-    assert_same_bar(monoid_algebra(monoid, modulus), 4)
+def test_fixed_monoid_algebra_bars_match(monoid):
+    assert_same_bar(monoid_algebra(monoid), 4)
 
 
 @pytest.mark.parametrize(
@@ -102,9 +114,60 @@ def test_named_algebra_bars_match(name, algebra, hi):
     assert_same_bar(algebra, hi)
 
 
-@pytest.mark.parametrize("modulus", [None, 2, 3, 4])
-def test_free_dg_algebra_bars_match(modulus):
-    assert_same_bar(_free_dg(modulus), 7)
+def test_free_dg_algebra_bars_match():
+    assert_same_bar(_free_dg(), 7)
+
+
+def test_windows_over_z_refuse_a_modulus():
+    """Over Z/m the bar boundaries would only vanish mod m, and homology
+    reads every window over Z; so bar, complex_window and counit_check
+    refuse a modulus where the algebra enters."""
+    for m in (2, 3, 4):
+        for build, alg in (
+            (bar, monoid_algebra(FiniteMonoid.cyclic(3), m)),
+            (bar, _free_dg(m)),
+            (complex_window, _free_dg(m)),
+            (counit_check, _exterior(m)),
+        ):
+            with pytest.raises(BarloopError, match=f"has modulus {m}$"):
+                build(alg, 4)
+
+
+def _d_squared_is_not_zero():
+    # free on x, y, z of degrees 1, 2, 3 with d z = y and d y = x
+    return PresentedDgAlgebra(
+        [("x", 1), ("y", 2), ("z", 3)],
+        [],
+        {1: {(0,): 1}, 2: {(1,): 1}},
+        {0: 0, 1: 0, 2: 0},
+    )
+
+
+def _d_does_not_descend():
+    # y y = 0 with d y = x: d(y y) = x y + y x is not in the ideal
+    return PresentedDgAlgebra(
+        [("x", 1), ("y", 2)], [({(1, 1): 1}, {})], {1: {(0,): 1}}, {0: 0, 1: 0}
+    )
+
+
+ENTRIES = [bar, complex_window, counit_check]
+
+
+@pytest.mark.parametrize("build", ENTRIES, ids=lambda f: f.__name__)
+def test_an_algebra_that_is_not_a_dg_algebra_is_refused(build):
+    with pytest.raises(NotACycle, match=r"^d\(d z\) = x, not 0$"):
+        build(_d_squared_is_not_zero(), 5)
+    with pytest.raises(
+        NotACycle,
+        match=r"^relation y\*y = 0: d\(lhs - rhs\) = y\*x \+ x\*y, not 0$",
+    ):
+        build(_d_does_not_descend(), 5)
+
+
+@pytest.mark.parametrize("build", ENTRIES, ids=lambda f: f.__name__)
+def test_dg_algebras_pass_the_entry_check(build):
+    for alg in (_free_dg(), _exterior()):
+        assert build(alg, 5)
 
 
 def test_bar_of_the_sphere_cobar_matches():

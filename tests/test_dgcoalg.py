@@ -1,8 +1,11 @@
 """Chain coalgebras of simplicial sets: coproducts, filtrations, maps."""
 
+import itertools
 
 import pytest
 
+from barloop import barcobar, dgcoalg, weqcheck
+from barloop.barcobar import cobar, counit_check, unit_check
 from barloop.dgcoalg import (
     CoalgebraMap,
     DgCoalgebraWindow,
@@ -13,13 +16,19 @@ from barloop.dgcoalg import (
 )
 from barloop.cli import main
 from barloop.errors import (
-    FiltrationNotRespected,
     MismatchAt,
+    NotAHomomorphism,
     NotCoaugmented,
     UnboundedDegree,
 )
-from barloop.exactlin import ChainComplexWindow, IntMatrix, homology_window
+from barloop.exactlin import (
+    ChainComplexWindow,
+    IntMatrix,
+    homology_window,
+    mapping_cone,
+)
 from barloop.monoids import FiniteMonoid, MonoidMap
+from barloop.rewrite import PresentedDgAlgebra
 from barloop.simplicial import (
     LocalizedSimplicialSet,
     boundary_delta3,
@@ -34,6 +43,7 @@ from barloop.weqcheck import (
     weq_verdict,
 )
 from checks import coproduct, identity_matrix
+from filtration_oracle import filtered_map_fault, filtration_fault
 
 
 def test_circle_chains_window():
@@ -128,15 +138,114 @@ def test_the_cone_check_rejects_blocks_that_do_not_commute_with_d():
     blocks = {n: identity_matrix(1) for n in range(5)}
     blocks[2] = IntMatrix.from_rows([[3]])
     with pytest.raises(MismatchAt, match="^d∘d != 0 from degree 3$"):
-        cone_quasi_iso_window(blocks, c, c)
+        mapping_cone(blocks, c, c).validate()
 
 
-def test_only_cones_and_presented_algebras_are_checked_for_d_squared(
-    monkeypatch, capsys
+@pytest.fixture
+def checked_cones(monkeypatch):
+    """Every cone that cone_quasi_iso_window certifies, from any caller,
+    is first checked for d∘d = 0, which holds exactly when its blocks
+    form a chain map; the list holds the top degree of each."""
+    certify = dgcoalg.cone_quasi_iso_window
+    seen = []
+
+    def checked(blocks, src, dst):
+        mapping_cone(blocks, src, dst).validate()
+        seen.append(src.hi)
+        return certify(blocks, src, dst)
+
+    for module in (barcobar, dgcoalg, weqcheck):
+        monkeypatch.setattr(module, "cone_quasi_iso_window", checked)
+    return seen
+
+
+def automorphisms(m):
+    """Every automorphism of a finite monoid, the identity included."""
+    others = [e for e in range(m.order()) if e != m.identity]
+    for perm in itertools.permutations(others):
+        images = list(range(m.order()))
+        for e, v in zip(others, perm):
+            images[e] = v
+        try:
+            yield MonoidMap(m, m, images).validate()
+        except NotAHomomorphism:
+            pass
+
+
+def test_weq_cones_are_chain_complexes(checked_cones):
+    """weq_verdict builds its cone unchecked: MonoidMap.validate makes
+    N(f) simplicial, so the nerve chain map is a chain map."""
+    monoids = dict(bundled_monoids(), z5=FiniteMonoid.cyclic(5))
+    automorphism_counts = {}
+    for name, m in monoids.items():
+        maps = list(automorphisms(m))
+        automorphism_counts[name] = len(maps)
+        for f in maps + [MonoidMap.collapse(m)]:
+            weq_verdict(f, 5)
+    assert automorphism_counts == {
+        "trivial": 1, "z2": 1, "z3": 2, "z4": 2, "idempotent": 1,
+        "left-zero": 2, "z5": 4,
+    }
+    # one cone per automorphism; a collapse reaches its cone only when
+    # the nerve homology agrees (trivial, idempotent and left-zero)
+    assert len(checked_cones) == 13 + 3
+
+
+# the spheres and windows that unit_check's cones and filtrations are
+# checked on
+UNIT_WINDOWS = [(2, hi) for hi in range(3, 9)] + [(3, 7)]
+
+
+def test_adjunction_cones_are_chain_complexes(checked_cones):
+    """counit_check's counit is a dg algebra map once its algebra passed
+    the entry check, and each graded piece of unit_check's unit is a
+    chain map, so neither checks its cones."""
+    exterior = PresentedDgAlgebra([("x", 1)], [({(0, 0): 1}, {})], {}, {0: 0})
+    assert counit_check(exterior, 6)
+    assert checked_cones == [6]
+    for dim, hi in UNIT_WINDOWS:
+        checked_cones.clear()
+        verdict = unit_check(chains(minimal_sphere(dim), hi))
+        assert verdict
+        # one cone per filtration level
+        assert checked_cones == [hi] * verdict.detail["levels_checked"]
+
+
+@pytest.mark.parametrize("dim, hi", UNIT_WINDOWS)
+def test_unit_check_filtrations_are_admissible_and_preserved(
+    monkeypatch, dim, hi
 ):
-    """Chain windows of simplicial sets are complexes by theorem; a cone's
-    d∘d = 0 is its chain-map check, and a presented algebra is not
-    checked for d² = 0 when built."""
+    """filtered_quasi_iso_window checks no filtration: unit_check's
+    levels and weights, rebuilt here, are admissible and the unit, a map
+    of dg coalgebras, preserves them."""
+    seen = []
+    graded = barcobar.filtered_quasi_iso_window
+
+    def spy(f, src_levels, dst_levels):
+        seen.append((f, src_levels, dst_levels))
+        return graded(f, src_levels, dst_levels)
+
+    monkeypatch.setattr(barcobar, "filtered_quasi_iso_window", spy)
+    c = chains(minimal_sphere(dim), hi)
+    assert unit_check(c)
+    [(f, levels, weights)] = seen
+    om = cobar(c)
+    assert f.src is c
+    assert levels == skeletal(c)
+    assert weights == {
+        (n, j): sum(om.gen_degree(g) + 1 for w in tup for g in w)
+        for n in range(hi + 1)
+        for j, tup in enumerate(f.dst.complex.bases[n])
+    }
+    assert filtered_map_fault(f, levels, weights) is None
+    assert f.validate().ok
+
+
+def test_no_command_checks_d_squared(monkeypatch, capsys):
+    """Every chain window is a complex by theorem where its input
+    entered: chains of simplicial sets by the simplicial identities,
+    windows of presented algebras by require_complete's check, and cones
+    because each caller passes a chain map."""
     calls = []
     validate = ChainComplexWindow.validate
 
@@ -154,18 +263,15 @@ def test_only_cones_and_presented_algebras_are_checked_for_d_squared(
 
     z4 = FiniteMonoid.cyclic(4)
     assert count(lambda: invariants(z4, 4)) == 0
-    assert count(lambda: weq_verdict(MonoidMap.identity(z4), 4)) == 1
-    # distinguished by nerve homology, before any cone is built
-    collapse = MonoidMap.collapse(FiniteMonoid.cyclic(2))
-    assert weq_verdict(collapse, 4).kind == "distinguished"
-    assert count(lambda: weq_verdict(collapse, 4)) == 0
-    for argv, want in (
-        (["homology", "z3", "--window", "0..4"], 0),
-        (["weq", "z4", "z4", "--window", "0..3"], 1),
-        (["bar", "z4", "--window", "0..3"], 1),
-        (["cobar", "sphere2", "--window", "0..3"], 1),
+    assert count(lambda: weq_verdict(MonoidMap.identity(z4), 4)) == 0
+    for argv in (
+        ["homology", "z3", "--window", "0..4"],
+        ["weq", "z4", "z4", "--window", "0..3"],
+        ["bar", "z4", "--window", "0..3"],
+        ["cobar", "sphere2", "--window", "0..3"],
+        ["paper-suite", "--seed", "1"],
     ):
-        assert count(lambda: main(argv)) == want, argv
+        assert count(lambda: main(argv)) == 0, argv
 
 
 @pytest.mark.parametrize("kind", ["identity", "collapse"])
@@ -237,13 +343,13 @@ def test_skeletal_filtration_needs_coaugmentation():
     c = chains(boundary_delta3(), 2)
     assert c.coaugmentation is None
     with pytest.raises(NotCoaugmented):
-        filtered_quasi_iso_window(identity_map(c), skeletal(c), skeletal(c))
+        filtration_fault(c, skeletal(c))
 
 
 def _first_fault(c, levels):
-    with pytest.raises(FiltrationNotRespected) as e:
-        filtered_quasi_iso_window(identity_map(c), levels, skeletal(c))
-    return str(e.value)
+    fault = filtered_map_fault(identity_map(c), levels, skeletal(c))
+    assert fault is not None
+    return fault
 
 
 def test_admissible_filtration_violations_are_reported():
@@ -277,7 +383,7 @@ def test_filtration_levels_are_complete_and_nonnegative():
     levels = skeletal(c)
     levels[(2, 0)] = -1
     with pytest.raises(ValueError, match="filtration levels must be >= 0"):
-        filtered_quasi_iso_window(identity_map(c), skeletal(c), levels)
+        filtered_map_fault(identity_map(c), skeletal(c), levels)
 
 
 def test_identity_map_is_filtered_quasi_iso():
@@ -307,8 +413,9 @@ def test_map_raising_levels_is_rejected():
     f = identity_map(c)
     lo = {(0, 0): 0, (2, 0): 2}
     high = {(0, 0): 0, (2, 0): 3}
-    with pytest.raises(FiltrationNotRespected):
-        filtered_quasi_iso_window(f, lo, high)
+    assert filtered_map_fault(f, lo, high) == (
+        f"map raises filtration level on degree 2 element {c.label(2, 0)}"
+    )
     # lowering levels is admissible, but the graded pieces then differ
     assert filtered_quasi_iso_window(f, high, lo).kind == "fails"
 

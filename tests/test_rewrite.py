@@ -216,6 +216,19 @@ def test_inhomogeneous_relation_rejected():
         )
 
 
+def test_differential_of_the_wrong_degree_rejected():
+    with pytest.raises(
+        ValueError, match=r"^d\(y\) has a term x of degree 1, not 2$"
+    ):
+        PresentedDgAlgebra(
+            [("x", 1), ("y", 3)], [], {1: {(0,): 1}}, {0: 0, 1: 0}
+        )
+    with pytest.raises(ValueError, match="^d of generator 0 uses an unknown one$"):
+        PresentedDgAlgebra([("x", 1)], [], {0: {(1,): 1}})
+    with pytest.raises(ValueError, match="^d of generator 1 uses an unknown one$"):
+        PresentedDgAlgebra([("x", 1)], [], {1: {(): 1}})
+
+
 def test_can_only_invert_degree_zero_elements():
     alg = PresentedDgAlgebra([("t", 0), ("s", 1)])
     with pytest.raises(Exception):

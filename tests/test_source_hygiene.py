@@ -30,6 +30,10 @@
 - Every exception class that ``errors.py`` defines is raised by name
   (``raise X(...)`` or ``raise X``) somewhere in the package, so no
   error type outlives the code that raised it.
+- The package calls a ``validate()`` method only at the call sites in
+  ``VALIDATE_CALL_SITES``: each input is checked where it enters, and a
+  law that holds by theorem on what is derived from it is checked by
+  the tests, not at run time.
 """
 
 import ast
@@ -54,6 +58,13 @@ STORED_UNREAD_ON_PURPOSE = {
 }
 
 
+VALIDATE_CALL_SITES = {
+    ("weqcheck.py", "weq_verdict"): "a monoid map enters here; "
+    "MonoidMap.validate makes its nerve a simplicial map, so the chain "
+    "map and its cone need no check",
+}
+
+
 SHARED_NAMES = {
     "boundary": "ChainComplexWindow and DgCoalgebraWindow: both read by "
     "the package",
@@ -65,8 +76,8 @@ SHARED_NAMES = {
     "constructor: both read by the package",
     "label": "ChainComplexWindow and DgCoalgebraWindow: both read by the "
     "package",
-    "ok": "IsoCertificate's stored flag (loopgroup, the benchmark) and "
-    "ValidationReport's property (barcobar, dgcoalg): both read",
+    "ok": "IsoCertificate's stored flag (cli, loopgroup, the benchmark) "
+    "and ValidationReport's property (its own __bool__): both read",
     "order": "FiniteMonoid's method and GroupCompletion's stored order: "
     "both read by the package",
     "rank": "ChainComplexWindow, DgCoalgebraWindow and LoopGroupLevel "
@@ -74,10 +85,10 @@ SHARED_NAMES = {
     "to_json_dict": "FiniteMonoid, HomologyTable, LoopGroupLevel, "
     "MonoidPresentation, PresentedDgAlgebra, SimplicialSet, Verdict and "
     "WeqVerdict: all read by cli",
-    "validate": "ChainComplexWindow (on cones and on bar and cobar "
-    "windows), CoalgebraMap and MonoidMap: read by the package; "
-    "DgCoalgebraWindow and SimplicialSet (with LocalizedSimplicialSet's "
-    "override): law checks that only tests run, on every bundled complex",
+    "validate": "MonoidMap: read by weq_verdict, where a map enters; "
+    "ChainComplexWindow, CoalgebraMap, DgCoalgebraWindow and "
+    "SimplicialSet (with LocalizedSimplicialSet's override): law checks "
+    "that only tests run (the benchmark's tracer wraps CoalgebraMap's)",
     "word": "FormalSimplex's stored word and PresentedDgAlgebra.word: both "
     "read by the package",
 }
@@ -293,6 +304,29 @@ def names_raised(tree):
     return raised
 
 
+def validate_calls(tree):
+    """(function, line) of each call of a ``validate`` method, the
+    function being the innermost enclosing def, or None at module
+    level."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "validate"
+            ):
+                found.append((function, child.lineno))
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
 def _offenders(paths, rule):
     found = {}
     for path in paths:
@@ -386,6 +420,17 @@ def test_rules_detect_what_they_forbid():
     assert [c for c in exception_classes(tree) if c[1] not in raised] == [
         (6, "Built"), (7, "Stale")
     ]
+    tree = ast.parse(
+        "m.validate()\n"
+        "def f(c):\n"
+        "    def g(): return c.validate\n"
+        "    return [c.validate() for _ in g().validate()]\n"
+        "class K:\n"
+        "    def validate(self): return self.other.validate(1)\n"
+    )
+    assert validate_calls(tree) == [
+        (None, 1), ("f", 4), ("f", 4), ("validate", 6)
+    ]
 
 
 def test_no_unused_imports_in_the_package():
@@ -451,3 +496,12 @@ def test_every_exception_class_is_raised():
     classes = exception_classes(_parse(ERRORS))
     assert classes[0][1] == "BarloopError" and len(classes) > 1
     assert [c for c in classes if c[1] not in raised] == []
+
+
+def test_the_package_validates_only_where_an_input_enters():
+    sites = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.relative_to(PACKAGE).as_posix()
+        for function, line in validate_calls(_parse(path)):
+            sites.setdefault((module, function), []).append(line)
+    assert set(sites) == set(VALIDATE_CALL_SITES), sites
