@@ -136,51 +136,65 @@ class _IdealBasis:
 def _bar_data(ib, hi, cap):
     """Bar coalgebra window on degrees 0..hi over an ideal basis listed
     up to degree hi - 1; its complex keeps the basis tuples and their
-    index maps."""
+    index maps.
+
+    Degree n lists its words [w|r] by the shifted degree s = |w| + 1 of
+    w, then by w, then by r in the order of degree n - s: the words led
+    by w are one block, and [w|r] sits at off_n(w) + index(r).  With r0
+    the first word of r and r' the rest, the terms of D at the first
+    position, and those of D r signed by (-1)^s, give
+
+        D[w|r] = -[dw|r] + (-1)^s ([w r0|r'] + [w|D r]).
+
+    So column off_n(w) + i of d_n is column i of d_{n-s} moved to the
+    block of w, plus each word w2 of dw at off_{n-1}(w2) + i and of
+    w r0 at off_{n-1}(w2) + index(r'), where index(r') = i - off_{n-s}(r0):
+    one product per block of r0, and no bar word sliced or hashed.
+    """
     alg = ib.alg
-    sdeg = {}
-    for n, words in ib.basis.items():
-        for w in words:
-            sdeg[w] = n + 1
+    sdeg = {w: n + 1 for n, words in ib.basis.items() for w in words}
 
     bar_basis = [[()]]
+    offsets = [{}]
     for n in range(1, hi + 1):
-        out = []
+        out, off = [], {}
         for sd in range(1, n + 1):
+            rests = bar_basis[n - sd]
             for w in ib.basis.get(sd - 1, ()):
-                for rest in bar_basis[n - sd]:
-                    out.append((w,) + rest)
-                    if len(out) > cap:
-                        raise InfiniteRank(
-                            f"more than {cap} bar words in degree {n}"
-                        )
+                # counts words: fails where the (cap+1)-th would be listed
+                if len(out) + len(rests) > cap:
+                    raise InfiniteRank(
+                        f"more than {cap} bar words in degree {n}"
+                    )
+                off[w] = len(out)
+                out += [(w,) + rest for rest in rests]
         bar_basis.append(out)
+        offsets.append(off)
 
-    def boundary(n, tup):
-        # Terms add up in one dict; basis_window drops the zeros.
-        col = {}
-        prefix = 0
-        last = len(tup) - 1
-        for i, w in enumerate(tup):
-            d = ib.diff(w)
-            if d:
-                sign = 1 if prefix % 2 else -1
-                head, tail = tup[:i], tup[i + 1 :]
-                for w2, c in d.items():
-                    t2 = head + (w2,) + tail
-                    col[t2] = col.get(t2, 0) + sign * c
-            prefix += sdeg[w]
-            if i < last:
-                sign = -1 if prefix % 2 else 1
-                head, tail = tup[:i], tup[i + 2 :]
-                for w2, c in ib.mult(w, tup[i + 1]).items():
-                    t2 = head + (w2,) + tail
-                    col[t2] = col.get(t2, 0) + sign * c
-        return col.items()
+    def columns(n, _rows, bounds):
+        below = offsets[n - 1]
+        for w in offsets[n]:
+            s = sdeg[w]
+            dw = [(below[w2], -c) for w2, c in ib.diff(w).items()]
+            if s == n:
+                yield dw
+                continue
+            sign = -1 if s % 2 else 1
+            d_rest, shift = bounds[n - s], below[w]
+            i = 0
+            for r0 in offsets[n - s]:
+                prod = ib.mult(w, r0).items()
+                prod = [(below[w2], sign * c) for w2, c in prod]
+                for i2 in range(len(bar_basis[n - s - sdeg[r0]])):
+                    col = [(o + i, c) for o, c in dw]
+                    col += [(o + i2, c) for o, c in prod]
+                    col += [(shift + t, sign * c) for t, c in d_rest.column(i)]
+                    yield col
+                    i += 1
 
     comp = basis_window(
         bar_basis,
-        boundary,
+        columns,
         lambda t: "[" + "|".join(alg.word_str(w) for w in t) + "]",
     )
     bar_index = comp.index

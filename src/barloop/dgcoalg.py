@@ -210,13 +210,14 @@ class DgCoalgebraWindow:
 def chains(k, hi):
     """Normalized chain coalgebra of a simplicial set on degrees 0..hi."""
 
-    def boundary(n, sid):
-        faces = k.nondegenerate_faces(sid)
-        return [(b, -1 if i % 2 else 1) for i, b in faces]
+    bases = [k.n_simplices(n) for n in range(hi + 1)]
 
-    comp = basis_window(
-        [k.n_simplices(n) for n in range(hi + 1)], boundary, str
-    )
+    def columns(n, below, bounds):
+        for sid in bases[n]:
+            faces = k.nondegenerate_faces(sid)
+            yield [(below[b], -1 if i % 2 else 1) for i, b in faces]
+
+    comp = basis_window(bases, columns, str)
     index = comp.index
 
     def coproduct(n):

@@ -493,26 +493,27 @@ def mapping_cone(maps, src, dst):
     return ChainComplexWindow(hi, ranks, bounds)
 
 
-def basis_window(bases, boundary, label):
+def basis_window(bases, columns, label):
     """Chain window on degrees 0..hi from ordered bases.
 
     ``bases[n]`` is the basis of degree n for n = 0..hi, with
-    hi = len(bases) - 1; ``boundary(n, b)`` yields (basis element of
-    degree n-1, coeff) pairs whose sum is d(b), and ``label(b)`` names b,
-    called only when the window's ``label`` is read.  The window keeps
-    ``bases``, ``index``, where index[n][b] is the position of b in
-    degree n, and ``label`` as ``label_of``.  Raises WindowTooSmall when
-    hi is 0.
+    hi = len(bases) - 1.  ``columns(n, below, bounds)`` yields the
+    columns of d_n, one per element of bases[n] in order, as (row, coeff)
+    pairs whose sum is d of that element; ``below[b]`` is the row of b,
+    its position in degree n-1, and ``bounds[k]`` is d_k for 0 < k < n,
+    already built.  Each degree's columns stream into ``from_columns``.
+    ``label(b)`` names b, called only when the window's ``label`` is
+    read.  The window keeps ``bases``, ``index``, where index[n][b] is
+    the position of b in degree n, and ``label`` as ``label_of``.
+    Raises WindowTooSmall when hi is 0.
     """
     hi = len(bases) - 1
     index = {n: {b: i for i, b in enumerate(bases[n])} for n in range(hi + 1)}
     ranks = {n: len(bases[n]) for n in index}
     bounds = {}
     for n in range(1, hi + 1):
-        below = index[n - 1]
         bounds[n] = IntMatrix.from_columns(
-            ranks[n - 1],
-            ([(below[b2], c) for b2, c in boundary(n, b)] for b in bases[n]),
+            ranks[n - 1], columns(n, index[n - 1], bounds)
         )
     window = ChainComplexWindow(hi, ranks, bounds)
     window.bases = bases

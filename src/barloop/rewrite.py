@@ -840,11 +840,13 @@ def algebra_window(rsys, bases):
     (``basis_in_degree``); the window keeps the basis words and their
     positions."""
     alg = rsys.algebra
-    return basis_window(
-        bases,
-        lambda n, w: rsys.normal_form(alg.differentiate({w: 1})).items(),
-        alg.word_str,
-    )
+
+    def columns(n, below, bounds):
+        for w in bases[n]:
+            d = rsys.normal_form(alg.differentiate({w: 1}))
+            yield [(below[w2], c) for w2, c in d.items()]
+
+    return basis_window(bases, columns, alg.word_str)
 
 
 def complex_window(algebra, hi, budget=100_000, cap=10_000):

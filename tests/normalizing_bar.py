@@ -10,9 +10,11 @@ constant once, to equal bar windows built on this one.
 
 ``_bar_data`` below is copied verbatim from the version that added each
 boundary term with ``poly_iadd_term`` and looked up every cut of a bar
-word, the two ends included, in the coproduct.  The same tests require
-the current ``barcobar._bar_data`` to build the same window from the
-same ideal basis.
+word, the two ends included, in the coproduct.  Only its call of
+``basis_window`` is new: it looks each boundary term up in the index
+of degree n-1, as the builder's callback now must.  The same tests
+require the current ``barcobar._bar_data`` to build the same window
+from the same ideal basis.
 """
 
 from barloop.barcobar import _IdealBasis
@@ -91,7 +93,10 @@ def _bar_data(ib, hi, cap):
 
     comp = basis_window(
         bar_basis,
-        boundary,
+        lambda n, below, bounds: (
+            [(below[t2], c) for t2, c in boundary(n, tup)]
+            for tup in bar_basis[n]
+        ),
         lambda t: "[" + "|".join(alg.word_str(w) for w in t) + "]",
     )
     bar_index = comp.index

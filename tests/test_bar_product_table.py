@@ -32,7 +32,7 @@ from barloop.barcobar import (
 )
 from barloop.cli import _algebra_inputs
 from barloop.dgcoalg import chains
-from barloop.errors import BarloopError, NotACycle
+from barloop.errors import BarloopError, InfiniteRank, NotACycle
 from barloop.monoids import FiniteMonoid, monoid_algebra, random_monoid
 from barloop.rewrite import (
     PresentedDgAlgebra,
@@ -174,6 +174,71 @@ def test_bar_of_the_sphere_cobar_matches():
     # the bar that unit_check builds for the 2-sphere
     c = chains(minimal_sphere(2), 8)
     assert_same_bar(cobar(c), c.hi)
+
+
+def _sphere2_cobar():
+    return cobar(chains(minimal_sphere(2), 16))
+
+
+@pytest.mark.parametrize(
+    "build, hi",
+    [
+        (lambda: monoid_algebra(FiniteMonoid.cyclic(3)), 9),
+        (lambda: monoid_algebra(FiniteMonoid.left_zero_with_unit(5)), 5),
+        (lambda: monoid_algebra(FiniteMonoid.chain_of_idempotents(5)), 5),
+        (lambda: monoid_algebra(FiniteMonoid.cyclic(4)), 5),
+        (_sphere2_cobar, 16),
+        (_free_dg, 9),
+    ],
+    ids=["z3-hi9", "left-zero5-hi5", "chain5-hi5", "z4-hi5",
+         "sphere2-cobar-hi16", "free-dg-hi9"],
+)
+def test_bars_match_at_the_benchmark_shapes(build, hi):
+    # left-zero: a product w r0 = w lands in the block of another head
+    # than its own; the sphere's cobar fills blocks of many shifted
+    # degrees; the free dg algebra has differential terms
+    assert_same_bar(build(), hi)
+
+
+@pytest.mark.parametrize(
+    "build, hi",
+    [(lambda: monoid_algebra(FiniteMonoid.cyclic(3)), 9),
+     (_sphere2_cobar, 16)],
+    ids=["z3-hi9", "sphere2-cobar-hi16"],
+)
+def test_each_bar_word_asks_for_one_product_and_one_differential(
+    monkeypatch, build, hi
+):
+    algebra = build()
+    asked = {"mult": 0, "diff": 0}
+    for name in asked:
+        original = getattr(_IdealBasis, name)
+
+        def spy(self, *args, name=name, original=original):
+            asked[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(_IdealBasis, name, spy)
+    bw = bar(algebra, hi)
+    words = sum(bw.rank(n) for n in range(1, hi + 1))
+    assert 0 < asked["mult"] <= words
+    assert 0 < asked["diff"] <= words
+
+
+def test_the_bar_word_cap_counts_words():
+    # Z/3 has 2**n bar words in degree n; degree 7 fills its cap of 128
+    # exactly, and one word more than a cap of 127 sits inside the
+    # second head's block
+    z3 = monoid_algebra(FiniteMonoid.cyclic(3))
+    with pytest.raises(
+        InfiniteRank, match=r"^more than 100 bar words in degree 7$"
+    ):
+        bar(z3, 9, cap=100)
+    assert bar(z3, 7, cap=128).rank(7) == 128
+    with pytest.raises(
+        InfiniteRank, match=r"^more than 127 bar words in degree 7$"
+    ):
+        bar(z3, 7, cap=127)
 
 
 def _normal_forms(monkeypatch):

@@ -386,12 +386,24 @@ def test_nerve_bar_check_fails_where_the_oracle_fails(monkeypatch, corrupt, m):
 def test_nerve_bar_check_rejects_a_bar_basis_in_another_order(monkeypatch):
     """A bar window whose degree-2 basis lists two words swapped is the
     same coalgebra in another basis order: the permutation oracle
-    certifies it, the check by position does not."""
+    certifies it, the check by position does not.  The bar builds each
+    column from positions, so the swapped window takes its boundaries
+    from the true one, with the two rows and columns swapped."""
     original = barcobar.basis_window
 
-    def swapped(bases, boundary, label):
+    def swapped(bases, columns, label):
+        true = original(bases, columns, label)
         bases[2][0], bases[2][1] = bases[2][1], bases[2][0]
-        return original(bases, boundary, label)
+
+        def pos(n, i):
+            return 1 - i if n == 2 and i < 2 else i
+
+        def permuted(n, below, bounds):
+            d = true.boundary(n)
+            for j in range(d.cols):
+                yield [(pos(n - 1, i), c) for i, c in d.column(pos(n, j))]
+
+        return original(bases, permuted, label)
 
     monkeypatch.setattr(barcobar, "basis_window", swapped)
     m = FiniteMonoid.cyclic(3)

@@ -221,6 +221,18 @@ def test_failures_end_in_a_report(capsys, argv, code, kind):
     assert r["error"]["message"]
 
 
+def test_the_bar_word_cap_ends_in_a_check_failure(capsys):
+    code, r = run_json(
+        capsys, ["bar", "z3", "--window", "0..9", "--cap", "100"]
+    )
+    assert code == 1 and r["exit_code"] == 1
+    assert r["error"] == {
+        "kind": "check-failed",
+        "message": "more than 100 bar words in degree 7",
+    }
+    assert r["outputs"] == {}
+
+
 def test_rejected_argv_reports_the_parser_message(capsys):
     code = main(["weq", "z2"])
     out, err = capsys.readouterr()

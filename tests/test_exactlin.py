@@ -294,25 +294,36 @@ def test_submatrix_reorders_and_repeats_indices():
 
 
 def test_basis_window_positions_labels_and_boundaries():
-    # an interval "e" from v0 to v1 and a loop at v0 whose faces cancel
-    faces = {"e": [("v1", 1), ("v0", -1)], "loop": [("v0", 1), ("v0", -1)]}
+    # an interval "e" from v0 to v1, a loop at v0 whose faces cancel and
+    # a disc "t" bounded by the loop
+    faces = {
+        "e": [("v1", 1), ("v0", -1)],
+        "loop": [("v0", 1), ("v0", -1)],
+        "t": [("loop", 1)],
+    }
     calls = []
 
-    def boundary(n, b):
-        calls.append((n, b))
-        return faces[b]
+    def columns(n, below, bounds):
+        # the lower boundaries are built when degree n is asked for
+        calls.append((n, {k: b.cols for k, b in bounds.items()}))
+        return ([(below[f], c) for f, c in faces[b]] for b in bases[n])
 
-    bases = [["v0", "v1"], ["e", "loop"]]
-    window = basis_window(bases, boundary, str.upper)
+    bases = [["v0", "v1"], ["e", "loop"], ["t"]]
+    window = basis_window(bases, columns, str.upper)
     assert window.bases == bases
-    assert window.index == {0: {"v0": 0, "v1": 1}, 1: {"e": 0, "loop": 1}}
-    assert calls == [(1, "e"), (1, "loop")]
+    assert window.index == {
+        0: {"v0": 0, "v1": 1}, 1: {"e": 0, "loop": 1}, 2: {"t": 0}
+    }
+    assert calls == [(1, {}), (2, {1: 2})]
     assert window.boundary(1).to_rows() == [[-1, 0], [1, 0]]
-    assert window.hi == 1
+    assert window.boundary(2).to_rows() == [[0], [1]]
+    assert window.hi == 2
     assert [window.label(1, i) for i in range(2)] == ["E", "LOOP"]
-    assert homology_window(window)[0].iso(HomologyEntry(1, [], True))
+    h = homology_window(window)
+    assert h[0].iso(HomologyEntry(1, [], True))
+    assert h[1].iso(HomologyEntry(0, [], True))
     with pytest.raises(WindowTooSmall):
-        basis_window([["v0"]], boundary, str)
+        basis_window([["v0"]], columns, str)
 
 
 # -- mapping cone against the dense construction ------------------------------

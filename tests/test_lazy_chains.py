@@ -44,13 +44,16 @@ def eager_chains(k, hi):
     front with each face reached by a separate walk of face_formal."""
     bases = [k.n_simplices(n) for n in range(hi + 1)]
 
-    def boundary(n, sid):
+    def boundary(n, sid, below):
         for i in range(n + 1):
             f = k.face(sid, i)
             if not f.word:
-                yield f.base, (-1 if i % 2 else 1)
+                yield below[f.base], (-1 if i % 2 else 1)
 
-    comp = basis_window(bases, boundary, str)
+    def columns(n, below, bounds):
+        return (boundary(n, sid, below) for sid in bases[n])
+
+    comp = basis_window(bases, columns, str)
     index = comp.index
 
     coproduct = {}

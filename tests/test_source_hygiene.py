@@ -34,6 +34,11 @@
   ``VALIDATE_CALL_SITES``: each input is checked where it enters, and a
   law that holds by theorem on what is derived from it is checked by
   the tests, not at run time.
+- The ``bases``, ``index`` and ``label_of`` of a chain window are set
+  only inside ``exactlin.basis_window``, the one window builder; the
+  ``None`` that ``ChainComplexWindow.__init__`` stores in them is the
+  one other store the package or the benchmark makes.  So a window
+  that keeps a basis was built from it by the one builder.
 """
 
 import ast
@@ -327,6 +332,47 @@ def validate_calls(tree):
     return found
 
 
+WINDOW_BASIS_ATTRIBUTES = ("bases", "index", "label_of")
+
+
+def window_basis_stores(tree):
+    """(function, line) of each store to an attribute named in
+    ``WINDOW_BASIS_ATTRIBUTES``, by assignment or by ``setattr``, the
+    function being the innermost enclosing def; a constructor's
+    ``x = None`` is not reported."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (
+                function == "__init__"
+                and isinstance(child, ast.Assign)
+                and isinstance(child.value, ast.Constant)
+                and child.value.value is None
+            ):
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and isinstance(child.ctx, ast.Store)
+                and child.attr in WINDOW_BASIS_ATTRIBUTES
+            ) or (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "setattr"
+                and len(child.args) > 1
+                and isinstance(child.args[1], ast.Constant)
+                and child.args[1].value in WINDOW_BASIS_ATTRIBUTES
+            ):
+                found.append((function, child.lineno))
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
 def _offenders(paths, rule):
     found = {}
     for path in paths:
@@ -431,6 +477,23 @@ def test_rules_detect_what_they_forbid():
     assert validate_calls(tree) == [
         (None, 1), ("f", 4), ("f", 4), ("validate", 6)
     ]
+    tree = ast.parse(
+        "class W:\n"
+        "    def __init__(self, b):\n"
+        "        self.bases = self.index = None\n"
+        "        self.label_of = b\n"
+        "def build(w, b):\n"
+        "    w.bases, w.hi = b, 1\n"
+        "    w.index[0] = {}\n"
+        "    setattr(w, 'label_of', str)\n"
+        "    w.indices = None\n"
+        "def patch(w):\n"
+        "    w.bases = None\n"
+        "    w.bases[0][0] = 1\n"
+    )
+    assert window_basis_stores(tree) == [
+        ("__init__", 4), ("build", 6), ("build", 8), ("patch", 11)
+    ]
 
 
 def test_no_unused_imports_in_the_package():
@@ -505,3 +568,15 @@ def test_the_package_validates_only_where_an_input_enters():
         for function, line in validate_calls(_parse(path)):
             sites.setdefault((module, function), []).append(line)
     assert set(sites) == set(VALIDATE_CALL_SITES), sites
+
+
+def test_only_basis_window_sets_a_window_basis():
+    sites = {}
+    paths = sorted(PACKAGE.rglob("*.py")) + sorted(BENCH.rglob("*.py"))
+    for path in paths:
+        module = path.relative_to(ROOT).as_posix()
+        for function, line in window_basis_stores(_parse(path)):
+            sites.setdefault((module, function), []).append(line)
+    assert set(sites) == {("src/barloop/exactlin/core.py", "basis_window")}, (
+        sites
+    )
