@@ -36,7 +36,6 @@ from .errors import (
     NotConnected,
     NotReduced,
     NotSimplyConnected,
-    UnboundedDegree,
     WindowTooSmall,
 )
 from .exactlin import homology_window
@@ -70,7 +69,6 @@ _INVALID_INPUT = (
     NotConnected,
     NotReduced,
     NotSimplyConnected,
-    UnboundedDegree,
     WindowTooSmall,
     ValueError,
     KeyError,

@@ -9,7 +9,6 @@ __all__ = [
     "BarloopError",
     "WindowTooSmall",
     "MalformedTable",
-    "UnboundedDegree",
     "NotReduced",
     "NotCoaugmented",
     "InfiniteRank",
@@ -50,11 +49,6 @@ class WindowTooSmall(BarloopError):
 
 class MalformedTable(BarloopError):
     """A multiplication table fails associativity or identity axioms."""
-
-
-class UnboundedDegree(BarloopError):
-    """An operation needs a full basis in a degree where the simplicial
-    set cannot enumerate one."""
 
 
 class NotReduced(BarloopError):

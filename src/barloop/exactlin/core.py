@@ -9,7 +9,7 @@ sparse columns by one elimination that never densifies.
 
 from math import gcd
 
-from ..errors import MismatchAt, WindowTooSmall
+from ..errors import WindowTooSmall
 
 __all__ = [
     "IntMatrix",
@@ -317,19 +317,6 @@ class ChainComplexWindow:
         if n in self.boundaries:
             return self.boundaries[n]
         return IntMatrix.zeros(self.rank(n - 1), self.rank(n))
-
-    def validate(self):
-        """Check d∘d == 0 on all composable pairs, one column at a time."""
-        for n in range(2, self.hi + 1):
-            below = self.boundaries[n - 1]._c
-            for col in self.boundaries[n]._c:
-                acc = {}
-                for t, b in col:
-                    for i, x in below[t]:
-                        acc[i] = acc.get(i, 0) + b * x
-                if any(acc.values()):
-                    raise MismatchAt(f"d∘d != 0 from degree {n}", degree=n)
-        return True
 
     def label(self, n, i):
         if self.label_of is not None:

@@ -27,14 +27,9 @@ import itertools
 
 from .barcobar import extended_cobar
 from .errors import BarloopError
-from .exactlin import HomologyEntry, IntMatrix, smith_normal_form
-from .monoids import MonoidPresentation, group_ring, with_inverses
+from .monoids import MonoidPresentation, group_ring
 from .rewrite import IsoCertificate, h0_ring, ring_iso_certify
-from .simplicial import (
-    FormalSimplex,
-    LocalizedSimplicialSet,
-    degeneracy_insert,
-)
+from .simplicial import FormalSimplex, degeneracy_insert
 
 __all__ = [
     "LoopGroupLevel",
@@ -42,7 +37,6 @@ __all__ = [
     "free_reduce",
     "free_inverse",
     "pi1_presentation",
-    "abelianization",
     "group_ring",
     "h0_compare",
 ]
@@ -197,13 +191,8 @@ def pi1_presentation(k):
 
     One generator per nondegenerate 1-simplex; per nondegenerate
     2-simplex the relation that its 1st face is the 2nd followed by the
-    0th (degenerate faces read as the identity).  A localized set gets
-    the presentation of its base plus one generator per inverted edge,
-    forced to be a two-sided inverse.
+    0th (degenerate faces read as the identity).
     """
-    if isinstance(k, LocalizedSimplicialSet):
-        base = pi1_presentation(k.base_set)
-        return with_inverses(base, [str(e) for e in k.edges], "_inv")[0]
     k.basepoint()
     gens = [str(s) for s in k.n_simplices(1)]
     if len(set(gens)) != len(gens):
@@ -213,23 +202,6 @@ def pi1_presentation(k):
         f0, f1, f2 = (k.face(t, i) for i in range(3))
         rels.append((_edge_word(f1), _edge_word(f2) + _edge_word(f0)))
     return MonoidPresentation(gens, rels)
-
-
-def abelianization(pres):
-    """Invariant factors of the abelianized group of a presentation.
-
-    Interprets the presentation as a group presentation (generators
-    invertible) and returns the cokernel of the relation matrix as a
-    HomologyEntry, so it compares directly against a homology group.
-    """
-    idx = {g: i for i, g in enumerate(pres.generators)}
-    relations = (
-        [(idx[g], 1) for g in u] + [(idx[g], -1) for g in v]
-        for u, v in pres.relations
-    )
-    d, _ = smith_normal_form(IntMatrix.from_columns(len(idx), relations))
-    nonzero = [x for x in d if x]
-    return HomologyEntry(len(idx) - len(nonzero), nonzero, exact=True)
 
 
 # -- degree-zero ring comparison ----------------------------------------------

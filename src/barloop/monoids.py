@@ -25,7 +25,6 @@ __all__ = [
     "Exhausted",
     "monoid_algebra",
     "inverse_label",
-    "with_inverses",
     "group_ring",
     "group_completion",
     "random_monoid",
@@ -80,12 +79,6 @@ class FiniteMonoid:
             raise MalformedTable("; ".join(bad))
 
     # -- arithmetic -------------------------------------------------------------
-
-    def power(self, i, k):
-        acc = self.identity
-        for _ in range(k):
-            acc = self.table[acc][i]
-        return acc
 
     def order(self):
         return len(self.elements)
@@ -304,26 +297,19 @@ def inverse_label(g, taken, suffix):
     return lbl
 
 
-def with_inverses(pres, letters, suffix):
-    """pres with a two-sided inverse g' (inverse_label) adjoined to each
-    listed generator g, and the relations g.g' = 1, g'.g = 1 appended
-    letter by letter.  Returns (presentation, inverse labels)."""
-    taken = set(pres.generators)
-    inv = [inverse_label(g, taken, suffix) for g in letters]
-    rels = list(pres.relations)
-    for g, g_inv in zip(letters, inv):
-        rels.append(((g, g_inv), ()))
-        rels.append(((g_inv, g), ()))
-    return MonoidPresentation(pres.generators + inv, rels), inv
-
-
 def group_ring(pres, suffix="_inv"):
     """Integer group ring of a presented group, as a degree-0 algebra
-    with one formal inverse per generator (with_inverses).  Returns
-    (algebra, inv) where inv maps each generator label to its inverse's
-    label."""
-    ext, inv = with_inverses(pres, pres.generators, suffix)
-    alg = _degree_zero_algebra(ext.generators, ext.relations)
+    with a two-sided inverse g' (inverse_label) adjoined to each
+    generator g: the relations g.g' = 1, g'.g = 1 follow pres's own,
+    generator by generator.  Returns (algebra, inv) where inv maps each
+    generator label to its inverse's label."""
+    taken = set(pres.generators)
+    inv = [inverse_label(g, taken, suffix) for g in pres.generators]
+    rels = list(pres.relations)
+    for g, g_inv in zip(pres.generators, inv):
+        rels.append(((g, g_inv), ()))
+        rels.append(((g_inv, g), ()))
+    alg = _degree_zero_algebra(pres.generators + inv, rels)
     return alg, dict(zip(pres.generators, inv))
 
 

@@ -7,33 +7,26 @@ degeneracy operators act on formal simplices by pushing indices through
 the word with the simplicial identities.
 
 Constructors: nerves of finite monoids, minimal spheres, the boundary
-of the 3-simplex and its collapse to a reduced 2-sphere, a model of the
-real projective plane, and the localization of a reduced simplicial set
-at a set of 1-simplices (a lazily enumerated pushout gluing in one copy
-of the nerve of the integers per chosen edge).
+of the 3-simplex and its collapse to a reduced 2-sphere, and a model of
+the real projective plane.  Localization happens on the algebra side
+(rewrite.adjoin_inverses, barcobar.extended_cobar), not here.
 """
 
 import itertools
 
-from .errors import (
-    NotReduced,
-    UnboundedDegree,
-    ValidationReport,
-)
+from .errors import NotReduced
 
 __all__ = [
     "FormalSimplex",
     "SimplicialSet",
     "ExplicitSimplicialSet",
     "NerveSimplicialSet",
-    "LocalizedSimplicialSet",
     "nerve",
     "minimal_sphere",
     "point",
     "boundary_delta3",
     "collapsed_boundary_delta3",
     "rp2_model",
-    "localized_nerve",
     "degeneracy_insert",
     "face_through_degeneracies",
     "strip_units",
@@ -180,23 +173,7 @@ class SimplicialSet:
             raise NotReduced(f"{len(verts)} zero-simplices")
         return verts[0]
 
-    @property
-    def reduced(self):
-        try:
-            return len(self.n_simplices(0)) == 1
-        except UnboundedDegree:
-            return False
-
     # -- validation -----------------------------------------------------------
-
-    def validate(self, up_to):
-        """Check the simplicial identities on all nondegenerate simplices
-        of dimension <= up_to."""
-        bad = []
-        for n in range(up_to + 1):
-            for sid in self.n_simplices(n):
-                bad.extend(self._simplex_violations(sid, n))
-        return ValidationReport(bad)
 
     def _simplex_violations(self, sid, n):
         """Dimension, face-word, face-dimension and face-identity failures
@@ -421,126 +398,3 @@ def collapsed_boundary_delta3():
                     f = FormalSimplex("*", tuple(range(n - 2, -1, -1)))
                 faces[(sid, i)] = f
     return ExplicitSimplicialSet(simplices, faces)
-
-
-class LocalizedSimplicialSet(SimplicialSet):
-    """Pushout gluing one copy of the nerve of the integers onto a
-    reduced simplicial set per inverted edge.
-
-    When the base is the nerve of a monoid, the whole nerve of the
-    naturals maps in by powers of the inverted element and the gluing
-    happens along all of it.  For a general reduced base only the circle
-    subcomplex generated by the edge maps in canonically; the gluing then
-    identifies just that circle (the inclusion of the circle into the
-    nerve of the naturals is a weak equivalence, so both gluings model the
-    same localization).
-
-    Degrees >= 1 are not finitely enumerable: tuples of nonzero integers
-    are unbounded, so enumeration raises UnboundedDegree and callers must
-    use the entry-bounded enumerator instead.
-    """
-
-    def __init__(self, base, edges):
-        if not base.reduced:
-            raise NotReduced("can only localize a reduced simplicial set")
-        self.base_set = base
-        self.edges = list(edges)
-        ones = set(base.n_simplices(1))
-        for e in self.edges:
-            if e not in ones:
-                raise ValueError(f"{e!r} is not a nondegenerate 1-simplex")
-        self.style = (
-            "monoid-powers" if isinstance(base, NerveSimplicialSet)
-            else "edge-circle"
-        )
-
-    # -- enumeration ------------------------------------------------------------
-
-    def n_simplices(self, n):
-        if n == 0:
-            return [("k", self.base_set.basepoint())]
-        if not self.edges:
-            return [("k", s) for s in self.base_set.n_simplices(n)]
-        raise UnboundedDegree(
-            f"degree {n} of the localized set has unboundedly many "
-            "nondegenerate simplices"
-        )
-
-    def n_simplices_bounded(self, n, entry_bound):
-        """K-side simplices plus glued-nerve tuples with entries of
-        absolute value <= entry_bound."""
-        if n == 0:
-            return [("k", self.base_set.basepoint())]
-        out = [("k", s) for s in self.base_set.n_simplices(n)]
-        rng = [a for a in range(-entry_bound, entry_bound + 1) if a != 0]
-        for c in range(len(self.edges)):
-            for tup in itertools.product(rng, repeat=n):
-                if not self._glued(tup):
-                    out.append(("j", c, tup))
-        return out
-
-    def _glued(self, tup):
-        if self.style == "monoid-powers":
-            return all(a > 0 for a in tup)
-        return tup == (1,)
-
-    def dim(self, sid):
-        if sid[0] == "k":
-            return self.base_set.dim(sid[1])
-        return len(sid[2])
-
-    # -- faces --------------------------------------------------------------------
-
-    def _reinterpret(self, c, tup):
-        """Class of a glued-nerve tuple (entries nonzero) in the pushout."""
-        if self._glued(tup):
-            if self.style == "edge-circle":
-                return FormalSimplex(("k", self.edges[c]), ())
-            m = self.base_set.monoid
-            x = self.edges[c][0]
-            rest, word = strip_units(
-                tuple(m.power(x, a) for a in tup), m.identity
-            )
-            return FormalSimplex(("k", rest), word)
-        return FormalSimplex(("j", c, tup), ())
-
-    def _znormalize(self, c, tup):
-        """Formal simplex in the pushout for an integer tuple that may
-        contain zero entries."""
-        rest, word = strip_units(tup, 0)
-        if rest:
-            inner = self._reinterpret(c, rest)
-        else:
-            inner = FormalSimplex(("k", self.base_set.basepoint()), ())
-        return FormalSimplex(inner.base, compose_degeneracies(word, inner.word))
-
-    def face(self, sid, i):
-        if sid[0] == "k":
-            f = self.base_set.face(sid[1], i)
-            return FormalSimplex(("k", f.base), f.word)
-        _, c, tup = sid
-        n = len(tup)
-        if i == 0:
-            return self._znormalize(c, tup[1:])
-        if i == n:
-            return self._znormalize(c, tup[:-1])
-        merged = tup[: i - 1] + (tup[i - 1] + tup[i],) + tup[i + 1 :]
-        return self._znormalize(c, merged)
-
-    # -- validation on a sample ----------------------------------------------------
-
-    def validate(self, up_to, entry_bound=2):
-        bad = []
-        for n in range(1, up_to + 1):
-            for sid in self.n_simplices_bounded(n, entry_bound):
-                bad.extend(self._simplex_violations(sid, n))
-        return ValidationReport(bad)
-
-
-def localized_nerve(k, edges):
-    """Localize a reduced simplicial set at a set of 1-simplices.
-    Localizing at nothing returns the input unchanged."""
-    edges = list(edges)
-    if not edges:
-        return k
-    return LocalizedSimplicialSet(k, edges)

@@ -7,8 +7,13 @@ monoid has a two-sided inverse; isomorphic_as_tables says whether two
 finite monoids have isomorphic tables; quotient_table builds the table
 of a group completion from its classes; coproduct reads every degree of
 a coalgebra window's coproduct; poly builds a polynomial of a presented
-algebra from label words; identity_matrix builds an identity IntMatrix.
+algebra from label words; identity_matrix builds an identity IntMatrix;
+abelianization computes the abelianized group of a presentation with
+the dense Smith normal form of dense_smith.py, so it shares no code with
+the homology it is compared against.
 """
+
+from dense_smith import smith_kernel
 
 from barloop.exactlin import IntMatrix
 from barloop.monoids import FiniteMonoid
@@ -139,3 +144,20 @@ def assert_same_coalgebra_window(a, b):
     assert coproduct(a) == coproduct(b)
     assert a.counit == b.counit
     assert a.coaugmentation == b.coaugmentation
+
+
+def abelianization(pres):
+    """(free rank, torsion divisors >= 2) of the abelianized group of a
+    presentation read as a group presentation: the cokernel of its
+    relation matrix, one row per generator and one column u - v per
+    relation u = v.  Compares directly against HomologyEntry.group()."""
+    idx = {g: i for i, g in enumerate(pres.generators)}
+    mat = [[0] * len(pres.relations) for _ in idx]
+    for j, (u, v) in enumerate(pres.relations):
+        for g in u:
+            mat[idx[g]][j] += 1
+        for g in v:
+            mat[idx[g]][j] -= 1
+    d = smith_kernel(mat, len(idx), len(pres.relations))
+    nonzero = [x for x in d if x]
+    return len(idx) - len(nonzero), tuple(x for x in nonzero if x >= 2)

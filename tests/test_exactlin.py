@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from checks import assert_smith_diagonal, identity_matrix
 from dense_smith import smith_kernel
+from laws import validate_complex
 from test_properties import determinantal_diagonal
 
 from barloop.barcobar import bar
@@ -143,7 +144,7 @@ def test_validate_detects_broken_composition():
         {1: IntMatrix.from_rows([[1]]), 2: IntMatrix.from_rows([[1]])},
     )
     with pytest.raises(MismatchAt, match="d∘d != 0 from degree 2"):
-        c.validate()
+        validate_complex(c)
     # Only the top pair d_2∘d_3 breaks; d_1∘d_2 == 0.
     c = ChainComplexWindow(
         3,
@@ -155,7 +156,7 @@ def test_validate_detects_broken_composition():
         },
     )
     with pytest.raises(MismatchAt, match="d∘d != 0 from degree 3") as e:
-        c.validate()
+        validate_complex(c)
     assert e.value.degree == 3
 
 
@@ -170,7 +171,7 @@ def test_validate_accepts_a_column_whose_partial_sums_cancel():
             2: IntMatrix.from_rows([[8], [5], [-14]]),
         },
     )
-    assert c.validate()
+    assert validate_complex(c)
 
 
 def test_validate_finds_one_nonzero_in_the_last_column_of_the_top():
@@ -182,7 +183,7 @@ def test_validate_finds_one_nonzero_in_the_last_column_of_the_top():
         {n: IntMatrix.from_rows(rows) for n, rows in bounds.items()},
     )
     with pytest.raises(MismatchAt, match="^d∘d != 0 from degree 4$") as e:
-        c.validate()
+        validate_complex(c)
     assert e.value.degree == 4
 
 
@@ -241,7 +242,7 @@ def test_mapping_cone_of_identity_is_acyclic():
     c = two_periodic_complex(5)
     maps = {n: identity_matrix(c.rank(n)) for n in range(0, 6)}
     cone = mapping_cone(maps, c, c)
-    cone.validate()
+    validate_complex(cone)
     t = homology_window(cone)
     for n in range(1, 5):
         assert t[n].is_zero(), f"cone not acyclic in degree {n}"

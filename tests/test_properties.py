@@ -10,6 +10,7 @@ from itertools import combinations
 from math import gcd
 
 from checks import assert_smith_diagonal
+from laws import validate_coalgebra, validate_complex
 
 from barloop.barcobar import bar, cobar
 from barloop.dgcoalg import chains
@@ -27,11 +28,11 @@ def run_d_squared(seeds):
         m = random_monoid(seed)
         cw = chains(nerve(m), 3)
         try:
-            cw.complex.validate()
+            validate_complex(cw.complex)
         except Exception as e:
             failures.append((seed, "chains", str(e)))
         try:
-            bar(monoid_algebra(m), 3).complex.validate()
+            validate_complex(bar(monoid_algebra(m), 3).complex)
         except Exception as e:
             failures.append((seed, "bar", str(e)))
         om = cobar(cw)
@@ -50,7 +51,7 @@ def run_coalgebra_laws(seeds):
             ("chains", chains(nerve(m), 3)),
             ("bar", bar(monoid_algebra(m), 3)),
         ]:
-            report = window.validate()
+            report = validate_coalgebra(window)
             if not report.ok:
                 failures.append((seed, kind, report.violations[:2]))
     return failures

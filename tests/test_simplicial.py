@@ -1,24 +1,22 @@
 """Simplicial sets: word calculus, nerves, the collapsed boundary of the
-3-simplex, localization."""
+3-simplex."""
 
 import itertools
 
 import pytest
+from laws import validate_simplicial
 from quotient_oracle import QuotientSimplicialSet
-from recursive_units import localized_normalize, nerve_normalize
+from recursive_units import nerve_normalize
 
-from barloop.errors import UnboundedDegree
 from barloop.monoids import FiniteMonoid, random_monoid
 from barloop.simplicial import (
     ExplicitSimplicialSet,
     FormalSimplex,
-    LocalizedSimplicialSet,
     SimplicialSet,
     boundary_delta3,
     collapsed_boundary_delta3,
     degeneracy_insert,
     face_through_degeneracies,
-    localized_nerve,
     minimal_sphere,
     nerve,
     point,
@@ -78,17 +76,17 @@ def test_validate_reports_a_face_word_that_does_not_decrease():
             return self.base.face(sid, i)
 
     k = BadWord(minimal_sphere(3))
-    assert k.validate(3).violations[0] == (
+    assert validate_simplicial(k, 3).violations[0] == (
         "face 3 of 'e' has degeneracy word (0, 1), not strictly decreasing"
     )
-    assert minimal_sphere(3).validate(3).ok
+    assert validate_simplicial(minimal_sphere(3), 3).ok
 
 
 def test_minimal_spheres_validate():
     for n in (1, 2, 3):
         s = minimal_sphere(n)
-        assert s.reduced
-        report = s.validate(n + 1)
+        assert len(s.n_simplices(0)) == 1
+        report = validate_simplicial(s, n + 1)
         assert report.ok, report.violations
         assert len(s.n_simplices(n)) == 1
         assert len(s.n_simplices(0)) == 1
@@ -111,10 +109,10 @@ def test_nerve_counts_and_validity():
         (FiniteMonoid.left_zero_with_unit(2), 3),
     ):
         k = nerve(m)
-        assert k.reduced
+        assert len(k.n_simplices(0)) == 1
         for n in range(4):
             assert len(k.n_simplices(n)) == (order - 1) ** n
-        report = k.validate(3)
+        report = validate_simplicial(k, 3)
         assert report.ok, report.violations[:3]
 
 
@@ -171,17 +169,17 @@ def test_explicit_set_rejects_a_degeneracy_past_its_dimension():
 
 def test_boundary_delta3_validates():
     k = boundary_delta3()
-    assert not k.reduced
-    report = k.validate(2)
+    assert len(k.n_simplices(0)) != 1
+    report = validate_simplicial(k, 2)
     assert report.ok
     assert [len(k.n_simplices(n)) for n in range(3)] == [4, 6, 4]
 
 
 def test_collapsed_boundary_delta3_shape():
     q = collapsed_boundary_delta3()
-    assert q.reduced
+    assert len(q.n_simplices(0)) == 1
     assert [len(q.n_simplices(n)) for n in range(3)] == [1, 3, 4]
-    report = q.validate(2)
+    report = validate_simplicial(q, 2)
     assert report.ok, report.violations
 
 
@@ -201,68 +199,14 @@ def test_collapsed_boundary_delta3_matches_the_quotient_oracle():
 
 def test_rp2_model_validates():
     k = rp2_model()
-    assert k.reduced
-    assert k.validate(2).ok
-
-
-def test_localize_at_nothing_returns_input():
-    s = minimal_sphere(1)
-    assert localized_nerve(s, []) is s
-
-
-def test_localized_circle_is_integer_nerve():
-    s = minimal_sphere(1)
-    loc = localized_nerve(s, ["t"])
-    assert isinstance(loc, LocalizedSimplicialSet)
-    assert loc.style == "edge-circle"
-    with pytest.raises(UnboundedDegree):
-        loc.n_simplices(1)
-    ones = loc.n_simplices_bounded(1, 2)
-    assert ("k", "t") in ones
-    assert ("j", 0, (-1,)) in ones
-    assert ("j", 0, (1,)) not in ones  # glued onto the base edge
-    assert ("j", 0, (2,)) in ones
-    report = loc.validate(3, entry_bound=2)
-    assert report.ok, report.violations[:3]
-    # the face of (a, b) merges to a + b, degenerating at zero
-    f = loc.face(("j", 0, (1, -1)), 1)
-    assert f == FormalSimplex(("k", "*"), (0,))
-    f2 = loc.face(("j", 0, (2, -1)), 1)
-    assert f2 == FormalSimplex(("k", "t"), ())
-
-
-def test_localized_nerve_uses_monoid_powers():
-    m = FiniteMonoid.idempotent_pair()
-    k = nerve(m)
-    b = m.elements.index("b")
-    loc = localized_nerve(k, [(b,)])
-    assert loc.style == "monoid-powers"
-    # all-positive tuples are glued onto nerve simplices via powers
-    assert loc.face(("j", 0, (1, 1)), 1) == FormalSimplex(("k", (b,)), ())
-    assert loc.face(("j", 0, (1, -1)), 1) == FormalSimplex(("k", ()), (0,))
-    ones = loc.n_simplices_bounded(2, 1)
-    assert ("j", 0, (1, 1)) not in ones
-    assert ("j", 0, (-1, 1)) in ones
-    report = loc.validate(3, entry_bound=2)
-    assert report.ok, report.violations[:3]
-
-
-def test_localized_group_nerve_consistency():
-    m = FiniteMonoid.cyclic(2)
-    k = nerve(m)
-    g = m.elements.index("g")
-    loc = localized_nerve(k, [(g,)])
-    # powers wrap around: (2,) is glued to g*g = 1, a degenerate point
-    assert loc.face(("j", 0, (1, 2)), 2) == FormalSimplex(("k", (g,)), ())
-    assert loc._reinterpret(0, (2,)) == FormalSimplex(("k", ()), (0,))
-    report = loc.validate(2, entry_bound=3)
-    assert report.ok, report.violations[:3]
+    assert len(k.n_simplices(0)) == 1
+    assert validate_simplicial(k, 2).ok
 
 
 def test_point_and_json_round_trip():
-    assert point().reduced
+    assert len(point().n_simplices(0)) == 1
     k = rp2_model()
-    assert k.validate(2).ok
+    assert validate_simplicial(k, 2).ok
     edge = {"base": "*", "degens": []}
     assert k.to_json_dict(2) == {
         "simplices": [
@@ -280,7 +224,7 @@ def test_point_and_json_round_trip():
 
 def test_nerve_json_materialization():
     k = nerve(FiniteMonoid.cyclic(2))
-    assert k.validate(3).ok
+    assert validate_simplicial(k, 3).ok
     d = k.to_json_dict(3)
     assert [s["id"] for s in d["simplices"]] == [
         "()", "(1,)", "(1, 1)", "(1, 1, 1)"
@@ -293,34 +237,20 @@ def test_nerve_json_materialization():
     ]
 
 
-def test_localized_validation_reports_a_bad_face_like_the_base_class():
-    class BrokenFace(LocalizedSimplicialSet):
-        def face(self, sid, i):
-            if sid == ("j", 0, (-1,)) and i == 0:
-                return FormalSimplex(("k", "*"), (0,))
-            return super().face(sid, i)
-
-    report = BrokenFace(minimal_sphere(1), ["t"]).validate(2, entry_bound=1)
-    assert report.violations[0] == (
-        "face 0 of ('j', 0, (-1,)) has dimension 1, expected 0"
-    )
-    assert "face identity fails on ('j', 0, (-1, -1)): d0 d1 != d0 d0" in (
-        report.violations
-    )
-
-
 def _strictly_decreasing(word):
     return all(a > b for a, b in zip(word, word[1:]))
 
 
-def _words_stay_decreasing(k, bases, top):
+def _words_stay_decreasing(k, top):
     """Build every formal simplex of dimension <= top that the
-    degeneracies reach from the nondegenerate simplices bases(n), and
-    check that face_formal and degeneracy_insert give a strictly
-    decreasing word on each of them."""
-    level = [FormalSimplex(b) for b in bases(0)]
+    degeneracies reach from the nondegenerate simplices of k, and check
+    that face_formal and degeneracy_insert give a strictly decreasing
+    word on each of them."""
+    level = [FormalSimplex(b) for b in k.n_simplices(0)]
     for n in range(top + 1):
-        above = [FormalSimplex(b) for b in bases(n + 1)] if n < top else []
+        above = (
+            [FormalSimplex(b) for b in k.n_simplices(n + 1)] if n < top else []
+        )
         for fs in dict.fromkeys(level):
             for i in range(n + 1):
                 if n:
@@ -332,26 +262,12 @@ def _words_stay_decreasing(k, bases, top):
         level = above
 
 
-def _localized_sets():
-    idem = FiniteMonoid.idempotent_pair()
-    z3 = FiniteMonoid.cyclic(3)
-    return [
-        localized_nerve(nerve(idem), [(idem.elements.index("b"),)]),
-        localized_nerve(nerve(z3), [(z3.elements.index("g"),)]),
-        localized_nerve(minimal_sphere(1), ["t"]),
-    ]
-
-
 def test_face_and_degeneracy_words_stay_decreasing():
     for k in bundled_complexes().values():
-        _words_stay_decreasing(k, k.n_simplices, 4)
+        _words_stay_decreasing(k, 4)
     for seed in range(40):
         k = nerve(random_monoid(seed))
-        _words_stay_decreasing(k, k.n_simplices, 4)
-    for loc in _localized_sets():
-        _words_stay_decreasing(
-            loc, lambda n: loc.n_simplices_bounded(n, 2), 4
-        )
+        _words_stay_decreasing(k, 4)
 
 
 def test_strip_units_agrees_with_the_recursions_it_replaced():
@@ -371,9 +287,3 @@ def test_strip_units_agrees_with_the_recursions_it_replaced():
                     p = m.table[tup[i - 1]][tup[i]]
                     merged = tup[: i - 1] + (p,) + tup[i + 1 :]
                     assert k.face(tup, i) == nerve_normalize(k, merged)
-    for loc in _localized_sets():
-        for n in range(5):
-            for tup in itertools.product(range(-2, 3), repeat=n):
-                assert loc._znormalize(0, tup) == localized_normalize(
-                    loc, 0, tup
-                ), tup

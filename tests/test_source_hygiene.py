@@ -34,6 +34,9 @@
   ``VALIDATE_CALL_SITES``: each input is checked where it enters, and a
   law that holds by theorem on what is derived from it is checked by
   the tests, not at run time.
+- The package defines a ``validate`` method only on the classes in
+  ``VALIDATE_DEFINITIONS``; the law checks that only tests run live in
+  ``tests/laws.py``, so none drifts back into the package.
 - The ``bases``, ``index`` and ``label_of`` of a chain window are set
   only inside ``exactlin.basis_window``, the one window builder; the
   ``None`` that ``ChainComplexWindow.__init__`` stores in them is the
@@ -51,9 +54,6 @@ EXACTLIN = PACKAGE / "exactlin"
 BENCH = ROOT / "perfbench"
 
 UNREAD_ON_PURPOSE = {
-    "abelianization": "the independent oracle of acceptance test A8",
-    "localized_nerve": "the paper's localization of a nerve, exercised by "
-    "test_simplicial.py and test_loopgroup.py",
     "_Parser.error": "argparse calls it to reject a command line",
 }
 
@@ -67,6 +67,15 @@ VALIDATE_CALL_SITES = {
     ("weqcheck.py", "weq_verdict"): "a monoid map enters here; "
     "MonoidMap.validate makes its nerve a simplicial map, so the chain "
     "map and its cone need no check",
+}
+
+
+VALIDATE_DEFINITIONS = {
+    "MonoidMap": "the input check that weq_verdict runs where a map "
+    "enters",
+    "CoalgebraMap": "a law check that only tests run, kept in the package "
+    "because the benchmark's tracer wraps it by class; every other law "
+    "check lives in tests/laws.py",
 }
 
 
@@ -91,9 +100,7 @@ SHARED_NAMES = {
     "MonoidPresentation, PresentedDgAlgebra, SimplicialSet, Verdict and "
     "WeqVerdict: all read by cli",
     "validate": "MonoidMap: read by weq_verdict, where a map enters; "
-    "ChainComplexWindow, CoalgebraMap, DgCoalgebraWindow and "
-    "SimplicialSet (with LocalizedSimplicialSet's override): law checks "
-    "that only tests run (the benchmark's tracer wraps CoalgebraMap's)",
+    "CoalgebraMap: wrapped by the benchmark's tracer",
     "word": "FormalSimplex's stored word and PresentedDgAlgebra.word: both "
     "read by the package",
 }
@@ -332,6 +339,19 @@ def validate_calls(tree):
     return found
 
 
+def validate_definitions(tree):
+    """(class, line) of each ``validate`` method defined in a class
+    body."""
+    return [
+        (cls.name, node.lineno)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name == "validate"
+    ]
+
+
 WINDOW_BASIS_ATTRIBUTES = ("bases", "index", "label_of")
 
 
@@ -478,6 +498,18 @@ def test_rules_detect_what_they_forbid():
         (None, 1), ("f", 4), ("f", 4), ("validate", 6)
     ]
     tree = ast.parse(
+        "def validate(x): return x\n"
+        "class K:\n"
+        "    validate = None\n"
+        "    def check(self):\n"
+        "        def validate(): pass\n"
+        "    def validate(self): pass\n"
+        "class L(K):\n"
+        "    class Inner:\n"
+        "        async def validate(self): pass\n"
+    )
+    assert validate_definitions(tree) == [("K", 6), ("Inner", 9)]
+    tree = ast.parse(
         "class W:\n"
         "    def __init__(self, b):\n"
         "        self.bases = self.index = None\n"
@@ -568,6 +600,14 @@ def test_the_package_validates_only_where_an_input_enters():
         for function, line in validate_calls(_parse(path)):
             sites.setdefault((module, function), []).append(line)
     assert set(sites) == set(VALIDATE_CALL_SITES), sites
+
+
+def test_the_package_defines_validate_only_on_listed_classes():
+    owners = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for cls, line in validate_definitions(_parse(path)):
+            owners.setdefault(cls, []).append(line)
+    assert set(owners) == set(VALIDATE_DEFINITIONS), owners
 
 
 def test_only_basis_window_sets_a_window_basis():
