@@ -303,6 +303,7 @@ def nerve_bar_iso_check(m, hi, budget=100_000, cap=10_000):
         for e, x in enumerate(m.elements)
         if e != m.identity
     }
+    spell = letter.__getitem__
 
     for n in range(hi + 1):
         nerve_basis, bar_basis = cn.complex.bases[n], bw.complex.bases[n]
@@ -312,7 +313,7 @@ def nerve_bar_iso_check(m, hi, budget=100_000, cap=10_000):
                 degree=n,
             )
         for j, tup in enumerate(nerve_basis):
-            if tuple(letter[e] for e in tup) != bar_basis[j]:
+            if tuple(map(spell, tup)) != bar_basis[j]:
                 raise MismatchAt(
                     f"nerve simplex {tup} is not bar word {j} of degree {n}",
                     degree=n,

@@ -14,8 +14,8 @@ chains() builds the normalized chain coalgebra of a simplicial set:
 basis the nondegenerate simplices, differential the alternating face sum
 with degenerate faces dropped, coproduct the front-face/back-face
 (Alexander-Whitney) formula with degenerate factors dropped.  Both read
-one call per simplex: nondegenerate_faces and front_back_faces, which a
-nerve answers by tuple slices and table lookups.
+one call per degree: face_rows and cut_rows, which a nerve answers by
+arithmetic on positions and other sets by walking faces.
 """
 
 from .errors import ValidationReport
@@ -110,30 +110,14 @@ class DgCoalgebraWindow:
 
 def chains(k, hi):
     """Normalized chain coalgebra of a simplicial set on degrees 0..hi."""
-
     bases = [k.n_simplices(n) for n in range(hi + 1)]
-
-    def columns(n, below, bounds):
-        for sid in bases[n]:
-            faces = k.nondegenerate_faces(sid)
-            yield [(below[b], -1 if i % 2 else 1) for i, b in faces]
-
-    comp = basis_window(bases, columns, str)
-    index = comp.index
-
-    def coproduct(n):
-        # Alexander-Whitney: one term per nondegenerate front/back pair
-        for sid in comp.bases[n]:
-            yield [
-                (p, index[p][front], index[n - p][back], 1)
-                for p, front, back in k.front_back_faces(sid)
-            ]
-
-    counit = [1] * comp.rank(0)
-    coaug = None
-    if comp.rank(0) == 1:
-        coaug = 0
-    return DgCoalgebraWindow(comp, coproduct, counit, coaug)
+    comp = basis_window(
+        bases, lambda n, below, _: k.face_rows(n, bases[n], below), str
+    )
+    return DgCoalgebraWindow(
+        comp, lambda n: k.cut_rows(n, bases[n], comp.index),
+        [1] * comp.rank(0), 0 if comp.rank(0) == 1 else None,
+    )
 
 
 def nerve_chains_map(mmap, src_c, dst_c):

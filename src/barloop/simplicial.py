@@ -13,6 +13,7 @@ the real projective plane.  Localization happens on the algebra side
 """
 
 import itertools
+from itertools import chain, repeat
 
 from .errors import NotReduced
 
@@ -125,31 +126,32 @@ class SimplicialSet:
     def face(self, sid, i):
         raise NotImplementedError
 
-    def nondegenerate_faces(self, sid):
-        """(i, base) for each nondegenerate face i of a simplex of positive
-        dimension, i ascending: what its chain boundary reads."""
-        faces = (self.face(sid, i) for i in range(self.dim(sid) + 1))
-        return [(i, f.base) for i, f in enumerate(faces) if not f.word]
+    def face_rows(self, n, basis, below):
+        """Boundary column of each n-simplex of basis, n > 0, in order:
+        (below[face], (-1)^i) for each nondegenerate face i, ascending."""
+        for sid in basis:
+            faces = (self.face(sid, i) for i in range(n + 1))
+            yield [
+                (below[f.base], -1 if i % 2 else 1)
+                for i, f in enumerate(faces) if not f.word
+            ]
 
-    def front_back_faces(self, sid):
-        """(p, front, back) for each p = 0..n, ascending, whose front
-        p-face (vertices 0..p) and back (n-p)-face (vertices p..n) of an
-        n-simplex are both nondegenerate, given by their bases: what its
-        Alexander-Whitney coproduct reads.  Each face is peeled off its
-        neighbour one face_formal at a time."""
-        n = self.dim(sid)
-        fronts = [FormalSimplex(sid)]
-        for m in range(n, 0, -1):
-            fronts.append(self.face_formal(fronts[-1], m))
-        fronts.reverse()
-        backs = [FormalSimplex(sid)]
-        for _ in range(n):
-            backs.append(self.face_formal(backs[-1], 0))
-        return [
-            (p, front.base, back.base)
-            for p, (front, back) in enumerate(zip(fronts, backs))
-            if not (front.word or back.word)
-        ]
+    def cut_rows(self, n, basis, index):
+        """Alexander-Whitney coproduct of each n-simplex of basis, in
+        order: (p, index[p][front], index[n-p][back], 1) for each p = 0..n,
+        ascending, whose front p-face (vertices 0..p) and back (n-p)-face
+        (vertices p..n) are both nondegenerate.  Each face is peeled off
+        its neighbour one face_formal at a time."""
+        for sid in basis:
+            fronts, backs = [FormalSimplex(sid)], [FormalSimplex(sid)]
+            for m in range(n, 0, -1):
+                fronts.append(self.face_formal(fronts[-1], m))
+                backs.append(self.face_formal(backs[-1], 0))
+            yield [
+                (p, index[p][front.base], index[n - p][back.base], 1)
+                for p, (front, back) in enumerate(zip(fronts[::-1], backs))
+                if not (front.word or back.word)
+            ]
 
     # -- derived operators on formal simplices ------------------------------
 
@@ -281,13 +283,24 @@ class ExplicitSimplicialSet(SimplicialSet):
 
 class NerveSimplicialSet(SimplicialSet):
     """Nerve of a finite monoid: nondegenerate n-simplices are n-tuples
-    of non-identity element indices; inner faces multiply adjacent
-    entries, normalizing away the identity when a product hits it."""
+    of non-identity element indices, in itertools.product order over the
+    k of them, so simplex j of degree n has the base-k digits of j as
+    entries, the first most significant.  Inner faces multiply adjacent
+    entries, and are degenerate where a product is the identity.  So a
+    chain window's rows are arithmetic on j: d_0 is row j % k^(n-1), d_n
+    row j // k, an inner face d_i puts the digit of the product of digits
+    i-1 and i in their place, and the Alexander-Whitney cut p is
+    (j // k^(n-p), j % k^(n-p)), never degenerate."""
 
     def __init__(self, monoid):
         self.monoid = monoid
         self._nontrivial = [
             i for i in range(monoid.order()) if i != monoid.identity
+        ]
+        digit = {e: d for d, e in enumerate(self._nontrivial)}
+        # digit of the product of digits a and b at a * k + b, None for 1
+        self._products = [
+            digit.get(monoid.table[a][b]) for a in digit for b in digit
         ]
 
     def n_simplices(self, n):
@@ -308,23 +321,44 @@ class NerveSimplicialSet(SimplicialSet):
             return FormalSimplex(sid[: i - 1] + sid[i + 1 :], (i - 1,))
         return FormalSimplex(sid[: i - 1] + (p,) + sid[i + 1 :], ())
 
-    def nondegenerate_faces(self, sid):
-        # face() without a FormalSimplex: degenerate iff the product is 1
-        table, unit = self.monoid.table, self.monoid.identity
-        out = [(0, sid[1:])]
-        for i in range(1, len(sid)):
-            p = table[sid[i - 1]][sid[i]]
-            if p != unit:
-                out.append((i, sid[: i - 1] + (p,) + sid[i + 1 :]))
-        out.append((len(sid), sid[:-1]))
-        return out
+    def face_rows(self, n, basis, below):
+        """Each row by arithmetic on the simplex's position j.  The rows
+        are below's own ints: one computed afresh above 256 would be one
+        more object kept in the matrix."""
+        products, rows = self._products, list(below.values())
+        k, top, last = len(self._nontrivial), len(rows), (-1) ** n
+        # face i of j = ((h k + a) k + b) s + l is row (h k + q) s + l, q
+        # the digit of a b: (s, k s, k^2 s, sign) for i = 1..n-1
+        inner = [
+            (k ** (n - i - 1), k ** (n - i), k ** (n - i + 1), (-1) ** i)
+            for i in range(1, n)
+        ]
+        for j in range(len(basis)):
+            col = [(rows[j % top], 1)]
+            for s, ks, kks, sign in inner:
+                q = products[j % kks // s]
+                if q is not None:
+                    col.append((rows[j // kks * ks + q * s + j % s], sign))
+            col.append((rows[j // k], last))
+            yield col
 
-    def front_back_faces(self, sid):
-        """Every p: the front and back faces are the slices sid[:p] and
-        sid[p:].  Outer faces drop end entries and multiply none, and a
-        nerve simplex is degenerate only where an entry is the identity,
-        which no slice of a nondegenerate simplex holds."""
-        return [(p, sid[:p], sid[p:]) for p in range(len(sid) + 1)]
+    def cut_rows(self, n, basis, index):
+        """Cut p of every simplex as one stream over j, the streams read
+        in step: the front rows repeat k^(n-p) times each, the back rows
+        cycle k^p times.  The rows are index's own ints, as in face_rows."""
+        k = len(self._nontrivial)
+        cuts = [
+            zip(
+                repeat(p),
+                chain.from_iterable(
+                    map(repeat, index[p].values(), repeat(k ** (n - p)))
+                ),
+                chain.from_iterable(repeat(index[n - p].values(), k**p)),
+                repeat(1),
+            )
+            for p in range(n + 1)
+        ]
+        return map(list, zip(*cuts))
 
 
 def nerve(m):

@@ -37,6 +37,10 @@
 - The package defines a ``validate`` method only on the classes in
   ``VALIDATE_DEFINITIONS``; the law checks that only tests run live in
   ``tests/laws.py``, so none drifts back into the package.
+- No module of the package calls ``isinstance`` on a simplicial-set
+  class (``SimplicialSet`` or a package class derived from it): a set
+  that answers its chain window faster does so by overriding methods,
+  not through a second code path that asks which set it has.
 - The ``bases``, ``index`` and ``label_of`` of a chain window are set
   only inside ``exactlin.basis_window``, the one window builder; the
   ``None`` that ``ChainComplexWindow.__init__`` stores in them is the
@@ -352,6 +356,50 @@ def validate_definitions(tree):
     ]
 
 
+def simplicial_set_classes(trees):
+    """Names of ``SimplicialSet`` and of every class in the trees derived
+    from it, directly or through other such classes."""
+    bases = {
+        cls.name: {
+            b.id if isinstance(b, ast.Name) else b.attr
+            for b in cls.bases if isinstance(b, (ast.Name, ast.Attribute))
+        }
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+    }
+    found, grown = {"SimplicialSet"}, True
+    while grown:
+        more = {name for name, up in bases.items() if up & found}
+        grown = not more <= found
+        found |= more
+    return found
+
+
+def isinstance_calls_on(tree, classes):
+    """Line numbers of ``isinstance`` calls whose class argument names
+    one of classes, alone or in a tuple, also as the last part of a
+    dotted name."""
+    found = []
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) > 1
+        ):
+            continue
+        arg = node.args[1]
+        named = arg.elts if isinstance(arg, ast.Tuple) else [arg]
+        if any(
+            (isinstance(c, ast.Name) and c.id in classes)
+            or (isinstance(c, ast.Attribute) and c.attr in classes)
+            for c in named
+        ):
+            found.append(node.lineno)
+    return sorted(found)
+
+
 WINDOW_BASIS_ATTRIBUTES = ("bases", "index", "label_of")
 
 
@@ -526,6 +574,21 @@ def test_rules_detect_what_they_forbid():
     assert window_basis_stores(tree) == [
         ("__init__", 4), ("build", 6), ("build", 8), ("patch", 11)
     ]
+    tree = ast.parse(
+        "class SimplicialSet: pass\n"
+        "class Nerve(SimplicialSet): pass\n"
+        "class Fast(Nerve): pass\n"
+        "class Other(sp.SimplicialSet): pass\n"
+        "class Window: pass\n"
+        "def f(k, w):\n"
+        "    isinstance(w, Window), isinstance(k, (int, Fast))\n"
+        "    if isinstance(k, sp.Nerve): return 1\n"
+        "    return isinstance(k, SimplicialSet) or isinstance(k)\n"
+        "    isinstance(k, Other)\n"
+    )
+    classes = simplicial_set_classes([tree])
+    assert classes == {"SimplicialSet", "Nerve", "Fast", "Other"}
+    assert isinstance_calls_on(tree, classes) == [7, 8, 9, 10]
 
 
 def test_no_unused_imports_in_the_package():
@@ -608,6 +671,15 @@ def test_the_package_defines_validate_only_on_listed_classes():
         for cls, line in validate_definitions(_parse(path)):
             owners.setdefault(cls, []).append(line)
     assert set(owners) == set(VALIDATE_DEFINITIONS), owners
+
+
+def test_no_isinstance_on_a_simplicial_set_class():
+    paths = sorted(PACKAGE.rglob("*.py"))
+    classes = simplicial_set_classes([_parse(p) for p in paths])
+    assert {"SimplicialSet", "NerveSimplicialSet"} <= classes
+    assert _offenders(
+        paths, lambda tree: isinstance_calls_on(tree, classes)
+    ) == {}
 
 
 def test_only_basis_window_sets_a_window_basis():
