@@ -40,7 +40,8 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "_c")
 
     def __init__(self, rows, columns):
-        # Trusts normalized columns; every builder goes through from_columns.
+        # Trusts stored-form columns: from_columns normalizes what callers
+        # build, and mapping_cone assembles blocks already in that form.
         self.rows = rows
         self.cols = len(columns)
         self._c = columns
@@ -136,12 +137,15 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols})"
 
 
-def smith_normal_form(m):
+def smith_normal_form(m, dropped=()):
     """(factors, paired) of an integer matrix with ``rows``, ``cols`` and
-    sparse ``column(j)``: its min(rows, cols) invariant factors, the
-    diagonal of its Smith normal form (nonnegative, each dividing the
-    next), and the columns paired with a unit pivot before the first
-    Euclidean step, both as tuples.
+    sparse ``column(j)``, read with the rows in ``dropped`` zeroed: its
+    min(rows, cols) invariant factors, the diagonal of its Smith normal
+    form (nonnegative, each dividing the next), and the columns paired
+    with a unit pivot before the first Euclidean step, both as tuples.
+    The dropped rows are skipped as the columns load, so no filtered
+    copy of m is built (``homology_window`` drops the rows the previous
+    boundary paired).
 
     All coefficients are Python ints, so nothing can overflow.  Homology
     needs ranks and invariant factors, never the unimodular transforms,
@@ -168,13 +172,16 @@ def smith_normal_form(m):
     column operations have an unpaired source.
     """
     rows, cols = m.rows, m.cols
+    dropped = set(dropped)
     row = [{} for _ in range(rows)]
     live = []
     for j in range(cols):
-        col = m.column(j)
-        for i, c in col:
-            row[i][j] = c
-        live.append({i for i, _ in col})
+        rs = set()
+        for i, c in m.column(j):
+            if i not in dropped:
+                row[i][j] = c
+                rs.add(i)
+        live.append(rs)
     # A dead column never comes back: row operations only add multiples
     # of a pivot row, whose columns are all live.
     left = [j for j in range(cols) if live[j]]
@@ -413,7 +420,8 @@ def homology_window(c):
     cone is one exactly when its map is a chain map, which each caller
     of cone_quasi_iso_window has by theorem.
 
-    Each d_n is eliminated with the rows zeroed that d_{n-1} paired.
+    Each d_n is eliminated with the rows zeroed that d_{n-1} paired:
+    smith_normal_form skips them as it loads d_n, so no copy is built.
     The unit sweeps of d_{n-1} give d_{n-1} V = U^-1 (±I ⊕ R), the ±I
     block at the paired columns, where V holds only column operations
     whose source is a paired column.  As a row operation on d_n, V^-1
@@ -426,13 +434,7 @@ def homology_window(c):
     factors = {}
     paired = ()
     for n in range(1, c.hi + 1):
-        d = c.boundary(n)
-        if paired:
-            skip = set(paired)
-            d = IntMatrix(d.rows, tuple(
-                tuple(p for p in col if p[0] not in skip) for col in d._c
-            ))
-        diagonal, paired = smith_normal_form(d)
+        diagonal, paired = smith_normal_form(c.boundary(n), paired)
         factors[n] = [x for x in diagonal if x]
     entries = {}
     for n in range(c.hi + 1):
@@ -451,6 +453,14 @@ def mapping_cone(maps, src, dst):
     degrees 0..hi of src and dst, whose top degrees must match; rank(-1)
     and boundary(0) read as zero.  Its homology in the exact degrees
     0..hi-1 certifies whether f is a quasi-isomorphism there.
+
+    ``maps[k]`` must be dst.rank(k) x src.rank(k) for k < hi, and may be
+    missing only where that block is empty; otherwise ValueError names
+    the degree.  Each cone column is assembled already in stored form
+    and handed to the IntMatrix constructor as is: the -d c rows lie
+    below src.rank(n-2), the f c and d x rows are shifted past them, and
+    every block column is sorted, with distinct rows and nonzero
+    coefficients, so their concatenation is too.
     """
     if src.hi != dst.hi:
         raise ValueError("cone needs matching windows")
@@ -458,25 +468,28 @@ def mapping_cone(maps, src, dst):
     ranks = {n: src.rank(n - 1) + dst.rank(n) for n in range(hi + 1)}
     bounds = {}
     for n in range(1, hi + 1):
-        sc, shift = src.rank(n - 1), src.rank(n - 2)
-        dsrc = src.boundary(n - 1)
-        f = None
-        if sc and dst.rank(n - 1):
-            f = maps.get(n - 1)
-            if f is None:
+        sc, shift, below = src.rank(n - 1), src.rank(n - 2), dst.rank(n - 1)
+        f = maps.get(n - 1)
+        if f is None:
+            if sc and below:
                 raise ValueError(f"missing map matrix in degree {n - 1}")
+        elif (f.rows, f.cols) != (below, sc):
+            raise ValueError(
+                f"map matrix in degree {n - 1} is {f.rows}x{f.cols}, "
+                f"not {below}x{sc}"
+            )
+        # boundary(0) has no rows, so the cone's d_1 has no -d c part
+        dsrc = src.boundary(n - 1) if n > 1 else None
         ddst = dst.boundary(n)
-
-        def columns():
-            for j in range(sc):
-                col = [(i, -x) for i, x in dsrc.column(j)]
-                if f is not None:
-                    col += [(shift + i, x) for i, x in f.column(j)]
-                yield col
-            for j in range(dst.rank(n)):
-                yield [(shift + i, x) for i, x in ddst.column(j)]
-
-        bounds[n] = IntMatrix.from_columns(shift + dst.rank(n - 1), columns())
+        columns = []
+        for j in range(sc):
+            col = [(i, -x) for i, x in dsrc.column(j)] if n > 1 else []
+            if f is not None:
+                col += [(shift + i, x) for i, x in f.column(j)]
+            columns.append(tuple(col))
+        for j in range(dst.rank(n)):
+            columns.append(tuple([(shift + i, x) for i, x in ddst.column(j)]))
+        bounds[n] = IntMatrix(shift + below, tuple(columns))
     return ChainComplexWindow(hi, ranks, bounds)
 
 

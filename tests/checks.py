@@ -8,9 +8,11 @@ finite monoids have isomorphic tables; quotient_table builds the table
 of a group completion from its classes; coproduct reads every degree of
 a coalgebra window's coproduct; poly builds a polynomial of a presented
 algebra from label words; identity_matrix builds an identity IntMatrix;
-abelianization computes the abelianized group of a presentation with
-the dense Smith normal form of dense_smith.py, so it shares no code with
-the homology it is compared against.
+assert_stored_form checks that a matrix holds its columns in the form
+the IntMatrix constructor trusts; abelianization computes the
+abelianized group of a presentation with the dense Smith normal form of
+dense_smith.py, so it shares no code with the homology it is compared
+against.
 """
 
 from dense_smith import smith_kernel
@@ -126,6 +128,18 @@ def assert_smith_diagonal(m, d):
         assert not d[i] or d[i + 1] % d[i] == 0, (
             f"divisibility fails at position {i}"
         )
+
+
+def assert_stored_form(m):
+    """Every column of the matrix m is in stored form: its (row, coeff)
+    pairs are sorted by row, the rows are distinct and in range(m.rows),
+    and every coefficient is nonzero."""
+    for j in range(m.cols):
+        col = m.column(j)
+        rows = [i for i, _ in col]
+        assert rows == sorted(set(rows)), f"column {j} is not in row order"
+        assert all(0 <= i < m.rows for i in rows), f"column {j} row range"
+        assert all(c for _, c in col), f"column {j} stores a zero"
 
 
 def assert_same_coalgebra_window(a, b):

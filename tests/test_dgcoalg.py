@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from barloop import barcobar, dgcoalg, weqcheck
+from barloop import barcobar, cli, dgcoalg, weqcheck
 from barloop.barcobar import cobar, counit_check, unit_check
 from barloop.dgcoalg import (
     CoalgebraMap,
@@ -38,7 +38,7 @@ from barloop.weqcheck import (
     bundled_monoids,
     weq_verdict,
 )
-from checks import coproduct, identity_matrix
+from checks import assert_stored_form, coproduct, identity_matrix
 from filtration_oracle import filtered_map_fault, filtration_fault
 from laws import validate_coalgebra, validate_complex
 
@@ -142,8 +142,12 @@ def test_the_cone_check_rejects_blocks_that_do_not_commute_with_d():
 def checked_cones(monkeypatch):
     """Every cone that cone_quasi_iso_window certifies, from any caller,
     is first checked for d∘d = 0, which holds exactly when its blocks
-    form a chain map; the list holds the top degree of each."""
+    form a chain map, and every boundary of the cone it builds is
+    checked to be in the stored form that mapping_cone hands the
+    IntMatrix constructor unchecked; the list holds the top degree of
+    each."""
     certify = dgcoalg.cone_quasi_iso_window
+    build = dgcoalg.mapping_cone
     seen = []
 
     def checked(blocks, src, dst):
@@ -151,8 +155,15 @@ def checked_cones(monkeypatch):
         seen.append(src.hi)
         return certify(blocks, src, dst)
 
+    def stored(blocks, src, dst):
+        cone = build(blocks, src, dst)
+        for n in range(1, cone.hi + 1):
+            assert_stored_form(cone.boundary(n))
+        return cone
+
     for module in (barcobar, dgcoalg, weqcheck):
         monkeypatch.setattr(module, "cone_quasi_iso_window", checked)
+    monkeypatch.setattr(dgcoalg, "mapping_cone", stored)
     return seen
 
 
@@ -206,6 +217,16 @@ def test_adjunction_cones_are_chain_complexes(checked_cones):
         assert verdict
         # one cone per filtration level
         assert checked_cones == [hi] * verdict.detail["levels_checked"]
+
+
+def test_paper_suite_cones_are_chain_complexes(checked_cones, capsys):
+    """paper-suite reaches cones through its weq and prop34 cases."""
+    assert cli.run(["paper-suite", "--seed", "1"]) == 0
+    capsys.readouterr()
+    # prop34: the counit's cone and the unit's five level cones at hi 3;
+    # weq: the idempotent squash at hi 4 and the identity of Z/3 at hi 3
+    # (nerve homology refutes the collapse of Z/2 before any cone)
+    assert checked_cones == [3] * 6 + [4, 3]
 
 
 @pytest.mark.parametrize("dim, hi", UNIT_WINDOWS)

@@ -6,9 +6,10 @@ from itertools import chain, compress
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from checks import assert_smith_diagonal, identity_matrix
+from checks import assert_smith_diagonal, assert_stored_form, identity_matrix
 from dense_smith import smith_kernel
 from laws import validate_complex
+from row_filter import without_rows
 from test_properties import determinantal_diagonal
 
 from barloop.barcobar import bar
@@ -361,13 +362,16 @@ def dense_mapping_cone(maps, src, dst):
         rows = sc_prev + dc_prev
         cols = sc + dc
         entries = [0] * (rows * cols)
+        f = maps.get(n - 1)
+        if f is not None and (f.rows, f.cols) != (dc_prev, sc):
+            raise ValueError(f"map matrix in degree {n - 1} is "
+                             f"{f.rows}x{f.cols}, not {dc_prev}x{sc}")
         if sc and sc_prev:
             dsrc = src.boundary(n - 1)
             for i in range(sc_prev):
                 for j in range(sc):
                     entries[i * cols + j] = -entry(dsrc, i, j)
         if sc and dc_prev:
-            f = maps.get(n - 1)
             if f is None:
                 raise ValueError(f"missing map matrix in degree {n - 1}")
             for i in range(dc_prev):
@@ -417,17 +421,26 @@ def cone_inputs(draw):
 @given(cone_inputs())
 def test_mapping_cone_matches_dense_construction(inputs):
     maps, src, dst = inputs
-    assert _cone_outcome(mapping_cone, maps, src, dst) == _cone_outcome(
-        dense_mapping_cone, maps, src, dst
-    )
+    outcome = _cone_outcome(mapping_cone, maps, src, dst)
+    assert outcome == _cone_outcome(dense_mapping_cone, maps, src, dst)
+    if outcome[0] != "error":
+        for m in outcome[2].values():
+            assert_stored_form(m)
 
 
 def test_mapping_cone_errors_match_dense_construction():
     c = two_periodic_complex(3)
+    ones = {n: identity_matrix(1) for n in range(4)}
     for maps, other, message in [
         ({}, c, "missing map matrix in degree 0"),
-        ({n: identity_matrix(1) for n in range(4)}, two_periodic_complex(4),
-         "cone needs matching windows"),
+        (ones, two_periodic_complex(4), "cone needs matching windows"),
+        # too many rows, too few columns, too many columns
+        ({**ones, 1: IntMatrix.from_rows([[1], [1]])}, c,
+         "map matrix in degree 1 is 2x1, not 1x1"),
+        ({**ones, 0: IntMatrix.zeros(1, 0)}, c,
+         "map matrix in degree 0 is 1x0, not 1x1"),
+        ({**ones, 2: IntMatrix.from_rows([[1, 1]])}, c,
+         "map matrix in degree 2 is 1x2, not 1x1"),
     ]:
         for build in (mapping_cone, dense_mapping_cone):
             with pytest.raises(ValueError, match=message):
@@ -849,6 +862,81 @@ def test_homology_of_random_elementary_complexes_matches_construction():
     # many boundaries find unit pivots after a Euclidean step, the case
     # the pairing rule must leave unpaired
     assert late_units >= 100
+
+
+# -- dropped rows against the filtered copy they replaced -------------------
+
+def snf_dropping(m, dropped):
+    """smith_normal_form(m, dropped), checked against the SNF of the
+    filtered copy homology_window used to build and against the dense
+    kernel's invariant factors of that copy."""
+    got = smith_normal_form(m, dropped)
+    copy = without_rows(m, dropped)
+    assert got == smith_normal_form(copy)
+    assert got[0] == dense_factors(copy)
+    return got
+
+
+def test_dropped_rows_match_the_filtered_copy_on_random_matrices():
+    rng = random.Random(3301)
+    for _ in range(400):
+        rows, cols = rng.randint(0, 10), rng.randint(0, 10)
+        coeffs = rng.choice([(1, -1), (1, -1, 2, -3), (2, -2, 3, 6)])
+        m = IntMatrix.from_columns(rows, [
+            [(rng.randrange(rows), rng.choice(coeffs))
+             for _ in range(rng.randint(0, 4) if rows else 0)]
+            for _ in range(cols)
+        ])
+        snf_dropping(m, rng.sample(range(rows), rng.randint(0, rows)))
+
+
+def test_dropped_rows_match_the_filtered_copy_on_nerve_boundaries():
+    dropped = 0
+    for seed in range(40):
+        c = chains(nerve(random_monoid(seed)), 5).complex
+        paired = ()
+        for n in range(1, 6):
+            dropped += len(paired)
+            _, paired = snf_dropping(c.boundary(n), paired)
+    assert dropped > 0
+
+
+def test_homology_and_cone_build_no_matrix_copy(monkeypatch):
+    """homology_window builds no matrix, and mapping_cone builds one per
+    boundary through the trusted constructor, none through
+    from_columns."""
+    counts = {"init": 0, "from_columns": 0}
+    init, from_columns = IntMatrix.__init__, IntMatrix.from_columns.__func__
+
+    def counting_init(self, rows, columns):
+        counts["init"] += 1
+        init(self, rows, columns)
+
+    def counting_from_columns(cls, rows, columns):
+        counts["from_columns"] += 1
+        return from_columns(cls, rows, columns)
+
+    z3 = FiniteMonoid.cyclic(3)
+    windows = [
+        (chains(nerve(z3), 6), MonoidMap(z3, z3, [0, 2, 1])),
+        (chains(nerve(FiniteMonoid.cyclic(4)), 4), None),
+        (bar(free_t(), 6), None),
+    ]
+    monkeypatch.setattr(IntMatrix, "__init__", counting_init)
+    monkeypatch.setattr(
+        IntMatrix, "from_columns", classmethod(counting_from_columns)
+    )
+    for c, f in windows:
+        blocks = nerve_chains_map(f, c, c).blocks if f is not None else {
+            n: identity_matrix(c.rank(n)) for n in range(c.hi + 1)
+        }
+        counts.update(init=0, from_columns=0)
+        homology_window(c.complex)
+        assert counts == {"init": 0, "from_columns": 0}
+        cone = mapping_cone(blocks, c.complex, c.complex)
+        assert counts == {"init": c.hi, "from_columns": 0}
+        homology_window(cone)
+        assert counts == {"init": c.hi, "from_columns": 0}
 
 
 # -- oracles at sizes the dense kernel never reached ------------------------

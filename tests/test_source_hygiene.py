@@ -2,9 +2,12 @@
 
 - No module of the package imports a name it never uses, apart from the
   names it re-exports through ``__all__``.
-- Only ``barloop.exactlin`` calls the ``IntMatrix`` constructor directly;
-  everyone else builds matrices with ``from_columns``, ``from_rows`` or
-  ``zeros``.
+- The ``IntMatrix`` constructor trusts its columns to be in stored form,
+  so only the functions in ``MATRIX_CONSTRUCTOR_SITES`` call it:
+  ``from_columns``, which normalizes what it is given, and
+  ``mapping_cone``, whose blocks are already normalized.  Everyone else,
+  tests included, builds matrices with ``from_columns``, ``from_rows``
+  or ``zeros``.
 - No module of the package reads a matrix as dense rows (``to_rows``):
   every caller reads sparse columns, and Smith normal form eliminates
   on sparse rows, never on a densified matrix.  Tests and the
@@ -54,8 +57,13 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "barloop"
 ERRORS = PACKAGE / "errors.py"
-EXACTLIN = PACKAGE / "exactlin"
 BENCH = ROOT / "perfbench"
+
+# (file, function) of every call of the IntMatrix constructor itself
+MATRIX_CONSTRUCTOR_SITES = {
+    ("src/barloop/exactlin/core.py", "from_columns"),
+    ("src/barloop/exactlin/core.py", "mapping_cone"),
+}
 
 UNREAD_ON_PURPOSE = {
     "_Parser.error": "argparse calls it to reject a command line",
@@ -138,19 +146,33 @@ def unused_imports(tree):
 
 
 def direct_matrix_calls(tree):
-    """Line numbers of calls to the IntMatrix constructor itself."""
-    return [
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and (
-            (isinstance(node.func, ast.Name) and node.func.id == "IntMatrix")
-            or (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr == "IntMatrix"
-            )
-        )
-    ]
+    """(function, line) of each call of the IntMatrix constructor itself:
+    ``IntMatrix(...)``, ``x.IntMatrix(...)``, or ``cls(...)`` in a method
+    of a class named IntMatrix; the function is the innermost enclosing
+    def, or None at module level."""
+    found = []
+
+    def visit(node, function, in_matrix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, function, child.name == "IntMatrix")
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name, in_matrix)
+                continue
+            if isinstance(child, ast.Call) and (
+                (isinstance(child.func, ast.Name)
+                 and child.func.id == "IntMatrix")
+                or (isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "IntMatrix")
+                or (in_matrix and isinstance(child.func, ast.Name)
+                    and child.func.id == "cls")
+            ):
+                found.append((function, child.lineno))
+            visit(child, function, in_matrix)
+
+    visit(tree, None, False)
+    return found
 
 
 def dense_row_calls(tree):
@@ -468,7 +490,7 @@ def test_rules_detect_what_they_forbid():
         "def by_string(): pass\n"
     )
     assert unused_imports(tree) == ["c", "os"]
-    assert direct_matrix_calls(tree) == [4, 4]
+    assert direct_matrix_calls(tree) == [(None, 4), (None, 4)]
     assert dense_row_calls(tree) == [6]
     assert unread_functions(tree, *names_read(tree)) == [
         (10, "K.unread"), (11, "K.shadowed"), (12, "K.strung"),
@@ -476,6 +498,22 @@ def test_rules_detect_what_they_forbid():
     ]
     assert unread_functions(tree, *names_read(tree, strings=True)) == [
         (10, "K.unread"), (11, "K.shadowed")
+    ]
+    tree = ast.parse(
+        "class IntMatrix:\n"
+        "    @classmethod\n"
+        "    def from_columns(cls, rows, columns):\n"
+        "        return cls(rows, tuple(columns))\n"
+        "    def copy(self): return IntMatrix(self.rows, self._c)\n"
+        "class Other:\n"
+        "    @classmethod\n"
+        "    def make(cls): return cls(), IntMatrix.zeros(0, 0)\n"
+        "def cone(cls):\n"
+        "    def block(): return exactlin.IntMatrix(0, ())\n"
+        "    return cls(1), block()\n"
+    )
+    assert direct_matrix_calls(tree) == [
+        ("from_columns", 4), ("copy", 5), ("block", 10)
     ]
     tree = ast.parse(
         "class A:\n"
@@ -596,11 +634,14 @@ def test_no_unused_imports_in_the_package():
 
 
 def test_only_exactlin_calls_the_matrix_constructor():
-    paths = [
-        p for p in sorted(PACKAGE.rglob("*.py")) if EXACTLIN not in p.parents
-    ]
+    """Within exactlin, only the functions in MATRIX_CONSTRUCTOR_SITES."""
+    sites = set()
+    paths = sorted(PACKAGE.rglob("*.py"))
     paths += sorted((ROOT / "tests").glob("*.py"))
-    assert _offenders(paths, direct_matrix_calls) == {}
+    for path in paths:
+        module = path.relative_to(ROOT).as_posix()
+        sites |= {(module, f) for f, _ in direct_matrix_calls(_parse(path))}
+    assert sites == MATRIX_CONSTRUCTOR_SITES
 
 
 def test_package_reads_no_dense_rows():
