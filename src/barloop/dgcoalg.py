@@ -1,14 +1,16 @@
 """Degreewise-finite dg coalgebra windows.
 
-A window holds a chain complex on degrees 0..hi together with a
-coproduct given per basis element as a list of (left degree, left index,
-right index, coefficient) terms, a counit on degree 0, and an optional
-coaugmentation.  Each degree's coproduct is computed on first read, so
-callers that only read the complex never build it; deltas() walks a
-degree without keeping it.  The coalgebra laws (coassociativity, the
-counit laws, the coderivation law with Koszul signs, and a group-like
-coaugmentation) hold by construction for the windows the package
-builds, so no command checks them; the test suite does.
+A window is a chain complex on degrees 0..hi together with a coproduct
+streamed one degree at a time: for each basis element, the list of its
+(left degree, left index, right index) terms, each with coefficient 1.
+Nothing else varies between the windows the package builds: the counit
+is 1 on every degree-0 element, and a window with one degree-0 element
+is coaugmented by it.  A degree's coproduct is built each time a caller
+walks it and kept by none, so callers that only read the complex never
+build it.  The coalgebra laws (coassociativity, the counit laws, the
+coderivation law with Koszul signs, and a group-like coaugmentation)
+hold by construction for the windows the package builds, so no command
+checks them; the test suite does.
 
 chains() builds the normalized chain coalgebra of a simplicial set:
 basis the nondegenerate simplices, differential the alternating face sum
@@ -39,27 +41,19 @@ __all__ = [
 
 
 class DgCoalgebraWindow:
-    """Chain complex window plus coproduct, counit, coaugmentation.
+    """Chain complex window plus its coproduct.
 
     coproduct(n) yields, for each basis element j of degree n in order,
-    the list of its terms (p, i1, i2, coeff): the term
-    coeff * (basis_p[i1] (x) basis_{n-p}[i2]) of Delta applied to it.
-    delta reads a degree through it once and keeps the lists; deltas(n)
-    calls it on every walk and keeps none.
-    counit: list of integers over the degree-0 basis.
-    coaugmentation: degree-0 basis index or None.
+    the list of its terms (p, i1, i2): the term
+    basis_p[i1] (x) basis_{n-p}[i2] of Delta applied to it, each with
+    coefficient 1.  deltas(n) calls it on every walk and keeps none.
+    The counit is 1 on every degree-0 element; when rank(0) == 1, that
+    element is the coaugmentation.
     """
 
-    def __init__(self, complex_window, coproduct, counit, coaugmentation=None):
+    def __init__(self, complex_window, coproduct):
         self.complex = complex_window
         self._coproduct_of = coproduct
-        self._terms = {}
-        self.counit = list(map(int, counit))
-        self.coaugmentation = coaugmentation
-        if len(self.counit) != self.rank(0):
-            raise ValueError("counit has wrong length")
-
-    # -- basic access ---------------------------------------------------------
 
     @property
     def hi(self):
@@ -67,9 +61,6 @@ class DgCoalgebraWindow:
 
     def rank(self, n):
         return self.complex.ranks.get(n, 0)
-
-    def label(self, n, i):
-        return self.complex.label(n, i)
 
     def deltas(self, n):
         """Coproduct terms of each degree-n element in order, not kept;
@@ -84,29 +75,6 @@ class DgCoalgebraWindow:
         if next(built, None) is not None:
             raise ValueError(missing)
 
-    def _degree(self, n):
-        terms = self._terms.get(n)
-        if terms is None:
-            terms = self._terms[n] = list(self.deltas(n))
-        return terms
-
-    def delta(self, n, j):
-        return self._degree(n)[j]
-
-    def reduced_delta(self, n, j):
-        """Coproduct terms with both factors in positive degree."""
-        return [t for t in self._degree(n)[j] if 0 < t[0] < n]
-
-    def boundary(self, n):
-        return self.complex.boundary(n)
-
-    def _d_of(self, n, j):
-        """Differential of a basis element as (index, coeff) pairs in
-        degree n-1."""
-        if n == 0 or n > self.hi:
-            return []
-        return self.complex.boundary(n).column(j)
-
 
 def chains(k, hi):
     """Normalized chain coalgebra of a simplicial set on degrees 0..hi."""
@@ -115,8 +83,7 @@ def chains(k, hi):
         bases, lambda n, below, _: k.face_rows(n, bases[n], below), str
     )
     return DgCoalgebraWindow(
-        comp, lambda n: k.cut_rows(n, bases[n], comp.index),
-        [1] * comp.rank(0), 0 if comp.rank(0) == 1 else None,
+        comp, lambda n: k.cut_rows(n, bases[n], comp.index)
     )
 
 
@@ -171,47 +138,44 @@ class CoalgebraMap:
 
     def validate(self):
         bad = []
-        hi = min(self.src.hi, self.dst.hi)
+        src, dst = self.src, self.dst
+        hi = min(src.hi, dst.hi)
         for n in range(1, hi + 1):
-            lhs = self.dst.boundary(n) * self.block(n)
-            rhs = self.block(n - 1) * self.src.boundary(n)
+            lhs = dst.complex.boundary(n) * self.block(n)
+            rhs = self.block(n - 1) * src.complex.boundary(n)
             if lhs != rhs:
                 bad.append(f"not a chain map in degree {n}")
-        for j in range(self.src.rank(0)):
-            total = sum(
-                self.dst.counit[i] * c for i, c in self.block(0).column(j)
-            )
-            if total != self.src.counit[j]:
+        # the counit is 1 on every degree-0 element of either side
+        for j in range(src.rank(0)):
+            if sum(c for _, c in self.block(0).column(j)) != 1:
                 bad.append("counit is not preserved")
                 break
         for n in range(hi + 1):
-            for j in range(self.src.rank(n)):
+            dst_terms = list(dst.deltas(n))
+            for j, terms in enumerate(src.deltas(n)):
                 lhs = {}
-                for p, i1, i2, c in self.src.delta(n, j):
+                for p, i1, i2 in terms:
                     right = self.block(n - p).column(i2)
                     for a, ca in self.block(p).column(i1):
                         for b, cb in right:
                             key = (p, a, b)
-                            lhs[key] = lhs.get(key, 0) + c * ca * cb
+                            lhs[key] = lhs.get(key, 0) + ca * cb
                 rhs = {}
                 for i, c in self.block(n).column(j):
-                    for p, i1, i2, c2 in self.dst.delta(n, i):
-                        key = (p, i1, i2)
-                        rhs[key] = rhs.get(key, 0) + c * c2
+                    for key in dst_terms[i]:
+                        rhs[key] = rhs.get(key, 0) + c
                 lhs = {k: v for k, v in lhs.items() if v}
                 rhs = {k: v for k, v in rhs.items() if v}
                 if lhs != rhs:
                     bad.append(
                         f"coproduct is not preserved on degree {n} element "
-                        f"{self.src.label(n, j)}"
+                        f"{src.complex.label(n, j)}"
                     )
-        if self.src.coaugmentation is not None:
-            if self.dst.coaugmentation is None:
+        if src.rank(0) == 1:
+            if dst.rank(0) != 1:
                 bad.append("target has no coaugmentation")
-            else:
-                col = self.block(0).column(self.src.coaugmentation)
-                if col != [(self.dst.coaugmentation, 1)]:
-                    bad.append("coaugmentation is not preserved")
+            elif self.block(0).column(0) != ((0, 1),):
+                bad.append("coaugmentation is not preserved")
         return ValidationReport(bad)
 
 
@@ -300,7 +264,7 @@ def filtered_quasi_iso_window(f, src_levels, dst_levels):
     def graded_complex(c, idx):
         ranks = {n: len(idx[n]) for n in range(hi + 1)}
         bounds = {
-            n: c.boundary(n).submatrix(idx[n - 1], idx[n])
+            n: c.complex.boundary(n).submatrix(idx[n - 1], idx[n])
             for n in range(1, hi + 1)
         }
         return ChainComplexWindow(hi, ranks, bounds)

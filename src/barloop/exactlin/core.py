@@ -84,10 +84,11 @@ class IntMatrix:
         return cls.from_columns(rows, [()] * cols)
 
     def column(self, j):
-        """The nonzero (row, coeff) pairs of column j, in row order."""
+        """The stored tuple of the nonzero (row, coeff) pairs of column
+        j, in row order."""
         if not 0 <= j < self.cols:
             raise IndexError(f"column {j} out of range")
-        return list(self._c[j])
+        return self._c[j]
 
     def submatrix(self, rows, cols):
         """The entries at the given row and column indices, in that order;

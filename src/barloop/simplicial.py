@@ -138,7 +138,7 @@ class SimplicialSet:
 
     def cut_rows(self, n, basis, index):
         """Alexander-Whitney coproduct of each n-simplex of basis, in
-        order: (p, index[p][front], index[n-p][back], 1) for each p = 0..n,
+        order: (p, index[p][front], index[n-p][back]) for each p = 0..n,
         ascending, whose front p-face (vertices 0..p) and back (n-p)-face
         (vertices p..n) are both nondegenerate.  Each face is peeled off
         its neighbour one face_formal at a time."""
@@ -148,7 +148,7 @@ class SimplicialSet:
                 fronts.append(self.face_formal(fronts[-1], m))
                 backs.append(self.face_formal(backs[-1], 0))
             yield [
-                (p, index[p][front.base], index[n - p][back.base], 1)
+                (p, index[p][front.base], index[n - p][back.base])
                 for p, (front, back) in enumerate(zip(fronts[::-1], backs))
                 if not (front.word or back.word)
             ]
@@ -354,7 +354,6 @@ class NerveSimplicialSet(SimplicialSet):
                     map(repeat, index[p].values(), repeat(k ** (n - p)))
                 ),
                 chain.from_iterable(repeat(index[n - p].values(), k**p)),
-                repeat(1),
             )
             for p in range(n + 1)
         ]

@@ -32,32 +32,11 @@ from .simplicial import (
 )
 
 __all__ = [
-    "MonoidInvariantBundle",
     "WeqVerdict",
-    "invariants",
     "weq_verdict",
     "bundled_monoids",
     "bundled_complexes",
 ]
-
-
-class MonoidInvariantBundle:
-    """Invariants of one monoid over a window: homology of the nerve
-    chains and the group completion, read off the monoid's table.
-    chains is the nerve's chain window the homology was computed from."""
-
-    def __init__(self, nerve_homology, completion, chains):
-        self.nerve_homology = nerve_homology
-        self.completion = completion
-        self.chains = chains
-
-
-def invariants(m, hi=6):
-    """Invariant bundle of a finite monoid over degrees 0..hi."""
-    c = chains(nerve(m), hi)
-    return MonoidInvariantBundle(
-        homology_window(c.complex), group_completion(m), c
-    )
 
 
 class WeqVerdict:
@@ -92,11 +71,15 @@ class WeqVerdict:
 def weq_verdict(f, hi=6):
     """Window-bounded verdict on a monoid map (see module docstring)."""
     f.validate()
-    src_b = invariants(f.src, hi)
+    src_c = chains(nerve(f.src), hi)
+    hs, cs = homology_window(src_c.complex), group_completion(f.src)
     # An endomorphism's target has the invariants already computed.
-    dst_b = src_b if f.dst == f.src else invariants(f.dst, hi)
+    if f.dst == f.src:
+        dst_c, hd, cd = src_c, hs, cs
+    else:
+        dst_c = chains(nerve(f.dst), hi)
+        hd, cd = homology_window(dst_c.complex), group_completion(f.dst)
 
-    hs, hd = src_b.nerve_homology, dst_b.nerve_homology
     for n in sorted(set(hs.degrees()) & set(hd.degrees())):
         es, ed = hs[n], hd[n]
         if es.exact and ed.exact and not es.iso(ed):
@@ -107,7 +90,6 @@ def weq_verdict(f, hi=6):
                 "target": ed.describe(),
             })
 
-    cs, cd = src_b.completion, dst_b.completion
     if cs.order != cd.order:
         return WeqVerdict.distinguished(hi, {
             "invariant": "group_completion",
@@ -117,7 +99,7 @@ def weq_verdict(f, hi=6):
 
     # f.validate() above makes N(f) a simplicial map, so the chain map
     # is one by theorem and its cone needs no d∘d = 0 check.
-    fmap = nerve_chains_map(f, src_b.chains, dst_b.chains)
+    fmap = nerve_chains_map(f, src_c, dst_c)
     cone_ok, degree = cone_quasi_iso_window(
         fmap.blocks, fmap.src.complex, fmap.dst.complex
     )

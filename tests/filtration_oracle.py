@@ -14,38 +14,39 @@ def filtration_fault(c, levels):
     """The first way ``levels``, a {(degree, index): level} dict, fails to
     be an admissible filtration of the window c, or None.
 
-    Level 0 must be exactly the coaugmentation; levels must be compatible
-    with the differential (non-increasing) and the coproduct
-    (sub-additive across tensor factors).  Raises NotCoaugmented when c
-    has no coaugmentation.
+    Level 0 must be exactly the coaugmentation, the one degree-0
+    element; levels must be compatible with the differential
+    (non-increasing) and the coproduct (sub-additive across tensor
+    factors).  Raises NotCoaugmented when c has no coaugmentation.
     """
     for n in range(c.hi + 1):
         for j in range(c.rank(n)):
             if (n, j) not in levels:
                 return f"no level for degree {n} element {j}"
-    if c.coaugmentation is None:
+    if c.rank(0) != 1:
         raise NotCoaugmented("admissible filtrations need a coaugmentation")
     for (n, j), l in levels.items():
-        if (l == 0) != ((n, j) == (0, c.coaugmentation)):
+        if (l == 0) != ((n, j) == (0, 0)):
             return (
                 f"level 0 must be exactly the coaugmentation; "
-                f"degree {n} element {c.label(n, j)} has level {l}"
+                f"degree {n} element {c.complex.label(n, j)} has level {l}"
             )
     for n in range(1, c.hi + 1):
-        for j in range(c.rank(n)):
+        d_n = c.complex.boundary(n)
+        for j, terms in enumerate(c.deltas(n)):
             l = levels[(n, j)]
-            if any(levels[(n - 1, i)] > l for i, _ in c._d_of(n, j)):
+            if any(levels[(n - 1, i)] > l for i, _ in d_n.column(j)):
                 return (
                     f"differential raises the level on degree {n} "
-                    f"element {c.label(n, j)}"
+                    f"element {c.complex.label(n, j)}"
                 )
             if any(
                 levels[(p, i1)] + levels[(n - p, i2)] > l
-                for p, i1, i2, _ in c.delta(n, j)
+                for p, i1, i2 in terms
             ):
                 return (
                     f"coproduct is not sub-additive on degree {n} "
-                    f"element {c.label(n, j)}"
+                    f"element {c.complex.label(n, j)}"
                 )
     return None
 
@@ -71,6 +72,6 @@ def filtered_map_fault(f, src_levels, dst_levels):
                 if dst_levels[(n, i)] > lj:
                     return (
                         f"map raises filtration level on degree {n} element "
-                        f"{src.label(n, j)}"
+                        f"{src.complex.label(n, j)}"
                     )
     return None

@@ -12,7 +12,9 @@ constant once, to equal bar windows built on this one.
 boundary term with ``poly_iadd_term`` and looked up every cut of a bar
 word, the two ends included, in the coproduct.  Only its call of
 ``basis_window`` is new: it looks each boundary term up in the index
-of degree n-1, as the builder's callback now must.  The same tests
+of degree n-1, as the builder's callback now must.  Its coproduct terms
+drop the coefficient 1 they carried, and its window no longer takes a
+counit and a coaugmentation: windows now hold neither.  The same tests
 require the current ``barcobar._bar_data`` to build the same window
 from the same ideal basis.
 """
@@ -108,8 +110,8 @@ def _bar_data(ib, hi, cap):
             for w in tup:
                 cuts.append(cuts[-1] + sdeg[w])
             yield [
-                (p, bar_index[p][tup[:k]], bar_index[n - p][tup[k:]], 1)
+                (p, bar_index[p][tup[:k]], bar_index[n - p][tup[k:]])
                 for k, p in enumerate(cuts)
             ]
 
-    return DgCoalgebraWindow(comp, coproduct, [1], 0)
+    return DgCoalgebraWindow(comp, coproduct)

@@ -3,8 +3,9 @@
 perfbench/tracer.py rebinds barloop functions and methods by module
 attribute and reads work counters off their results.  This test loads
 the tracer from its file, installs it, and checks that every entry it
-names resolves and that a chains call is counted, so that a renamed or
-moved entry point fails here rather than only in the slow benchmark
+names resolves and that a chains call and a bar call are counted, both
+read through the window's hi and rank, so that a renamed or moved entry
+point or window member fails here rather than only in the slow benchmark
 test.  Nothing under perfbench/ is changed.
 """
 
@@ -33,7 +34,8 @@ def test_tracer_wraps_every_entry_point_and_counts_chains():
         importlib.import_module(f"barloop.{name}")
     tracing = _load_tracer()
     dgcoalg = sys.modules["barloop.dgcoalg"]
-    original = dgcoalg.chains
+    barcobar = sys.modules["barloop.barcobar"]
+    originals = dgcoalg.chains, barcobar.bar
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -43,10 +45,13 @@ def test_tracer_wraps_every_entry_point_and_counts_chains():
             cls = getattr(sys.modules[module], cls_name)
             assert hasattr(cls.__dict__[method], "__wrapped__")
         simplicial = sys.modules["barloop.simplicial"]
-        z3 = sys.modules["barloop.monoids"].FiniteMonoid.cyclic(3)
+        monoids = sys.modules["barloop.monoids"]
+        z3 = monoids.FiniteMonoid.cyclic(3)
         dgcoalg.chains(simplicial.nerve(z3), 3)
+        barcobar.bar(monoids.monoid_algebra(z3), 3)
         _, counts = tracer.take()
     finally:
         tracer.uninstall()
     assert counts["dgcoalg.chains_cells"] == 1 + 2 + 4 + 8
-    assert dgcoalg.chains is original
+    assert counts["barcobar.bar_cells"] == 1 + 2 + 4 + 8
+    assert (dgcoalg.chains, barcobar.bar) == originals

@@ -47,8 +47,8 @@ def test_circle_chains_window():
     c = chains(minimal_sphere(1), 3)
     assert [c.rank(n) for n in range(4)] == [1, 1, 0, 0]
     assert c.complex.boundary(1) == IntMatrix.zeros(1, 1)
-    assert c.reduced_delta(1, 0) == []
-    assert c.coaugmentation == 0
+    # the loop's coproduct has only its two end terms: no reduced part
+    assert coproduct(c)[1] == [[(0, 0, 0), (1, 0, 0)]]
     assert validate_coalgebra(c).ok
 
 
@@ -66,12 +66,7 @@ def test_sphere_chains_ranks_and_homology():
 def test_nerve_z2_coproduct_of_gg_is_frozen_three_terms():
     c = chains(nerve(FiniteMonoid.cyclic(2)), 3)
     # (g,g) maps to (g,g)x1 + gxg + 1x(g,g); every degree has rank 1
-    assert sorted(c.delta(2, 0)) == [
-        (0, 0, 0, 1),
-        (1, 0, 0, 1),
-        (2, 0, 0, 1),
-    ]
-    assert c.reduced_delta(2, 0) == [(1, 0, 0, 1)]
+    assert coproduct(c)[2] == [[(0, 0, 0), (1, 0, 0), (2, 0, 0)]]
 
 
 def test_nerve_z2_homology_periodic():
@@ -271,12 +266,10 @@ def test_nerve_chains_maps_of_bundled_monoids_validate(name, kind):
 
 def test_corrupted_coproduct_is_detected():
     c = chains(nerve(FiniteMonoid.cyclic(2)), 3)
-    cop = {n: [list(ts) for ts in terms] for n, terms in coproduct(c).items()}
+    cop = coproduct(c)
     # dropping one interior term breaks coassociativity asymmetrically
     cop[3][0] = [t for t in cop[3][0] if t[0] != 2]
-    bad = DgCoalgebraWindow(
-        c.complex, cop.__getitem__, c.counit, c.coaugmentation
-    )
+    bad = DgCoalgebraWindow(c.complex, cop.__getitem__)
     report = validate_coalgebra(bad)
     assert not report.ok
     assert any("coassociativity" in v for v in report.violations)
@@ -284,11 +277,9 @@ def test_corrupted_coproduct_is_detected():
 
 def test_missing_counit_term_is_detected():
     c = chains(nerve(FiniteMonoid.cyclic(2)), 3)
-    cop = {n: [list(ts) for ts in terms] for n, terms in coproduct(c).items()}
+    cop = coproduct(c)
     cop[2][0] = [t for t in cop[2][0] if t[0] != 0]
-    bad = DgCoalgebraWindow(
-        c.complex, cop.__getitem__, c.counit, c.coaugmentation
-    )
+    bad = DgCoalgebraWindow(c.complex, cop.__getitem__)
     report = validate_coalgebra(bad)
     assert any("Delta != id" in v for v in report.violations)
 
@@ -311,14 +302,14 @@ def test_skeletal_filtration_levels():
     for c, checked in ((chains(minimal_sphere(2), 3), 3),
                        (chains(nerve(FiniteMonoid.cyclic(2)), 4), 5)):
         levels = skeletal(c)
-        assert levels[(0, c.coaugmentation)] == 0
+        assert c.rank(0) == 1 and levels[(0, 0)] == 0
         verdict = filtered_quasi_iso_window(identity_map(c), levels, levels)
         assert verdict.detail == {"levels_checked": checked, "window_hi": c.hi}
 
 
 def test_skeletal_filtration_needs_coaugmentation():
     c = chains(boundary_delta3(), 2)
-    assert c.coaugmentation is None
+    assert c.rank(0) == 4
     with pytest.raises(NotCoaugmented):
         filtration_fault(c, skeletal(c))
 
@@ -336,19 +327,21 @@ def test_admissible_filtration_violations_are_reported():
     levels[(1, 0)] = 0
     assert _first_fault(c, levels) == (
         "level 0 must be exactly the coaugmentation; degree 1 element "
-        f"{c.label(1, 0)} has level 0"
+        f"{c.complex.label(1, 0)} has level 0"
     )
     # d(g,g) = 2g
     levels = skeletal(c)
     levels[(1, 0)] = 3
     assert _first_fault(c, levels) == (
-        f"differential raises the level on degree 2 element {c.label(2, 0)}"
+        "differential raises the level on degree 2 element "
+        f"{c.complex.label(2, 0)}"
     )
     # d(g,g,g) = 0, but (g) x (g,g) is a term of its coproduct
     levels = skeletal(c)
     levels[(3, 0)] = 2
     assert _first_fault(c, levels) == (
-        f"coproduct is not sub-additive on degree 3 element {c.label(3, 0)}"
+        "coproduct is not sub-additive on degree 3 element "
+        f"{c.complex.label(3, 0)}"
     )
 
 
@@ -391,7 +384,8 @@ def test_map_raising_levels_is_rejected():
     lo = {(0, 0): 0, (2, 0): 2}
     high = {(0, 0): 0, (2, 0): 3}
     assert filtered_map_fault(f, lo, high) == (
-        f"map raises filtration level on degree 2 element {c.label(2, 0)}"
+        "map raises filtration level on degree 2 element "
+        f"{c.complex.label(2, 0)}"
     )
     # lowering levels is admissible, but the graded pieces then differ
     assert filtered_quasi_iso_window(f, high, lo).kind == "fails"
@@ -419,29 +413,39 @@ def test_collapse_of_idempotent_pair_is_quasi_iso_by_cone():
     assert verdict.kind == "fails"
 
 
-def two_points():
-    """Two group-like vertices and nothing above them; vertex 0 is the
-    coaugmentation."""
-    comp = ChainComplexWindow(1, {0: 2, 1: 0}, {1: IntMatrix.zeros(2, 0)})
-    return DgCoalgebraWindow(
-        comp, {0: [[(0, 0, 0, 1)], [(0, 1, 1, 1)]], 1: []}.__getitem__,
-        [1, 1], 0,
+def vertices(count):
+    """Group-like vertices and nothing above them; a single vertex is the
+    coaugmentation, and two have none."""
+    comp = ChainComplexWindow(
+        1, {0: count, 1: 0}, {1: IntMatrix.zeros(count, 0)}
     )
+    cop = {0: [[(0, i, i)] for i in range(count)], 1: []}
+    return DgCoalgebraWindow(comp, cop.__getitem__)
 
 
 def test_coalgebra_map_reports_each_broken_law():
-    c = two_points()
+    one, two = vertices(1), vertices(2)
 
-    def violations(rows):
+    def violations(src, dst, rows):
         blocks = {0: IntMatrix.from_rows(rows)}
-        return CoalgebraMap(c, c, blocks).validate().violations
+        return CoalgebraMap(src, dst, blocks).validate().violations
 
-    assert violations([[1, 0], [0, 1]]) == []
-    assert violations([[1, 0], [0, 0]]) == ["counit is not preserved"]
-    assert violations([[1, 2], [0, -1]]) == [
+    assert violations(two, two, [[1, 0], [0, 1]]) == []
+    assert violations(two, two, [[1, 0], [0, 0]]) == [
+        "counit is not preserved"
+    ]
+    assert violations(two, two, [[1, 2], [0, -1]]) == [
         "coproduct is not preserved on degree 0 element deg0#1"
     ]
-    assert violations([[0, 1], [1, 0]]) == ["coaugmentation is not preserved"]
+    # two vertices have no coaugmentation, so swapping them is a map
+    assert violations(two, two, [[0, 1], [1, 0]]) == []
+    assert violations(one, one, [[1]]) == []
+    assert violations(one, one, [[0]]) == [
+        "counit is not preserved", "coaugmentation is not preserved"
+    ]
+    assert violations(one, two, [[1], [0]]) == [
+        "target has no coaugmentation"
+    ]
 
 
 def test_coalgebra_map_reports_a_broken_chain_map():

@@ -275,10 +275,12 @@ def test_from_columns_edge_shapes():
 
 def test_column_lists_nonzero_entries_in_row_order():
     m = IntMatrix.from_rows([[0, 3], [4, 0], [0, -1]])
-    assert m.column(0) == [(1, 4)]
-    assert m.column(1) == [(0, 3), (2, -1)]
-    assert IntMatrix.zeros(2, 1).column(0) == []
-    assert IntMatrix.zeros(0, 1).column(0) == []
+    assert m.column(0) == ((1, 4),)
+    assert m.column(1) == ((0, 3), (2, -1))
+    assert IntMatrix.zeros(2, 1).column(0) == ()
+    assert IntMatrix.zeros(0, 1).column(0) == ()
+    # the stored tuple itself, not a copy: no caller can change it
+    assert m.column(1) is m.column(1)
     for j in (-1, 2):
         with pytest.raises(IndexError):
             m.column(j)
@@ -517,7 +519,7 @@ class DenseMatrix:
         if not 0 <= j < self.cols:
             raise IndexError(f"column {j} out of range")
         values = self._e[j :: self.cols]
-        return list(compress(enumerate(values), values))
+        return tuple(compress(enumerate(values), values))
 
     def submatrix(self, rows, cols):
         """The entries at the given row and column indices, in that order;

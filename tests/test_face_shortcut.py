@@ -156,10 +156,10 @@ def test_nerve_chain_rows_are_the_index_ints():
     rows = [list(c.complex.index[n].values()) for n in range(7)]
     stored = [
         (r, rows[5]) for j in range(c.rank(6))
-        for r, _ in c.boundary(6).column(j)
+        for r, _ in c.complex.boundary(6).column(j)
     ]
     for terms in c.deltas(5):
-        for p, front, back, _ in terms:
+        for p, front, back in terms:
             stored += [(front, rows[p]), (back, rows[5 - p])]
     assert max(r for r, _ in stored) > 256
     assert all(r is row_ints[r] for r, row_ints in stored)

@@ -1,9 +1,10 @@
 """The chain layer builds only what its caller reads.
 
 The Alexander-Whitney coproduct of a chain window is computed one degree
-at a time on first read; it must equal, term for term and in order, the
-eager construction that walks face_formal from the simplex for every
-front and back face.  Homology callers and weq never trigger it, a weq
+at a time, each time a caller walks it, and kept by no window; it must
+equal, term for term and in order, the eager construction that walks
+face_formal from the simplex for every front and back face.  Homology
+callers and weq never trigger it, cobar walks each degree once, a weq
 question builds each nerve's chain window once, and nerve_chains_map
 maps between the windows it is given.
 """
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barloop import barcobar, cli, dgcoalg, weqcheck
-from barloop.barcobar import bar, cobar
+from barloop.barcobar import bar, cobar, counit_check, extended_cobar
 from barloop.dgcoalg import DgCoalgebraWindow, chains, nerve_chains_map
 from barloop.exactlin import ChainComplexWindow, basis_window, homology_window
 from barloop.monoids import (
@@ -24,6 +25,7 @@ from barloop.monoids import (
     monoid_algebra,
     random_monoid,
 )
+from barloop.rewrite import PresentedDgAlgebra
 from barloop.simplicial import (
     FormalSimplex,
     NerveSimplicialSet,
@@ -34,7 +36,7 @@ from barloop.simplicial import (
     rp2_model,
 )
 from barloop.weqcheck import weq_verdict
-from checks import coproduct as all_degrees
+from checks import coproduct as all_degrees, holds_no_coproduct
 from laws import validate_coalgebra
 from quotient_oracle import QuotientSimplicialSet
 
@@ -71,7 +73,7 @@ def eager_chains(k, hi):
                 if front.word or back.word:
                     continue
                 terms.append(
-                    (p, index[p][front.base], index[n - p][back.base], 1)
+                    (p, index[p][front.base], index[n - p][back.base])
                 )
             per_degree.append(terms)
         coproduct[n] = per_degree
@@ -127,21 +129,24 @@ def test_chains_match_eager_oracle_on_fixed_sets(k):
     assert_matches_eager(k, 5)
 
 
-def _record_coproduct_calls(monkeypatch, module):
-    """Make module build its coalgebra windows with a coproduct function
-    that records each degree it is asked for."""
-    calls = []
+def _record_coproduct_calls(monkeypatch, *modules):
+    """Make the modules build their coalgebra windows with a coproduct
+    function that records each degree it is asked for; returns that
+    record and the windows built."""
+    calls, windows = [], []
 
     class Recording(DgCoalgebraWindow):
-        def __init__(self, comp, coproduct, *rest):
+        def __init__(self, comp, coproduct):
             def recorded(n):
                 calls.append(n)
                 return coproduct(n)
 
-            super().__init__(comp, recorded, *rest)
+            super().__init__(comp, recorded)
+            windows.append(self)
 
-    monkeypatch.setattr(module, "DgCoalgebraWindow", Recording)
-    return calls
+    for module in modules:
+        monkeypatch.setattr(module, "DgCoalgebraWindow", Recording)
+    return calls, windows
 
 
 def test_homology_of_chains_builds_no_coproduct(monkeypatch):
@@ -153,25 +158,54 @@ def test_homology_of_chains_builds_no_coproduct(monkeypatch):
         return cut_rows(self, n, basis, index)
 
     monkeypatch.setattr(NerveSimplicialSet, "cut_rows", counted)
-    calls = _record_coproduct_calls(monkeypatch, dgcoalg)
+    calls, _ = _record_coproduct_calls(monkeypatch, dgcoalg)
     c = chains(nerve(FiniteMonoid.cyclic(3)), 6)
     homology_window(c.complex)
     assert walked == [] and calls == []
     # a later law check reads every degree once, with one cut_rows call
-    # per degree
-    assert validate_coalgebra(c).ok
+    # per degree, and the window keeps none of it for the next reader
     assert validate_coalgebra(c).ok
     assert calls == list(range(7))
     assert walked == list(range(7))
+    assert validate_coalgebra(c).ok
+    assert calls == walked == list(range(7)) * 2
 
 
 def test_homology_of_bar_builds_no_coproduct(monkeypatch):
-    calls = _record_coproduct_calls(monkeypatch, barcobar)
+    calls, _ = _record_coproduct_calls(monkeypatch, barcobar)
     w = bar(monoid_algebra(FiniteMonoid.cyclic(3)), 4)
     homology_window(w.complex)
     assert calls == []
     assert validate_coalgebra(w).ok
     assert calls == list(range(5))
+
+
+def exterior_on_x():
+    return PresentedDgAlgebra([("x", 1)], [({(0, 0): 1}, {})], {}, {0: 0})
+
+
+@pytest.mark.parametrize(
+    "build, degrees",
+    [
+        (lambda: cobar(chains(minimal_sphere(2), 6)), range(1, 7)),
+        (lambda: cobar(chains(nerve(FiniteMonoid.cyclic(3)), 4)), range(1, 5)),
+        (lambda: extended_cobar(minimal_sphere(1), 4), range(1, 5)),
+        (lambda: extended_cobar(collapsed_boundary_delta3(), 3), range(1, 4)),
+        # the bar window runs one degree above the counit's window
+        (lambda: counit_check(exterior_on_x(), 5), range(1, 7)),
+    ],
+    ids=["cobar-sphere2", "cobar-z3", "extended-sphere1",
+         "extended-delta3-collapsed", "counit-exterior"],
+)
+def test_cobar_walks_each_coproduct_degree_once(monkeypatch, build, degrees):
+    """cobar, extended_cobar and counit_check read each positive degree
+    of their one coalgebra window's coproduct in one walk, and the
+    window holds none of it afterwards."""
+    calls, windows = _record_coproduct_calls(monkeypatch, barcobar, dgcoalg)
+    assert build()
+    assert calls == list(degrees)
+    [window] = windows
+    assert holds_no_coproduct(window)
 
 
 def _windows_built_by_weq(monkeypatch, f):
@@ -207,7 +241,7 @@ def test_weq_reuses_the_invariants_of_an_equal_target(monkeypatch):
 def test_homology_and_weq_commands_build_no_coproduct(monkeypatch, capsys):
     """homology rests on d∘d = 0 and weq on cone acyclicity; neither
     reads a coproduct."""
-    calls = _record_coproduct_calls(monkeypatch, dgcoalg)
+    calls, _ = _record_coproduct_calls(monkeypatch, dgcoalg)
     assert cli.run(["homology", "z3", "--window", "0..6"]) == 0
     capsys.readouterr()
     verdict = weq_verdict(MonoidMap.identity(FiniteMonoid.cyclic(3)), hi=3)
@@ -233,7 +267,7 @@ def test_nerve_chains_map_needs_matching_windows_with_bases():
     comp = c3.complex
     loaded = DgCoalgebraWindow(
         ChainComplexWindow(comp.hi, comp.ranks, comp.boundaries),
-        all_degrees(c3).__getitem__, c3.counit, c3.coaugmentation,
+        all_degrees(c3).__getitem__,
     )
     assert loaded.complex.bases is None
     with pytest.raises(ValueError, match="keep their bases"):
@@ -269,16 +303,17 @@ def test_windows_name_basis_elements_only_when_read(monkeypatch):
 
 
 def test_short_coproduct_fails_on_first_read():
+    """A package reader sees a short degree as soon as it walks it."""
     c = chains(nerve(FiniteMonoid.cyclic(3)), 3)
     full = all_degrees(c)
 
     def short(n):
         return full[n][:-1] if n == 2 else full[n]
 
-    w = DgCoalgebraWindow(c.complex, short, c.counit, c.coaugmentation)
-    assert w.delta(1, 0) == full[1][0]
+    w = DgCoalgebraWindow(c.complex, short)
+    assert next(w.deltas(2)) == full[2][0]
     with pytest.raises(ValueError, match="missing columns in degree 2"):
-        w.delta(2, 0)
+        cobar(w)
 
 
 @pytest.mark.parametrize("change", [-1, 1], ids=["fewer", "more"])
@@ -295,12 +330,9 @@ def test_streamed_coproduct_reads_check_the_rank(change):
             terms = terms[:-1] if change < 0 else terms + terms[:1]
         yield from terms
 
-    w = DgCoalgebraWindow(c.complex, miscounted, c.counit, c.coaugmentation)
+    w = DgCoalgebraWindow(c.complex, miscounted)
     assert list(w.deltas(1)) == full[1]
-    assert w._terms == {}
     with pytest.raises(ValueError, match="missing columns in degree 2"):
         list(w.deltas(2))
-    with pytest.raises(ValueError, match="missing columns in degree 2"):
-        w.delta(2, 0)
-    assert w._terms == {}
+    assert holds_no_coproduct(w)
 

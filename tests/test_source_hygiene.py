@@ -92,16 +92,12 @@ VALIDATE_DEFINITIONS = {
 
 
 SHARED_NAMES = {
-    "boundary": "ChainComplexWindow and DgCoalgebraWindow: both read by "
-    "the package",
     "describe": "HomologyEntry (cli, weqcheck, the benchmark's oracles) "
     "and RewriteSystem (cli): both read",
     "hi": "ChainComplexWindow, DgCoalgebraWindow and WeqVerdict: all read "
     "by the package",
     "identity": "FiniteMonoid's stored identity and the MonoidMap.identity "
     "constructor: both read by the package",
-    "label": "ChainComplexWindow and DgCoalgebraWindow: both read by the "
-    "package",
     "ok": "IsoCertificate's stored flag (cli, loopgroup, the benchmark) "
     "and ValidationReport's property (its own __bool__): both read",
     "order": "FiniteMonoid's method and GroupCompletion's stored order: "

@@ -1,4 +1,4 @@
-"""Invariant bundles and equivalence verdicts for monoid maps."""
+"""Nerve invariants and equivalence verdicts for monoid maps."""
 
 import itertools
 import sys
@@ -7,6 +7,8 @@ import pytest
 
 import label_completion_map as old
 from barloop import rewrite
+from barloop.dgcoalg import chains
+from barloop.exactlin import homology_window
 from barloop.monoids import (
     Exhausted,
     FiniteMonoid,
@@ -16,31 +18,38 @@ from barloop.monoids import (
     group_ring,
     random_monoid,
 )
+from barloop.simplicial import nerve
 from barloop.weqcheck import (
     bundled_complexes,
     bundled_monoids,
-    invariants,
     weq_verdict,
 )
 from checks import isomorphic_as_tables, quotient_table
 from coset_oracle import _coset_enumeration
 
 
+def nerve_invariants(m, hi):
+    """The nerve homology over degrees 0..hi and the group completion of
+    m, the invariants weq_verdict compares."""
+    return homology_window(chains(nerve(m), hi).complex), group_completion(m)
+
+
 def test_invariant_bundle_of_idempotent_pair():
-    b = invariants(FiniteMonoid.idempotent_pair(), hi=4)
+    m = FiniteMonoid.idempotent_pair()
+    homology, completion = nerve_invariants(m, hi=4)
     # nerve is contractible: point homology
-    assert b.nerve_homology[0].group() == (1, ())
+    assert homology[0].group() == (1, ())
     for n in range(1, 4):
-        assert b.nerve_homology[n].is_zero()
-    assert not isinstance(b.completion, Exhausted)
-    assert b.completion.order == 1
+        assert homology[n].is_zero()
+    assert not isinstance(completion, Exhausted)
+    assert completion.order == 1
 
 
 def test_invariant_bundle_of_cyclic_group():
-    b = invariants(FiniteMonoid.cyclic(2), hi=4)
-    assert b.nerve_homology[1].group() == (0, (2,))
-    assert b.nerve_homology[3].group() == (0, (2,))
-    assert b.completion.order == 2
+    homology, completion = nerve_invariants(FiniteMonoid.cyclic(2), hi=4)
+    assert homology[1].group() == (0, (2,))
+    assert homology[3].group() == (0, (2,))
+    assert completion.order == 2
 
 
 def test_collapse_of_idempotent_pair_is_certified():
@@ -118,13 +127,13 @@ def test_verdicts_are_monotone_in_the_window():
 
 def test_bundle_serializes():
     m = FiniteMonoid.cyclic(2)
-    b = invariants(m, hi=3)
-    assert b.completion.order == 2
-    quotient = quotient_table(m, b.completion.classes)
+    homology, completion = nerve_invariants(m, hi=3)
+    assert completion.order == 2
+    quotient = quotient_table(m, completion.classes)
     assert MonoidPresentation.from_monoid(quotient).to_json_dict()["gens"] == [
         "g"
     ]
-    assert b.nerve_homology.to_json_dict()["1"]["torsion"] == ["2"]
+    assert homology.to_json_dict()["1"]["torsion"] == ["2"]
 
 
 def test_verdict_serializes():
