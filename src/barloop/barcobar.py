@@ -227,6 +227,9 @@ def bar(algebra, hi, budget=100_000, cap=10_000):
 
 
 def _cobar_with_gens(c):
+    """(cobar algebra, generator of each (degree, index), reduced), from
+    one walk of the window's coproduct: reduced[n][i] lists the coproduct
+    terms of element i of degree n with both factors in positive degree."""
     if c.rank(0) != 1:
         raise NotCoaugmented(
             "cobar needs a reduced coaugmented coalgebra window"
@@ -244,8 +247,10 @@ def _cobar_with_gens(c):
         gens = [(f"{lbl}:{deg + 1}", deg) for lbl, deg in gens]
 
     differential = {}
+    reduced = {}
     for n in range(1, c.hi + 1):
         d_n = c.complex.boundary(n)
+        reduced[n] = []
         for i, terms in enumerate(c.deltas(n)):
             d = {}
             for j, coeff in d_n.column(i):
@@ -255,25 +260,25 @@ def _cobar_with_gens(c):
                         "a reduced window"
                     )
                 poly_iadd_term(d, (gen_of[(n - 1, j)],), -coeff)
-            for p, i1, i2 in terms:
-                if 0 < p < n:
-                    poly_iadd_term(
-                        d, (gen_of[(p, i1)], gen_of[(n - p, i2)]),
-                        -1 if p % 2 else 1,
-                    )
+            reduced[n].append(kept := [t for t in terms if 0 < t[0] < n])
+            for p, i1, i2 in kept:
+                poly_iadd_term(
+                    d, (gen_of[(p, i1)], gen_of[(n - p, i2)]),
+                    -1 if p % 2 else 1,
+                )
             if d:
                 differential[gen_of[(n, i)]] = d
 
     alg = PresentedDgAlgebra(
         gens, [], differential, {g: 0 for g in range(len(gens))}
     )
-    return alg, gen_of
+    return alg, gen_of, reduced
 
 
 def cobar(c):
     """Cobar algebra of a reduced coaugmented coalgebra window: free on
     one generator of degree n-1 per degree-n basis element."""
-    alg, _ = _cobar_with_gens(c)
+    alg, _, _ = _cobar_with_gens(c)
     return alg
 
 
@@ -281,7 +286,7 @@ def extended_cobar(k, hi):
     """Cobar of the chains of a reduced simplicial set, with the group-like
     cycles 1 + s^{-1}x inverted for every nondegenerate 1-simplex x."""
     c = chains(k, hi)
-    alg, gen_of = _cobar_with_gens(c)
+    alg, gen_of, _ = _cobar_with_gens(c)
     gens = [gen_of[(1, i)] for i in range(c.rank(1))]
     if not gens:
         return alg
@@ -367,7 +372,7 @@ def counit_check(algebra, hi, budget=100_000, cap=10_000):
     # one listing of degrees 0..hi serves the bar and the algebra window
     ib = _IdealBasis(algebra, rsys_a, hi, cap, [degree0])
     bw = _bar_data(ib, hi + 1, cap)
-    om, gen_of = _cobar_with_gens(bw)
+    om, gen_of, _ = _cobar_with_gens(bw)
 
     images = {}
     for (n, i), g in gen_of.items():
@@ -417,15 +422,9 @@ def unit_check(c, budget=100_000, cap=10_000):
         raise NotSimplyConnected(
             "unit comparison needs a window with no degree-1 elements"
         )
-    om, gen_of = _cobar_with_gens(c)
+    om, gen_of, reduced = _cobar_with_gens(c)
     bw = bar(om, c.hi, budget, cap)
     bar_basis, bar_index = bw.complex.bases, bw.complex.index
-    # reduced[n][i]: the coproduct terms of element i of degree n with
-    # both factors in positive degree
-    reduced = {
-        n: [[t for t in terms if 0 < t[0] < n] for terms in c.deltas(n)]
-        for n in range(1, c.hi + 1)
-    }
 
     blocks = {0: IntMatrix.from_rows([[1]])}
     for n in range(1, c.hi + 1):

@@ -556,7 +556,10 @@ def run(argv):
         error = None
     except _INVALID_INPUT as e:
         code, outputs, certificates, inputs = 2, {}, [], {}
-        error = {"kind": "invalid-input", "message": str(e)}
+        # str() of a KeyError is the repr of its message
+        keyed = isinstance(e, KeyError) and e.args
+        error = {"kind": "invalid-input",
+                 "message": str(e.args[0] if keyed else e)}
     except BarloopError as e:
         code, outputs, certificates, inputs = 1, {}, [], {}
         error = {"kind": "check-failed", "message": str(e)}

@@ -107,6 +107,7 @@ class PresentedDgAlgebra:
                 raise ValueError(f"generator {lbl} has negative degree")
         self._index = {lbl: i for i, (lbl, _) in enumerate(self.generators)}
         self.gen_degree = [deg for _, deg in self.generators].__getitem__
+        self._keys = {}  # word -> its order key, built on first request
         self.relations = [(dict(l), dict(r)) for l, r in (relations or [])]
         self.differential = {int(g): dict(p) for g, p in (differential or {}).items()}
         self.augmentation = (
@@ -140,7 +141,13 @@ class PresentedDgAlgebra:
         return sum(map(self.gen_degree, word))
 
     def order_key(self, word):
-        return (sum(map(self.gen_degree, word)), len(word), word)
+        """(degree, length, word), built once per word and algebra."""
+        key = self._keys.get(word)
+        if key is None:
+            key = self._keys[word] = (
+                sum(map(self.gen_degree, word)), len(word), word
+            )
+        return key
 
     def _check_homogeneous(self, p):
         degs = {self.word_degree(w) for w in p}
@@ -253,11 +260,33 @@ class _Rule:
         self.key = key      # order key of lhs
 
 
+def _short_subwords(lhs):
+    """The letters and adjacent pairs of a left-hand side: a word that
+    contains another nonempty word contains its first one or two letters."""
+    return {lhs[i : i + k] for k in (1, 2) for i in range(len(lhs) - k + 1)}
+
+
 class RewriteSystem:
     """Oriented rules plus reduction, in one rule table that completion
     updates in place as rules are added and retired.  ``complete`` means
     the critical pair saturation finished inside its budget; otherwise
-    equality checks are sound but may be inconclusive."""
+    equality checks are sound but may be inconclusive.
+
+    Beside the rule table the system keeps, for its own lifetime:
+    - a record per word, made by the word's first reduction scan: the
+      left-hand sides with a live rule that occur in it, each with its
+      leftmost start and its (live) rule list, in order-key order.
+      Retiring a rule needs no invalidation, since its left-hand side's
+      rule list just empties.  Inserting a rule whose left-hand side
+      length has no live rule drops every record (their scans skipped
+      that length); inserting one whose left-hand side has no live rule
+      drops the records of the words whose scan looked that window up
+      and found no rule;
+    - the rules by the letters and adjacent pairs of their left-hand
+      sides, so that a new rule finds the rules it may retire without
+      reading every rule.
+    Order keys come from the algebra, which builds each word's key once
+    and keeps it, so queueing a monomial again reads a stored key."""
 
     def __init__(self, algebra):
         self.algebra = algebra
@@ -266,12 +295,24 @@ class RewriteSystem:
         self.steps_used = 0
         self._by_lhs = {}  # lhs -> its rules in rule order ([] once retired)
         self._lhs_lengths = {}  # length -> number of rules with lhs that long
+        self._found = {}  # word -> [(rules of an lhs in it, leftmost start)]
+        self._missed = {}  # window -> words whose scan found no rule there
+        self._containing = {}  # letter or pair -> {rule: None}, as inserted
 
     def _insert(self, rule):
+        lhs, n = rule.lhs, len(rule.lhs)
+        same = self._by_lhs.setdefault(lhs, [])
+        if n not in self._lhs_lengths:
+            self._found.clear()
+            self._missed.clear()
+        elif not same:
+            for word in self._missed.pop(lhs, ()):
+                self._found.pop(word, None)
+        same.append(rule)
         bisect.insort(self.rules, rule, key=lambda r: r.key)
-        self._by_lhs.setdefault(rule.lhs, []).append(rule)
-        n = len(rule.lhs)
         self._lhs_lengths[n] = self._lhs_lengths.get(n, 0) + 1
+        for sub in _short_subwords(lhs):
+            self._containing.setdefault(sub, {})[rule] = None
 
     def _retire(self, rule):
         self.rules.remove(rule)
@@ -280,6 +321,21 @@ class RewriteSystem:
         self._lhs_lengths[n] -= 1
         if not self._lhs_lengths[n]:
             del self._lhs_lengths[n]
+        for sub in _short_subwords(rule.lhs):
+            del self._containing[sub][rule]
+
+    def _retired_by(self, new):
+        """The rules whose left-hand side contains the new rule's and whose
+        leading coefficient its lead divides with a nonzero quotient.  Any
+        order will do: their leads differ unless their left-hand sides
+        are equal, and those come in insertion order."""
+        lhs, k = new.lhs, len(new.lhs)
+        rules = self._containing.get(lhs[:2], ()) if k else self.rules
+        return [
+            r for r in rules
+            if any(r.lhs[i : i + k] == lhs for i in range(len(r.lhs) - k + 1))
+            and self._quotient(r.coeff, new.coeff)
+        ]
 
     @property
     def has_nonunit_leads(self):
@@ -288,21 +344,42 @@ class RewriteSystem:
     def _find_reduction(self, word, coeff):
         """(rule, start, quotient) of the first rule, in rule order, whose
         left-hand side occurs in word and divides coeff with a nonzero
-        quotient, at its leftmost occurrence; None when no rule applies."""
-        by_lhs = self._by_lhs
+        quotient, at its leftmost occurrence; None when no rule applies.
+
+        The first call on a word scans its windows of every live
+        left-hand side length and records what it finds (see the class
+        docstring); later calls read the record."""
+        found = self._found.get(word)
+        if found is None:
+            found = self._scan(word)
+        for same, start in found:
+            for rule in same:
+                lead = rule.coeff
+                q = coeff if lead == 1 else self._quotient(coeff, lead)
+                if q:
+                    return rule, start, q
+        return None
+
+    def _scan(self, word):
+        """Record the left-hand sides with a live rule in word, and file
+        word under each window where it found none."""
+        by_lhs, missed = self._by_lhs, self._missed
         n = len(word)
-        leftmost = {}  # order key of each occurring lhs -> its first start
+        leftmost = {}  # each occurring lhs -> (its key, its rules, first start)
         for k in self._lhs_lengths:
             for i in range(n - k + 1):  # none when k > n
-                same = by_lhs.get(word[i : i + k])
+                window = word[i : i + k]
+                same = by_lhs.get(window)
                 if same:
-                    leftmost.setdefault(same[0].key, i)
-        for key in sorted(leftmost):
-            for rule in by_lhs[key[2]]:
-                q = self._quotient(coeff, rule.coeff)
-                if q:
-                    return rule, leftmost[key], q
-        return None
+                    if window not in leftmost:
+                        leftmost[window] = (same[0].key, same, i)
+                else:
+                    missed.setdefault(window, []).append(word)
+        found = self._found[word] = [
+            (same, i) for _, same, i in sorted(leftmost.values(),
+                                               key=lambda t: t[0])
+        ]
+        return found
 
     def _quotient(self, coeff, lead):
         m = self.algebra.modulus
@@ -339,11 +416,21 @@ class RewriteSystem:
                 rule, pos, q = hit
                 if trace is not None:
                     trace.append((self.rules.index(rule), pos, w))
-                poly_iadd_term(p, w, -q * rule.coeff, m)
                 pre, post = w[:pos], w[pos + len(rule.lhs) :]
+                if m:
+                    poly_iadd_term(p, w, -q * rule.coeff, m)
+                elif c := p[w] - q * rule.coeff:
+                    p[w] = c
+                else:
+                    del p[w]
                 for w2, c2 in rule.rhs.items():
                     w3 = pre + w2 + post
-                    poly_iadd_term(p, w3, q * c2, m)
+                    if m:
+                        poly_iadd_term(p, w3, q * c2, m)
+                    elif c := p.get(w3, 0) + q * c2:
+                        p[w3] = c
+                    else:
+                        p.pop(w3, None)
                     if w3 not in queued:
                         queued.add(w3)
                         bisect.insort(todo, alg.order_key(w3))
@@ -385,6 +472,8 @@ def _superpositions(l1, l2):
         # word itself so coefficient combinations still surface
         out.append((l1 if n1 else l2, 0, 0))
         return out
+    if l2[0] not in l1:
+        return out  # l2 would start at a letter of l1
     for k in range(1, min(n1, n2) + 1):
         if l1[n1 - k :] == l2[:k]:
             out.append((l1 + l2[k:], 0, n1 - k))
@@ -402,9 +491,11 @@ def complete(algebra, budget=100_000):
     One system is built and its rule table updated as rules are added
     and retired.  A new rule is paired only with, and can retire only,
     rules whose left-hand side shares a letter with its own (or when
-    either is empty).  The budget counts steps: one per polynomial taken
-    from the queue, one per nonzero S-polynomial, and one per rule in
-    each round of the final normalization of right-hand sides.
+    either is empty); it finds the rules it retires through the system's
+    index of left-hand-side letters and pairs.  The budget counts steps:
+    one per polynomial taken from the queue, one per nonzero
+    S-polynomial, and one per rule in each round of the final
+    normalization of right-hand sides.
     Superpositions whose S-polynomial is zero cost no step, so the work
     can grow much faster than the budget.  For example, over Z/4 with
     x0, x1 of degree 0 and the relations x0*x0 = -x1*x0 and
@@ -433,15 +524,11 @@ def complete(algebra, budget=100_000):
             continue
         new = _orient(alg, p)
         # retire any existing rule that the new rule reduces
-        letters, k = set(new.lhs), len(new.lhs)
-        for r in list(rsys.rules):
-            if (not (k and letters.isdisjoint(r.lhs))
-                    and new.lhs in {r.lhs[i : i + k]
-                                    for i in range(len(r.lhs) - k + 1)}
-                    and rsys._quotient(r.coeff, new.coeff)):
-                rsys._retire(r)
-                push(poly_sub({r.lhs: r.coeff}, r.rhs, alg.modulus))
+        for r in rsys._retired_by(new):
+            rsys._retire(r)
+            push(poly_sub({r.lhs: r.coeff}, r.rhs, alg.modulus))
         rsys._insert(new)
+        letters = set(new.lhs)
         # critical pairs of the new rule against everything (incl. itself)
         for other in rsys.rules:
             apart = new.lhs and other.lhs and letters.isdisjoint(other.lhs)

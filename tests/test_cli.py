@@ -188,6 +188,23 @@ def test_invalid_input_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bar", "exterior", "--window", "0..6"],
+         "unknown algebra 'exterior'; choose from "),
+        (["homology", "nosuch"], "unknown complex 'nosuch'; choose from "),
+        (["weq", "z2", "nosuch"], "unknown monoid 'nosuch'; choose from "),
+    ],
+    ids=["algebra", "complex", "monoid"],
+)
+def test_unknown_input_names_are_reported_unquoted(capsys, argv, message):
+    code, r = run_json(capsys, argv)
+    assert code == 2
+    assert r["error"]["kind"] == "invalid-input"
+    assert r["error"]["message"].startswith(message)
+
+
 def test_bad_window_exits_2(capsys):
     code, r = run_json(capsys, ["homology", "sphere2", "--window", "2..4"])
     assert code == 2

@@ -16,7 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barloop import barcobar, cli, dgcoalg, weqcheck
-from barloop.barcobar import bar, cobar, counit_check, extended_cobar
+from barloop.barcobar import (
+    bar,
+    cobar,
+    counit_check,
+    extended_cobar,
+    unit_check,
+)
 from barloop.dgcoalg import DgCoalgebraWindow, chains, nerve_chains_map
 from barloop.exactlin import ChainComplexWindow, basis_window, homology_window
 from barloop.monoids import (
@@ -193,19 +199,20 @@ def exterior_on_x():
         (lambda: extended_cobar(collapsed_boundary_delta3(), 3), range(1, 4)),
         # the bar window runs one degree above the counit's window
         (lambda: counit_check(exterior_on_x(), 5), range(1, 7)),
+        # the unit reads the chains' coproduct, never its bar window's
+        (lambda: unit_check(chains(minimal_sphere(2), 6)), range(1, 7)),
     ],
     ids=["cobar-sphere2", "cobar-z3", "extended-sphere1",
-         "extended-delta3-collapsed", "counit-exterior"],
+         "extended-delta3-collapsed", "counit-exterior", "unit-sphere2"],
 )
 def test_cobar_walks_each_coproduct_degree_once(monkeypatch, build, degrees):
-    """cobar, extended_cobar and counit_check read each positive degree
-    of their one coalgebra window's coproduct in one walk, and the
-    window holds none of it afterwards."""
+    """cobar, extended_cobar, counit_check and unit_check read each
+    positive degree of one coalgebra window's coproduct in one walk, and
+    no window holds any of it afterwards."""
     calls, windows = _record_coproduct_calls(monkeypatch, barcobar, dgcoalg)
     assert build()
     assert calls == list(degrees)
-    [window] = windows
-    assert holds_no_coproduct(window)
+    assert windows and all(map(holds_no_coproduct, windows))
 
 
 def _windows_built_by_weq(monkeypatch, f):

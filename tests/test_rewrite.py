@@ -25,6 +25,7 @@ from barloop.rewrite import (
     complete,
     complex_window,
     h0_ring,
+    poly_iadd_term,
     poly_mul,
     poly_sub,
     ring_iso_certify,
@@ -531,3 +532,108 @@ def test_infinite_bases_are_decided_without_enumerating():
 def test_deep_words_are_listed_without_recursion():
     rsys = complete(PresentedDgAlgebra([("x", 1)]))
     assert basis_in_degree(rsys, 2000) == [(0,) * 2000]
+
+
+def _random_presentation(rng):
+    """Up to three generators of degree 0 or 1, an optional modulus and
+    up to four homogeneous relations with random coefficients, so with
+    non-unit leads and, when a constant term survives alone, an empty
+    left-hand side."""
+    modulus = rng.choice([None, None, 2, 3, 4, 6, 9])
+    ngens = rng.randint(1, 3)
+    alg = PresentedDgAlgebra(
+        [(f"x{i}", rng.choice([0, 0, 1])) for i in range(ngens)],
+        modulus=modulus,
+    )
+    relations = []
+    for _ in range(rng.randint(1, 4)):
+        words = [
+            tuple(rng.randrange(ngens) for _ in range(rng.randint(0, 4)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        p = {}
+        for w in words:
+            if alg.word_degree(w) == alg.word_degree(words[0]):
+                poly_iadd_term(p, w, rng.randint(-6, 6), modulus)
+        if p:
+            relations.append((p, {}))
+    alg.relations = relations
+    return alg
+
+
+def _cold_reduction(rsys, word, coeff):
+    """The first rule in rule order whose left-hand side occurs in word
+    and divides coeff with a nonzero quotient, at its leftmost start."""
+    for rule in rsys.rules:
+        k = len(rule.lhs)
+        starts = [i for i in range(len(word) - k + 1)
+                  if word[i : i + k] == rule.lhs]
+        q = rsys._quotient(coeff, rule.coeff)
+        if starts and q:
+            return rule, starts[0], q
+    return None
+
+
+def test_recorded_scans_match_a_cold_scan_after_every_rule_change(monkeypatch):
+    """After every insert and retire in complete, the reduction that a
+    system reads off each word's record is the one a scan of every rule
+    finds.  The seeded presentations cover an empty left-hand side, a
+    left-hand side of a length with no live rule, one whose earlier
+    rules were all retired while its length stayed live, and one whose
+    length class emptied and refilled with a recorded word containing
+    it (words recorded in between never looked at that length).  The
+    rules and step counts are those of the sorting completion, which
+    reads every rule to retire and to pair."""
+    seen = set()
+    insert, retire = RewriteSystem._insert, RewriteSystem._retire
+
+    def check(rsys):
+        for word in list(rsys._found):
+            for coeff in (1, 2, 3, -1, 5):
+                assert (rsys._find_reduction(word, coeff)
+                        == _cold_reduction(rsys, word, coeff))
+
+    def spy_insert(rsys, rule):
+        lhs, n = rule.lhs, len(rule.lhs)
+        same = rsys._by_lhs.get(lhs)
+        if not lhs:
+            seen.add("empty lhs")
+        if n not in rsys._lhs_lengths:
+            seen.add("new length")
+            if same is not None and any(
+                word[i : i + n] == lhs
+                for word in rsys._found for i in range(len(word) - n + 1)
+            ):
+                seen.add("recorded word holds an lhs whose length refilled")
+        elif same == []:
+            seen.add("retired lhs again, length live")
+        if rule.coeff != 1:
+            seen.add("non-unit lead")
+        insert(rsys, rule)
+        check(rsys)
+
+    def spy_retire(rsys, rule):
+        retire(rsys, rule)
+        check(rsys)
+
+    monkeypatch.setattr(RewriteSystem, "_insert", spy_insert)
+    monkeypatch.setattr(RewriteSystem, "_retire", spy_retire)
+    rng = random.Random(20261021)
+    for _ in range(300):
+        alg = _random_presentation(rng)
+        if alg.modulus:
+            seen.add("modulus")
+        if any(deg for _, deg in alg.generators):
+            seen.add("positive degree")
+        budget = rng.randint(0, 60)
+        rsys, ref = complete(alg, budget), old.complete(alg, budget)
+        assert [(r.coeff, r.lhs, r.rhs) for r in rsys.rules] == [
+            (r.coeff, r.lhs, r.rhs) for r in ref.rules
+        ]
+        assert rsys.steps_used == ref.steps_used
+    assert seen == {
+        "empty lhs", "new length",
+        "recorded word holds an lhs whose length refilled",
+        "retired lhs again, length live", "non-unit lead", "modulus",
+        "positive degree",
+    }
