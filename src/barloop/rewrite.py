@@ -256,12 +256,6 @@ class _Rule:
         self.key = key      # order key of lhs
 
 
-def _short_subwords(lhs):
-    """The letters and adjacent pairs of a left-hand side: a word that
-    contains another nonempty word contains its first one or two letters."""
-    return {lhs[i : i + k] for k in (1, 2) for i in range(len(lhs) - k + 1)}
-
-
 class RewriteSystem:
     """Oriented rules plus reduction, in one rule table that completion
     updates in place as rules are added and retired.  ``complete`` means
@@ -277,10 +271,7 @@ class RewriteSystem:
       length has no live rule drops every record (their scans skipped
       that length); inserting one whose left-hand side has no live rule
       drops the records of the words whose scan looked that window up
-      and found no rule;
-    - the rules by the letters and adjacent pairs of their left-hand
-      sides, so that a new rule finds the rules it may retire without
-      reading every rule.
+      and found no rule.
     Order keys come from the algebra, which builds each word's key once
     and keeps it, so queueing a monomial again reads a stored key."""
 
@@ -293,7 +284,6 @@ class RewriteSystem:
         self._lhs_lengths = {}  # length -> number of rules with lhs that long
         self._found = {}  # word -> [(rules of an lhs in it, leftmost start)]
         self._missed = {}  # window -> words whose scan found no rule there
-        self._containing = {}  # letter or pair -> {rule: None}, as inserted
 
     def _insert(self, rule):
         lhs, n = rule.lhs, len(rule.lhs)
@@ -307,8 +297,6 @@ class RewriteSystem:
         same.append(rule)
         bisect.insort(self.rules, rule, key=lambda r: r.key)
         self._lhs_lengths[n] = self._lhs_lengths.get(n, 0) + 1
-        for sub in _short_subwords(lhs):
-            self._containing.setdefault(sub, {})[rule] = None
 
     def _retire(self, rule):
         self.rules.remove(rule)
@@ -317,21 +305,6 @@ class RewriteSystem:
         self._lhs_lengths[n] -= 1
         if not self._lhs_lengths[n]:
             del self._lhs_lengths[n]
-        for sub in _short_subwords(rule.lhs):
-            del self._containing[sub][rule]
-
-    def _retired_by(self, new):
-        """The rules whose left-hand side contains the new rule's and whose
-        leading coefficient its lead divides with a nonzero quotient.  Any
-        order will do: their leads differ unless their left-hand sides
-        are equal, and those come in insertion order."""
-        lhs, k = new.lhs, len(new.lhs)
-        rules = self._containing.get(lhs[:2], ()) if k else self.rules
-        return [
-            r for r in rules
-            if any(r.lhs[i : i + k] == lhs for i in range(len(r.lhs) - k + 1))
-            and self._quotient(r.coeff, new.coeff)
-        ]
 
     @property
     def has_nonunit_leads(self):
@@ -487,11 +460,9 @@ def complete(algebra, budget=100_000):
     One system is built and its rule table updated as rules are added
     and retired.  A new rule is paired only with, and can retire only,
     rules whose left-hand side shares a letter with its own (or when
-    either is empty); it finds the rules it retires through the system's
-    index of left-hand-side letters and pairs.  The budget counts steps:
-    one per polynomial taken from the queue, one per nonzero
-    S-polynomial, and one per rule in each round of the final
-    normalization of right-hand sides.
+    either is empty).  The budget counts steps: one per polynomial taken
+    from the queue, one per nonzero S-polynomial, and one per rule in
+    each round of the final normalization of right-hand sides.
     Superpositions whose S-polynomial is zero cost no step, so the work
     can grow much faster than the budget.  For example, over Z/4 with
     x0, x1 of degree 0 and the relations x0*x0 = -x1*x0 and
@@ -520,11 +491,15 @@ def complete(algebra, budget=100_000):
             continue
         new = _orient(alg, p)
         # retire any existing rule that the new rule reduces
-        for r in rsys._retired_by(new):
-            rsys._retire(r)
-            push(poly_sub({r.lhs: r.coeff}, r.rhs, alg.modulus))
+        letters, k = set(new.lhs), len(new.lhs)
+        for r in list(rsys.rules):
+            if (not (k and letters.isdisjoint(r.lhs))
+                    and new.lhs in {r.lhs[i : i + k]
+                                    for i in range(len(r.lhs) - k + 1)}
+                    and rsys._quotient(r.coeff, new.coeff)):
+                rsys._retire(r)
+                push(poly_sub({r.lhs: r.coeff}, r.rhs, alg.modulus))
         rsys._insert(new)
-        letters = set(new.lhs)
         # critical pairs of the new rule against everything (incl. itself)
         for other in rsys.rules:
             apart = new.lhs and other.lhs and letters.isdisjoint(other.lhs)

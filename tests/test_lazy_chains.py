@@ -191,28 +191,32 @@ def exterior_on_x():
 
 
 @pytest.mark.parametrize(
-    "build, degrees",
+    "build, degrees, count",
     [
-        (lambda: cobar(chains(minimal_sphere(2), 6)), range(1, 7)),
-        (lambda: cobar(chains(nerve(FiniteMonoid.cyclic(3)), 4)), range(1, 5)),
-        (lambda: extended_cobar(minimal_sphere(1), 4), range(1, 5)),
-        (lambda: extended_cobar(collapsed_boundary_delta3(), 3), range(1, 4)),
+        (lambda: cobar(chains(minimal_sphere(2), 6)), range(1, 7), 1),
+        (lambda: cobar(chains(nerve(FiniteMonoid.cyclic(3)), 4)), range(1, 5), 1),
+        (lambda: extended_cobar(minimal_sphere(1), 4), range(1, 5), 1),
+        (lambda: extended_cobar(collapsed_boundary_delta3(), 3), range(1, 4), 1),
         # the bar window runs one degree above the counit's window
-        (lambda: counit_check(exterior_on_x(), 5), range(1, 7)),
+        (lambda: counit_check(exterior_on_x(), 5), range(1, 7), 1),
         # the unit reads the chains' coproduct, never its bar window's
-        (lambda: unit_check(chains(minimal_sphere(2), 6)), range(1, 7)),
+        (lambda: unit_check(chains(minimal_sphere(2), 6)), range(1, 7), 2),
     ],
     ids=["cobar-sphere2", "cobar-z3", "extended-sphere1",
          "extended-delta3-collapsed", "counit-exterior", "unit-sphere2"],
 )
-def test_cobar_walks_each_coproduct_degree_once(monkeypatch, build, degrees):
+def test_cobar_walks_each_coproduct_degree_once(
+    monkeypatch, build, degrees, count
+):
     """cobar, extended_cobar, counit_check and unit_check read each
-    positive degree of one coalgebra window's coproduct in one walk, and
-    no window holds any of it afterwards."""
+    positive degree of one coalgebra window's coproduct in one walk, build
+    `count` coalgebra windows, and no window holds any coproduct
+    afterwards (unit_check builds the chains and their bar window)."""
     calls, windows = _record_coproduct_calls(monkeypatch, barcobar, dgcoalg)
     assert build()
     assert calls == list(degrees)
-    assert windows and all(map(holds_no_coproduct, windows))
+    assert len(windows) == count
+    assert all(map(holds_no_coproduct, windows))
 
 
 def _windows_built_by_weq(monkeypatch, f):
